@@ -2,9 +2,8 @@
 //! off (the default, `cache: None`) vs armed (`DeviceConfig::with_cache`).
 //! The overhead claim lives in the wall-clock ratio; the *correctness*
 //! claims are enforced during calibration before any timing happens: the
-//! off run must count zero cache events, the armed run must compute a
-//! bit-identical solution (the model reshapes timing, never values), and
-//! the armed run must be deterministic across engine clusterings.
+//! off run must count zero cache events, and the armed run must compute a
+//! bit-identical solution (the model reshapes timing, never values).
 //!
 //! `--quick` shrinks the matrix and time budgets to a CI smoke run; the
 //! calibration equality checks run at every size.
@@ -75,21 +74,8 @@ fn bench_engine_cache(c: &mut Criterion) {
             );
         }
 
-        // Calibration 2: the armed model is deterministic across engine
-        // clusterings (hit rates included).
-        for threads in [2usize, 4] {
-            let on_clustered =
-                solve_simulated(&on.clone().with_engine_threads(threads), &l, &b, algo)
-                    .expect("clustered cache-on solve");
-            assert_eq!(
-                format!("{:?}", on_clustered.stats),
-                format!("{:?}", on_serial.stats),
-                "{}/{mname}: cache-On stats diverged at {threads} engine threads",
-                algo.label()
-            );
-        }
         println!(
-            "[engine_cache] {}/{mname}: solution bits cache-invariant, cache-On deterministic, L1 hit rate {:.1}%",
+            "[engine_cache] {}/{mname}: solution bits cache-invariant, L1 hit rate {:.1}%",
             algo.label(),
             100.0 * on_serial.stats.l1_hit_rate()
         );

@@ -7,8 +7,7 @@
 //! match SyncFree bit-for-bit (with one off-diagonal per row SyncFree's
 //! tree reduction degenerates to the same order — on fatter rows the
 //! reduction legitimately re-associates, so the reference is the anchor),
-//! the scheduled run must be deterministic across engine clusterings, and
-//! FastForward spin parking must reproduce the Replay cycle count
+//! and FastForward spin parking must reproduce the Replay cycle count
 //! bit-for-bit.
 //!
 //! On the deep chain matrix the calibration additionally asserts the
@@ -83,23 +82,7 @@ fn bench_engine_schedule(c: &mut Criterion) {
             }
         }
 
-        // Calibration 2: deterministic across engine clusterings.
-        for threads in [2usize, 4] {
-            let clustered = solve_simulated(
-                &cfg.clone().with_engine_threads(threads),
-                &l,
-                &b,
-                Algorithm::Scheduled,
-            )
-            .expect("clustered scheduled solve");
-            assert_eq!(
-                format!("{:?}", clustered.stats),
-                format!("{:?}", sched.stats),
-                "{mname}: scheduled stats diverged at {threads} engine threads"
-            );
-        }
-
-        // Calibration 3: FastForward parks the unit-boundary spins without
+        // Calibration 2: FastForward parks the unit-boundary spins without
         // moving the cycle count or the solution.
         let ff = solve_simulated(
             &cfg.clone().with_spin_model(SpinModel::FastForward),
@@ -120,7 +103,7 @@ fn bench_engine_schedule(c: &mut Criterion) {
             );
         }
 
-        // Calibration 4: on the deep chain the whole point of the schedule
+        // Calibration 3: on the deep chain the whole point of the schedule
         // is fewer simulated cycles than the warp-per-row baseline.
         if mname.starts_with("chain") {
             assert!(
@@ -131,8 +114,8 @@ fn bench_engine_schedule(c: &mut Criterion) {
             );
         }
         println!(
-            "[engine_schedule] {mname}: bitwise == serial reference, cluster-deterministic, \
-             FastForward-stable; cycles {} vs SyncFree {}",
+            "[engine_schedule] {mname}: bitwise == serial reference, FastForward-stable; \
+             cycles {} vs SyncFree {}",
             sched.stats.cycles, base.stats.cycles
         );
 

@@ -5,7 +5,7 @@
 //! experiments: table1 table2 table3 table4 table5 table6
 //!              fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //!              ablation batch csc hybrid deadlock racecheck profile
-//!              sweep-timing cluster-timing shard-scaling locality schedule serve-load all
+//!              sweep-timing shard-scaling locality schedule serve-load all
 //! ```
 //!
 //! Sweep results are cached as CSV under `results/` (override with
@@ -14,10 +14,7 @@
 //! `--threads N` (or `CAPELLINI_THREADS=N`) runs sweeps on N worker
 //! threads; the cached CSVs are byte-identical to a serial sweep, only the
 //! wall-clock changes. `sweep-timing` measures that speedup and writes
-//! `results/sweep_timing.json`. `cluster-timing` compares the serial
-//! simulation engine against the clustered one
-//! (`DeviceConfig::with_engine_threads`) and writes
-//! `results/cluster_timing.json`. `shard-scaling` runs the sharded
+//! `results/sweep_timing.json`. `shard-scaling` runs the sharded
 //! multi-device solve at 1..8 simulated devices over both interconnect
 //! classes (verifying bit-exactness against the single-device oracle) and
 //! writes `results/shard_scaling.json`. `locality` arms the finite L1/L2 cache
@@ -79,7 +76,7 @@ fn main() {
     }
     if which.is_empty() {
         eprintln!(
-            "usage: repro <table1|table2|table3|table4|table5|table6|fig1|..|fig8|ablation|batch|hybrid|deadlock|racecheck|profile|sweep-timing|cluster-timing|shard-scaling|locality|schedule|serve-load|all> [--scale small|medium|full] [--limit N] [--threads N]"
+            "usage: repro <table1|table2|table3|table4|table5|table6|fig1|..|fig8|ablation|batch|hybrid|deadlock|racecheck|profile|sweep-timing|shard-scaling|locality|schedule|serve-load|all> [--scale small|medium|full] [--limit N] [--threads N]"
         );
         std::process::exit(2);
     }
@@ -162,7 +159,6 @@ fn main() {
             "csc" => exp::csc(scale),
             "hybrid" => exp::hybrid(scale),
             "sweep-timing" => exp::sweep_timing(scale, limit),
-            "cluster-timing" => exp::cluster_timing(scale, limit),
             "shard-scaling" => exp::shard_scaling(scale, limit),
             "locality" => exp::locality(scale),
             "schedule" => exp::schedule(scale),

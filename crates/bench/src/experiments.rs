@@ -1214,92 +1214,6 @@ pub fn sweep_timing(scale: Scale, limit: usize) -> String {
     )
 }
 
-// ---------------------------------------------- Clustered engine timing
-
-/// Supplementary: wall-clock of individual solves on the serial engine vs
-/// the clustered engine (`DeviceConfig::with_engine_threads`), verifying
-/// bit-exact reports before timing anything. Writes
-/// `results/cluster_timing.json` with `{serial_s, clustered_s,
-/// engine_threads, speedup}`. `limit` truncates the matrix list (0 = all).
-pub fn cluster_timing(scale: Scale, limit: usize) -> String {
-    use crate::runner::{engine_threads_budget, results_dir};
-    use std::time::Instant;
-
-    let all = dataset::suite(scale);
-    let take = if limit == 0 { all.len() } else { limit };
-    let entries: Vec<&DatasetEntry> = all.iter().take(take).collect();
-    // The timing loop itself is serial (one solve at a time), so the
-    // nested-parallelism budget lets the engine take up to the whole host
-    // budget. The demonstration still pins a 4-cluster engine even on
-    // smaller hosts: determinism makes oversubscription safe, and the
-    // point of the record is the bit-exactness plus whatever speedup the
-    // host can express (1.0x is the documented ceiling on one CPU).
-    let engine_threads = engine_threads_budget(1, 4).max(4);
-    let serial_cfg = pascal();
-    let clustered_cfg = serial_cfg.clone().with_engine_threads(engine_threads);
-    let algos = [Algorithm::SyncFree, Algorithm::CapelliniWritingFirst];
-
-    let mut serial_s = 0.0;
-    let mut clustered_s = 0.0;
-    let mut solves = 0usize;
-    for entry in &entries {
-        let l = entry.spec.build(entry.seed);
-        let (b, _) = make_problem(&l);
-        for algo in algos {
-            let t0 = Instant::now();
-            let rs = solve_simulated(&serial_cfg, &l, &b, algo).expect("serial solve");
-            serial_s += t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let rc = solve_simulated(&clustered_cfg, &l, &b, algo).expect("clustered solve");
-            clustered_s += t1.elapsed().as_secs_f64();
-            assert_eq!(
-                format!("{:?}", rc.stats),
-                format!("{:?}", rs.stats),
-                "{}/{}: clustered stats diverged",
-                entry.name,
-                algo.label()
-            );
-            assert_eq!(
-                rc.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                rs.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{}/{}: clustered solution diverged",
-                entry.name,
-                algo.label()
-            );
-            solves += 2;
-        }
-    }
-    let speedup = safe_div(serial_s, clustered_s);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let note = if host_cpus < engine_threads {
-        format!(
-            ",\n  \"note\": \"single-CPU-limited host (nproc={host_cpus} < {engine_threads} \
-             engine threads): parity is the expected ceiling; see EXPERIMENTS.md\""
-        )
-    } else {
-        String::new()
-    };
-    let json = format!(
-        "{{\n  \"serial_s\": {serial_s:.3},\n  \"clustered_s\": {clustered_s:.3},\n  \"engine_threads\": {engine_threads},\n  \"host_cpus\": {host_cpus},\n  \"speedup\": {speedup:.3},\n  \"matrices\": {},\n  \"solves\": {solves},\n  \"identical\": true{note}\n}}\n",
-        entries.len(),
-    );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("cluster_timing.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("[cluster-timing] could not write {}: {e}", path.display());
-    }
-
-    format!(
-        "Clustered simulation engine: wall-clock comparison ({} matrices x {} algorithms)\n\n  serial engine:    {serial_s:>8.2} s\n  {engine_threads} engine threads: {clustered_s:>7.2} s  ({host_cpus} host cpu(s))\n  speedup:          {speedup:>8.2}x\n  results:          identical ({solves} solves, bitwise)\n",
-        entries.len(),
-        algos.len(),
-    )
-}
-
 // ------------------------------------- Sharded multi-device scaling
 
 /// ROADMAP item 4: strong and weak scaling of the sharded multi-device

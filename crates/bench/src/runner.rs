@@ -200,32 +200,6 @@ pub fn threads_from_env() -> usize {
         .unwrap_or_else(|| DEFAULT_THREADS.load(Ordering::Relaxed).max(1))
 }
 
-/// Splits a total host-thread budget between sweep workers and the
-/// clustered simulation engine ([`DeviceConfig::with_engine_threads`]):
-/// with `sweep_threads` jobs running concurrently, each job may use at most
-/// `total / sweep_threads` engine threads (floored, never below 1), so a
-/// sweep over clustered devices cannot oversubscribe the host. The request
-/// is clamped, not scaled — asking for fewer engine threads than the budget
-/// allows is honored as-is. Pure; see [`engine_threads_budget`] for the
-/// env-aware entry point.
-pub fn split_thread_budget(total: usize, sweep_threads: usize, requested: usize) -> usize {
-    let per_job = (total.max(1) / sweep_threads.max(1)).max(1);
-    requested.max(1).min(per_job)
-}
-
-/// Resolves the engine-thread budget for one sweep job against the
-/// process-wide thread budget (`CAPELLINI_THREADS` / [`set_default_threads`],
-/// but never less than the sweep's own worker count). Engine determinism
-/// means this only shapes wall-clock — the results are bit-identical at any
-/// outcome (pinned by `capellini-core`'s facade tests).
-pub fn engine_threads_budget(sweep_threads: usize, requested: usize) -> usize {
-    split_thread_budget(
-        threads_from_env().max(sweep_threads),
-        sweep_threads,
-        requested,
-    )
-}
-
 /// The sweep executor: a worker pool of `threads` scoped threads pulling
 /// dataset entries from a shared queue.
 ///
@@ -655,21 +629,6 @@ mod tests {
         }
         std::env::remove_var("CAPELLINI_RESULTS_DIR");
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn thread_budget_never_oversubscribes_the_host() {
-        // 8 host threads, 4 sweep workers: each job gets at most 2.
-        assert_eq!(split_thread_budget(8, 4, 8), 2);
-        assert_eq!(split_thread_budget(8, 4, 1), 1);
-        // Budget exhausted by the sweep itself: engine stays serial.
-        assert_eq!(split_thread_budget(4, 4, 8), 1);
-        assert_eq!(split_thread_budget(1, 4, 8), 1);
-        // Serial sweep: the engine may take the whole budget, but no more.
-        assert_eq!(split_thread_budget(8, 1, 4), 4);
-        assert_eq!(split_thread_budget(8, 1, 16), 8);
-        // Degenerate inputs stay in range.
-        assert_eq!(split_thread_budget(0, 0, 0), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::kernels;
 use crate::kernels::syncfree_csc::DeviceCsc;
 use crate::select::{recommend, Algorithm};
 use crate::shard::{solve_sharded_with_partition, ShardConfig, ShardedReport};
-use crate::solver::{MultiSolveReport, SolveReport};
+use crate::solver::{check_rhs_len, MultiSolveReport, SolveReport};
 
 /// Per-algorithm cached analysis state, computed once at session creation.
 enum Analysis {
@@ -87,11 +87,6 @@ impl SolverSession {
     }
 
     /// Analyzes `l` once for an explicitly chosen algorithm.
-    ///
-    /// The configuration is adopted wholesale — a session built from a
-    /// [`DeviceConfig::with_engine_threads`] config runs every warm solve on
-    /// the clustered parallel engine, with bit-identical reports (pinned by
-    /// `clustered_sessions_match_serial_sessions_bitwise` below).
     pub fn with_algorithm(
         config: &DeviceConfig,
         l: LowerTriangularCsr,
@@ -189,13 +184,6 @@ impl SolverSession {
         b: &[f64],
         shard: &ShardConfig,
     ) -> Result<ShardedReport, SimtError> {
-        let n = self.l.n();
-        if b.len() != n {
-            return Err(SimtError::Launch(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
-        }
         shard.validate()?;
         let part = self
             .partitions
@@ -222,12 +210,7 @@ impl SolverSession {
     /// [`SimtError::Launch`], not a panic.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport, SimtError> {
         let n = self.l.n();
-        if b.len() != n {
-            return Err(SimtError::Launch(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
-        }
+        check_rhs_len(b, n)?;
         self.pool.prepare(&mut self.dev, b, n);
         let stats = self.launch_single()?;
         self.solves += 1;
@@ -509,48 +492,6 @@ mod tests {
             session.device().grid_reuses() >= after_first + 2,
             "warm launches must reuse the cached grid plan"
         );
-    }
-
-    /// A session on a clustered engine must serve warm solves (single and
-    /// batched) bit-identical to a session on the serial engine.
-    #[test]
-    fn clustered_sessions_match_serial_sessions_bitwise() {
-        let l = gen::random_k(400, 3, 400, 94);
-        let n = l.n();
-        let serial_cfg = DeviceConfig::pascal_like().scaled_down(4);
-        let clustered_cfg = serial_cfg.clone().with_engine_threads(4);
-        for algo in [Algorithm::SyncFree, Algorithm::CapelliniTwoPhase] {
-            let mut serial = SolverSession::with_algorithm(&serial_cfg, l.clone(), algo);
-            let mut clustered = SolverSession::with_algorithm(&clustered_cfg, l.clone(), algo);
-            for seed in 0..2 {
-                let b = rhs(n, seed);
-                let rs = serial.solve(&b).unwrap();
-                let rc = clustered.solve(&b).unwrap();
-                assert_eq!(
-                    format!("{:?}", rc.stats),
-                    format!("{:?}", rs.stats),
-                    "{}: warm solve {seed} stats diverge",
-                    algo.label()
-                );
-                for (c, s) in rc.x.iter().zip(&rs.x) {
-                    assert_eq!(c.to_bits(), s.to_bits(), "{}", algo.label());
-                }
-            }
-            let bs: Vec<f64> = (0..n * 2)
-                .map(|i| ((i * 13 + 3) % 23) as f64 - 11.0)
-                .collect();
-            let ms = serial.solve_multi(&bs, 2).unwrap();
-            let mc = clustered.solve_multi(&bs, 2).unwrap();
-            assert_eq!(
-                format!("{:?}", mc.stats),
-                format!("{:?}", ms.stats),
-                "{}: batched stats diverge",
-                algo.label()
-            );
-            for (c, s) in mc.x.iter().zip(&ms.x) {
-                assert_eq!(c.to_bits(), s.to_bits(), "{}", algo.label());
-            }
-        }
     }
 
     /// Regression: `SolverSession::new` used to run the statistics pass

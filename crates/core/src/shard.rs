@@ -70,6 +70,7 @@ use crate::kernels::syncfree_csc::{self, SyncFreeCscKernel};
 use crate::kernels::two_phase::TwoPhaseKernel;
 use crate::kernels::writing_first::WritingFirstKernel;
 use crate::select::Algorithm;
+use crate::solver::check_rhs_len;
 
 /// Payload bytes per boundary message: the 8-byte value plus the row index
 /// and a routing header (what a real peer-to-peer copy descriptor costs).
@@ -341,6 +342,9 @@ pub fn solve_sharded(
 /// [`solve_sharded`] against a prebuilt partition — the session path, which
 /// caches partitions per device count and reuses them across solves. The
 /// partition must have been built on `l` with the device's warp size.
+///
+/// A right-hand side of the wrong length is a recoverable
+/// [`SimtError::Launch`], exactly as in [`crate::solver::solve_simulated`].
 pub fn solve_sharded_with_partition(
     config: &DeviceConfig,
     l: &LowerTriangularCsr,
@@ -349,7 +353,7 @@ pub fn solve_sharded_with_partition(
     shard: &ShardConfig,
     part: RowPartition,
 ) -> Result<ShardedReport, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    check_rhs_len(b, l.n())?;
     shard.validate()?;
     let tpc = config.schedulers_per_sm.max(1) as u64;
     let mut links = Links::new(shard.link, tpc);

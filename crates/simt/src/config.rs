@@ -134,8 +134,7 @@ impl MemoryModel {
 /// Geometry and latency of the opt-in finite cache model (see DESIGN.md
 /// §13). Off by default on every preset: without it the simulator keeps the
 /// historical flat-latency + infinite-L2 first-touch traffic model, and all
-/// golden traces, racecheck verdicts, and clustered-engine output stay
-/// bit-exact. With a `CacheConfig` armed, non-volatile loads probe a per-SM
+/// golden traces and racecheck verdicts stay bit-exact. With a `CacheConfig` armed, non-volatile loads probe a per-SM
 /// sector/tag L1 (a read-only path — `x`/`val` style data loads; flag polls
 /// and atomics bypass it, they are the sync protocol) and a shared L2, both
 /// set-associative with deterministic LRU replacement, and DRAM traffic
@@ -226,14 +225,6 @@ pub struct DeviceConfig {
     /// Spin-loop simulation strategy (see [`SpinModel`]). `FastForward` by
     /// default; `Replay` is the differential reference.
     pub spin_model: SpinModel,
-    /// Host threads the engine may use to advance SM clusters concurrently
-    /// between synchronization horizons (see DESIGN.md §11). `1` (the
-    /// default) is the plain serial engine; any value is **bit-exact** with
-    /// it — the clustered scheduler merges per-cluster event streams in the
-    /// serial order, so `LaunchStats`, traces, racecheck verdicts, deadlock
-    /// snapshots, and profiles never depend on this knob. Values above
-    /// `sm_count` are clamped to one cluster per SM.
-    pub engine_threads: usize,
     /// Finite cache model (see [`CacheConfig`]). `None` (the default) keeps
     /// the flat-latency + infinite-L2 first-touch model bit-exact with
     /// pre-cache builds; `Some` arms the per-SM L1 / shared L2 hierarchy.
@@ -265,7 +256,6 @@ impl DeviceConfig {
             memory_model: MemoryModel::SequentiallyConsistent,
             profile: ProfileMode::Off,
             spin_model: SpinModel::FastForward,
-            engine_threads: 1,
             cache: None,
         }
     }
@@ -294,7 +284,6 @@ impl DeviceConfig {
             memory_model: MemoryModel::SequentiallyConsistent,
             profile: ProfileMode::Off,
             spin_model: SpinModel::FastForward,
-            engine_threads: 1,
             cache: None,
         }
     }
@@ -323,7 +312,6 @@ impl DeviceConfig {
             memory_model: MemoryModel::SequentiallyConsistent,
             profile: ProfileMode::Off,
             spin_model: SpinModel::FastForward,
-            engine_threads: 1,
             cache: None,
         }
     }
@@ -356,7 +344,6 @@ impl DeviceConfig {
             memory_model: MemoryModel::SequentiallyConsistent,
             profile: ProfileMode::Off,
             spin_model: SpinModel::FastForward,
-            engine_threads: 1,
             cache: None,
         }
     }
@@ -408,15 +395,6 @@ impl DeviceConfig {
     /// style, like [`DeviceConfig::with_memory_model`]).
     pub fn with_spin_model(mut self, spin_model: SpinModel) -> Self {
         self.spin_model = spin_model;
-        self
-    }
-
-    /// Returns this configuration with the given engine-thread count
-    /// (builder style, like [`DeviceConfig::with_memory_model`]). The
-    /// cluster engine clamps the value to `[1, sm_count]` at launch time,
-    /// so any `n` is valid; results are bit-exact regardless.
-    pub fn with_engine_threads(mut self, engine_threads: usize) -> Self {
-        self.engine_threads = engine_threads;
         self
     }
 
@@ -542,18 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_defaults_to_one() {
-        for cfg in DeviceConfig::evaluation_platforms() {
-            assert_eq!(cfg.engine_threads, 1);
-        }
-        assert_eq!(DeviceConfig::toy().engine_threads, 1);
-        let four = DeviceConfig::pascal_like().with_engine_threads(4);
-        assert_eq!(four.engine_threads, 4);
-        // Builder-set values survive the other builders and scaling.
-        assert_eq!(four.scaled_down(4).engine_threads, 4);
-    }
-
-    #[test]
     fn cache_defaults_to_off() {
         for cfg in DeviceConfig::evaluation_platforms() {
             assert_eq!(cfg.cache, None);
@@ -563,7 +529,7 @@ mod tests {
         assert_eq!(on.cache, Some(CacheConfig::small()));
         // Builder-set cache survives the other builders and scaling.
         assert_eq!(
-            on.with_engine_threads(2).scaled_down(4).cache,
+            on.with_spin_model(SpinModel::Replay).scaled_down(4).cache,
             Some(CacheConfig::default())
         );
     }

@@ -21,7 +21,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::cluster::{self, ClusterSched, EagerScratch, SchedParts, Shadow};
 use crate::config::{DeviceConfig, MemoryModel, ProfileMode, SpinModel, StoreScope};
 use crate::error::{SimtError, WarpSnapshot};
 use crate::kernel::{Pc, WarpKernel, PC_EXIT};
@@ -78,11 +77,7 @@ struct GridPlan {
 #[derive(Default)]
 struct LaunchScratch {
     resident: Vec<usize>,
-    /// Pooled storage of the cluster scheduler: the per-cluster event
-    /// heaps plus the SM partition tables (see `cluster.rs`).
-    sched: SchedParts,
-    /// Per-cluster worker scratch for eager horizon advancement.
-    eager: Vec<EagerScratch>,
+    heap: Vec<Reverse<(u64, u32, u32)>>,
     sm_next_free: Vec<u64>,
     sm_last_issue: Vec<u64>,
     accesses: Vec<RawAccess>,
@@ -885,400 +880,6 @@ fn ff_advance<K: WarpKernel>(
     }
 }
 
-// --- Eager cluster advancement (DESIGN.md §11) ---------------------------
-//
-// With `engine_threads > 1` the scheduler is already split into per-cluster
-// heaps (pop order unchanged — see cluster.rs); the parallelism itself
-// comes from advancing *parked* warps of lagging SMs on worker threads
-// while the coordinator sits at a pop. The work a worker does for an SM is
-// exactly a prefix of the work the serial engine's next inline
-// `ff_advance(Some(sm), bound')` with `bound' >= bound` would do — so
-// applying it early changes nothing observable. The prefix property needs
-// one eligibility rule (a scheduled kick, see `eager_eligible`) and one
-// clamp rule (hang thresholds stop *before* the offending visit, see
-// `eager_advance_sm`); everything else is bookkeeping.
-
-/// Pops between eager-advance attempts, adaptively widened while no
-/// eligible work shows up. Any cadence is *correct* (eager work is a
-/// prefix of pending serial work regardless of when it runs); the knobs
-/// only trade scan overhead against parallel coverage.
-const EAGER_GAP_MIN: u32 = 64;
-const EAGER_GAP_MAX: u32 = 4096;
-
-/// Minimum tick lag between an SM's next parked visit and the horizon
-/// before a worker dispatch is worthwhile; below this the inline advance
-/// at the next pop handles it cheaper than a thread round-trip.
-const EAGER_LAG: u64 = 512;
-
-/// Hang thresholds for eager advancement (copies of the serial loop's
-/// values at dispatch time).
-#[derive(Clone, Copy)]
-struct EagerLimits {
-    last_progress: u64,
-    max_ticks: u64,
-    deadlock_ticks: u64,
-}
-
-/// Whether an SM holds parked-warp work a cluster worker may run below
-/// `bound`. The kick requirement is the load-bearing safety rule: a parked
-/// warp's scheduled kick keeps a live entry in the event schedule at a key
-/// at or past the current pop, which *guarantees* a future inline
-/// `ff_advance` for this SM with a covering bound before anything can
-/// observe the SM's counters, end tick, or cursors (error payloads read
-/// none of them; the drained-schedule deadlock path cannot fire while the
-/// kick entry lives). A kickless SM has no such promise, so it is left to
-/// the serial paths entirely.
-fn eager_eligible(
-    spin: &[SpinState],
-    parked: &[u32],
-    visit: &BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &[u32],
-    free: u64,
-    bound: (u64, u32),
-) -> bool {
-    if parked.is_empty() {
-        return false;
-    }
-    let lagging = match (ready.first(), visit.peek()) {
-        (Some(&w), _) => (free, w) < bound && bound.0 - free >= EAGER_LAG,
-        (None, Some(&Reverse((tk, w)))) => (tk, w) < bound && bound.0 - tk >= EAGER_LAG,
-        (None, None) => false,
-    };
-    lagging
-        && parked
-            .iter()
-            .any(|&w| matches!(&spin[w as usize], SpinState::Parked(p) if p.kick.is_some()))
-}
-
-/// Advances one SM's parked warps below `bound` on a cluster worker: the
-/// shadow-cursor mirror of [`ff_advance`]'s single-SM path, minus the
-/// crowd batch (skipping it is pure perf — batched and per-visit
-/// accounting are identical, which the engine_batch calibration pins).
-/// The worker reads the shared spin table but never writes it: cursor
-/// state lives in [`Shadow`]s, counter partial sums in `es.stats`
-/// (saturating adds keep the later merge order-independent), and touched
-/// cursors queue on `es.updates` for the coordinator's serial apply. Hang
-/// thresholds *clamp* — the visit that would cross one is left in place
-/// for the in-order engine, which consumes the identical remainder and
-/// reports the identical error; clamping with this horizon's
-/// `last_progress` (≤ the value at the covering inline advance) can only
-/// stop earlier, never later.
-#[allow(clippy::too_many_arguments)]
-fn eager_advance_sm(
-    spin: &[SpinState],
-    parked: &[u32],
-    visit: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &mut Vec<u32>,
-    next_free: &mut u64,
-    last_issue: &mut u64,
-    es: &mut EagerScratch,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) {
-    es.shadows.clear();
-    for &w in parked {
-        if let SpinState::Parked(p) = &spin[w as usize] {
-            es.shadows.push(Shadow {
-                wid: w,
-                idx: p.idx,
-                next_tick: p.next_tick,
-                ready: p.ready,
-                touched: false,
-            });
-        }
-    }
-    fn pos_of(shadows: &[Shadow], w: u32) -> Option<usize> {
-        shadows.iter().position(|s| s.wid == w)
-    }
-    loop {
-        let free = *next_free;
-        // Absorb due visit keys onto the ready row. A key is live iff it
-        // matches the warp's current projection — the same rule as
-        // `ff_advance`, read through the shadow instead of the spin table.
-        while let Some(&Reverse((tk, w))) = visit.peek() {
-            match pos_of(&es.shadows, w) {
-                Some(si) if es.shadows[si].next_tick == tk => {
-                    if tk > free {
-                        break;
-                    }
-                    visit.pop();
-                    es.shadows[si].ready = true;
-                    es.shadows[si].touched = true;
-                    if let Err(pos) = ready.binary_search(&w) {
-                        ready.insert(pos, w);
-                    }
-                }
-                _ => {
-                    visit.pop();
-                }
-            }
-        }
-        // Pick the next virtual issue exactly as `ff_advance` would.
-        let (u0, wid, runner_up, timed) = if let Some(&w0) = ready.first() {
-            if (free, w0) >= bound {
-                break;
-            }
-            let ru = if ready.len() > 1 {
-                free
-            } else {
-                visit.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
-            };
-            (free, w0, ru, false)
-        } else if let Some(&Reverse((tk0, w0))) = visit.peek() {
-            if (tk0, w0) >= bound {
-                break;
-            }
-            visit.pop();
-            while let Some(&Reverse((tk, w))) = visit.peek() {
-                let is_live =
-                    matches!(pos_of(&es.shadows, w), Some(si) if es.shadows[si].next_tick == tk);
-                if is_live {
-                    break;
-                }
-                visit.pop();
-            }
-            let ru = visit.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
-            (tk0, w0, ru, true)
-        } else {
-            break;
-        };
-        let si = pos_of(&es.shadows, wid).expect("candidate has a shadow");
-        // Same displacement rule as a popped heap event.
-        if free > u0 {
-            es.shadows[si].next_tick = free;
-            es.shadows[si].touched = true;
-            visit.push(Reverse((free, wid)));
-            continue;
-        }
-        // Hang clamp: put a consumed timed key back and stop before the
-        // visit the serial engine will turn into the error.
-        if u0 > lim.max_ticks || u0.saturating_sub(lim.last_progress) > lim.deadlock_ticks {
-            if timed {
-                visit.push(Reverse((u0, wid)));
-            }
-            break;
-        }
-        if es.shadows[si].ready {
-            es.shadows[si].ready = false;
-            if let Ok(pos) = ready.binary_search(&wid) {
-                ready.remove(pos);
-            }
-        }
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            unreachable!("candidate is parked");
-        };
-        let len = p.sig.len();
-        let idx = es.shadows[si].idx;
-        let stats = &mut es.stats;
-        // Closed form: whole iterations strictly below the horizon
-        // (identical arithmetic to `ff_advance`'s batch).
-        let last_i = (idx + len - 1) % len;
-        let off_last = p.period - p.sig[last_i].cost;
-        let lim_tick = bound
-            .0
-            .min(runner_up)
-            .min(lim.max_ticks.saturating_add(1))
-            .min(
-                lim.last_progress
-                    .saturating_add(lim.deadlock_ticks)
-                    .saturating_add(1),
-            );
-        if lim_tick > u0.saturating_add(off_last) {
-            let k = (lim_tick - 1 - off_last - u0) / p.period + 1;
-            let n = k * len as u64;
-            let u_last = u0 + (k - 1) * p.period + off_last;
-            sat_add(&mut stats.issue_ticks, n);
-            sat_add(&mut stats.warp_instructions, n);
-            sat_add(&mut stats.thread_instructions, n * p.lanes);
-            let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
-            for s in &p.sig {
-                fl += s.flops;
-                l2 += s.l2_hits as u64;
-                pf += s.poll_fails as u64;
-            }
-            sat_add(&mut stats.flops, fl * k);
-            sat_add(&mut stats.l2_hits, l2 * k);
-            sat_add(&mut stats.failed_polls, pf * k);
-            sat_add(
-                &mut stats.stall_ticks,
-                (u_last - *last_issue).saturating_sub(n),
-            );
-            *last_issue = u_last;
-            *next_free = u_last + 1;
-            es.end_tick = es.end_tick.max(u_last + p.sig[last_i].cost);
-            es.shadows[si].next_tick = u0 + k * p.period;
-            es.shadows[si].touched = true;
-            visit.push(Reverse((es.shadows[si].next_tick, wid)));
-            continue;
-        }
-        // One virtual instruction.
-        let s = p.sig[idx];
-        sat_add(&mut stats.issue_ticks, 1);
-        let gap = u0.saturating_sub(*last_issue).saturating_sub(1);
-        sat_add(&mut stats.stall_ticks, gap);
-        *last_issue = u0;
-        *next_free = u0 + 1;
-        sat_add(&mut stats.warp_instructions, 1);
-        sat_add(&mut stats.thread_instructions, p.lanes);
-        sat_add(&mut stats.flops, s.flops);
-        sat_add(&mut stats.l2_hits, s.l2_hits as u64);
-        sat_add(&mut stats.failed_polls, s.poll_fails as u64);
-        let t_done = u0 + s.cost;
-        es.end_tick = es.end_tick.max(t_done);
-        es.shadows[si].idx = (idx + 1) % len;
-        es.shadows[si].next_tick = t_done;
-        es.shadows[si].touched = true;
-        visit.push(Reverse((t_done, wid)));
-    }
-    for sh in &es.shadows {
-        if sh.touched {
-            es.updates.push(*sh);
-        }
-    }
-}
-
-/// One cluster worker's pass: advance every eligible SM of the cluster.
-/// `visit`/`ready`/`next_free`/`last_issue` are this cluster's exclusive
-/// rows (indexed from `start`); `spin` and `sm_parked` are shared
-/// read-only views of global state.
-#[allow(clippy::too_many_arguments)]
-fn eager_advance_cluster(
-    spin: &[SpinState],
-    sm_parked: &[Vec<u32>],
-    start: usize,
-    visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    ready: &mut [Vec<u32>],
-    next_free: &mut [u64],
-    last_issue: &mut [u64],
-    es: &mut EagerScratch,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) {
-    for i in 0..visit.len() {
-        let sm = start + i;
-        if !eager_eligible(
-            spin,
-            &sm_parked[sm],
-            &visit[i],
-            &ready[i],
-            next_free[i],
-            bound,
-        ) {
-            continue;
-        }
-        eager_advance_sm(
-            spin,
-            &sm_parked[sm],
-            &mut visit[i],
-            &mut ready[i],
-            &mut next_free[i],
-            &mut last_issue[i],
-            es,
-            bound,
-            lim,
-        );
-    }
-}
-
-/// Dispatches eager advancement across clusters for the current horizon:
-/// scans for eligible clusters, hands each its exclusive per-SM state rows
-/// on a scoped worker thread (inline when only one cluster has work), then
-/// applies the results serially in cluster order — partial counter sums
-/// merge saturatingly (order-independent, see `metrics::sat_add`) and
-/// touched shadow cursors write back into the spin table. Returns whether
-/// any work was done (feeds the adaptive cadence).
-#[allow(clippy::too_many_arguments)]
-fn eager_horizon_advance(
-    sched: &ClusterSched,
-    spin: &mut [SpinState],
-    sm_parked: &[Vec<u32>],
-    sm_visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    sm_ready: &mut [Vec<u32>],
-    sm_next_free: &mut [u64],
-    sm_last_issue: &mut [u64],
-    eager: &mut Vec<EagerScratch>,
-    stats: &mut LaunchStats,
-    end_tick: &mut u64,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) -> bool {
-    let starts = sched.starts();
-    let n = sched.n_clusters();
-    if eager.len() < n {
-        eager.resize_with(n, EagerScratch::default);
-    }
-    let mut n_active = 0usize;
-    for (c, es) in eager.iter_mut().enumerate().take(n) {
-        es.reset();
-        for sm in starts[c]..starts[c + 1] {
-            if eager_eligible(
-                spin,
-                &sm_parked[sm],
-                &sm_visit[sm],
-                &sm_ready[sm],
-                sm_next_free[sm],
-                bound,
-            ) {
-                es.active = true;
-                n_active += 1;
-                break;
-            }
-        }
-    }
-    if n_active == 0 {
-        return false;
-    }
-    {
-        let spin_r: &[SpinState] = spin;
-        let mut vis_rest = &mut sm_visit[..];
-        let mut rdy_rest = &mut sm_ready[..];
-        let mut nf_rest = &mut sm_next_free[..];
-        let mut li_rest = &mut sm_last_issue[..];
-        std::thread::scope(|sc| {
-            for (c, es) in eager.iter_mut().enumerate().take(n) {
-                let len = starts[c + 1] - starts[c];
-                let vis = cluster::take_front(&mut vis_rest, len);
-                let rdy = cluster::take_front(&mut rdy_rest, len);
-                let nf = cluster::take_front(&mut nf_rest, len);
-                let li = cluster::take_front(&mut li_rest, len);
-                if !es.active {
-                    continue;
-                }
-                let start = starts[c];
-                if n_active == 1 {
-                    eager_advance_cluster(
-                        spin_r, sm_parked, start, vis, rdy, nf, li, es, bound, lim,
-                    );
-                } else {
-                    sc.spawn(move || {
-                        eager_advance_cluster(
-                            spin_r, sm_parked, start, vis, rdy, nf, li, es, bound, lim,
-                        )
-                    });
-                }
-            }
-        });
-    }
-    let mut did = false;
-    for es in eager.iter_mut().take(n) {
-        if !es.active || es.updates.is_empty() {
-            continue;
-        }
-        did = true;
-        stats.accumulate(&es.stats);
-        *end_tick = (*end_tick).max(es.end_tick);
-        for sh in es.updates.drain(..) {
-            let SpinState::Parked(p) = &mut spin[sh.wid as usize] else {
-                unreachable!("updated warp is parked");
-            };
-            p.idx = sh.idx;
-            p.next_tick = sh.next_tick;
-            p.ready = sh.ready;
-        }
-    }
-    did
-}
-
 impl GpuDevice {
     /// Creates a device with empty memory.
     pub fn new(config: DeviceConfig) -> Self {
@@ -1518,14 +1119,8 @@ impl GpuDevice {
         scratch.resident.clear();
         scratch.resident.resize(sm_count, 0);
         let mut resident = scratch.resident;
-        // Event schedule: per-cluster heaps merged deterministically (see
-        // cluster.rs). `engine_threads == 1` gives one cluster and is the
-        // plain serial engine; more clusters change *nothing* about the pop
-        // order — they only enable the eager parallel advancement between
-        // synchronization horizons below.
-        let n_clusters = cfg.engine_threads.clamp(1, sm_count);
-        let mut sched = ClusterSched::new(sm_count, n_clusters, std::mem::take(&mut scratch.sched));
-        let mut eager = std::mem::take(&mut scratch.eager);
+        scratch.heap.clear();
+        let mut heap: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::from(scratch.heap);
 
         // Spin fast-forwarding (wake-on-write): parked warps leave the heap
         // and are reconstructed virtually — see the module-level comment at
@@ -1581,7 +1176,7 @@ impl GpuDevice {
                 warps[wid] = Some(make_warp(&mut pool, kernel, wid, sm));
                 resident[sm] += 1;
                 let s = bump(&mut seq, wid as u32);
-                sched.push(sm, (0, wid as u32, s));
+                heap.push(Reverse((0, wid as u32, s)));
                 next_pending += 1;
             }
         } else {
@@ -1595,7 +1190,7 @@ impl GpuDevice {
                     resident[sm] += 1;
                     plan_sms.push(sm as u32);
                     let s = bump(&mut seq, next_pending as u32);
-                    sched.push(sm, (0, next_pending as u32, s));
+                    heap.push(Reverse((0, next_pending as u32, s)));
                     next_pending += 1;
                 } else if resident.iter().all(|&r| r >= max_resident) {
                     break 'fill;
@@ -1644,10 +1239,6 @@ impl GpuDevice {
         let mut groups = scratch.groups;
 
         let batch_ok = prof.is_none() && trace.is_none();
-        // Eager-advance cadence: attempt a parallel horizon pass every
-        // `eager_gap` pops, backing off while no eligible work appears.
-        let mut eager_gap: u32 = EAGER_GAP_MIN;
-        let mut eager_count: u32 = 0;
         let mut ev_i = 0usize;
         loop {
             // Apply external (link-delivered) events that are due at or
@@ -1657,7 +1248,7 @@ impl GpuDevice {
             // events apply unconditionally (every runnable warp is parked
             // or done; only an event can unblock anything).
             while ev_i < events.len() {
-                if let Some((nt, _, _)) = sched.peek() {
+                if let Some(&Reverse((nt, _, _))) = heap.peek() {
                     if events[ev_i].tick > nt {
                         break;
                     }
@@ -1731,13 +1322,13 @@ impl GpuDevice {
                             if p.kick.is_none_or(|old| kt < old) {
                                 p.kick = Some(kt);
                                 let s = bump(&mut seq, wwid);
-                                sched.push(wsm, (kt, wwid, s));
+                                heap.push(Reverse((kt, wwid, s)));
                             }
                         }
                     }
                 }
             }
-            let Some((t, wid, sq)) = sched.pop() else {
+            let Some(Reverse((t, wid, sq))) = heap.pop() else {
                 break;
             };
             // While link events are still pending, a stall is waiting on
@@ -1753,44 +1344,6 @@ impl GpuDevice {
                 // Superseded event: the warp was re-kicked or re-scheduled
                 // after this entry was pushed.
                 continue;
-            }
-            if n_clusters > 1 && ff_on && batch_ok && n_parked > 0 {
-                eager_count += 1;
-                if eager_count >= eager_gap {
-                    eager_count = 0;
-                    // The horizon: this pop key, capped under Relaxed by
-                    // the earliest autonomous store-drain deadline (read
-                    // *before* drain_due below consumes due entries).
-                    let drain = if relaxed_on {
-                        self.mem.next_drain_due()
-                    } else {
-                        None
-                    };
-                    let bound = cluster::safe_horizon((t, wid), drain);
-                    let did = eager_horizon_advance(
-                        &sched,
-                        &mut spin,
-                        &sm_parked,
-                        &mut sm_visit,
-                        &mut sm_ready,
-                        &mut sm_next_free,
-                        &mut sm_last_issue,
-                        &mut eager,
-                        &mut stats,
-                        &mut end_tick,
-                        bound,
-                        EagerLimits {
-                            last_progress,
-                            max_ticks,
-                            deadlock_ticks: dl_ticks,
-                        },
-                    );
-                    eager_gap = if did {
-                        EAGER_GAP_MIN
-                    } else {
-                        (eager_gap * 2).min(EAGER_GAP_MAX)
-                    };
-                }
             }
             if relaxed_on {
                 // Heap pops are monotone in t, so due-expired stores drain
@@ -1884,7 +1437,7 @@ impl GpuDevice {
                         p.kick = Some(kt);
                         *slot = SpinState::Parked(p);
                         let s = bump(&mut seq, wid);
-                        sched.push(sm, (kt, wid, s));
+                        heap.push(Reverse((kt, wid, s)));
                         continue;
                     }
                 }
@@ -1892,7 +1445,7 @@ impl GpuDevice {
             let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
             if sm_next_free[sm] > t {
                 let s = bump(&mut seq, wid);
-                sched.push(sm, (sm_next_free[sm], wid, s));
+                heap.push(Reverse((sm_next_free[sm], wid, s)));
                 continue;
             }
             if t > max_ticks {
@@ -2110,7 +1663,7 @@ impl GpuDevice {
                                     let kt = poll_at_or_after(&c, c.next_tick, due, 0, wid);
                                     c.kick = Some(kt);
                                     let s = bump(&mut seq, wid);
-                                    sched.push(sm, (kt, wid, s));
+                                    heap.push(Reverse((kt, wid, s)));
                                 }
                                 sm_parked[sm].push(wid);
                                 sm_visit[sm].push(Reverse((c.next_tick, wid)));
@@ -2183,7 +1736,7 @@ impl GpuDevice {
                     warps[next_pending] = Some(w);
                     resident[sm] += 1;
                     let s = bump(&mut seq, next_pending as u32);
-                    sched.push(sm, (t + 1, next_pending as u32, s));
+                    heap.push(Reverse((t + 1, next_pending as u32, s)));
                     next_pending += 1;
                 } else if pool.len() < pool_cap {
                     pool.push(WarpScratch {
@@ -2193,7 +1746,7 @@ impl GpuDevice {
                 }
             } else if !parked_now {
                 let s = bump(&mut seq, wid);
-                sched.push(sm, (t_done, wid, s));
+                heap.push(Reverse((t_done, wid, s)));
             }
 
             // Deliver wakes produced by this instruction's stores, atomics,
@@ -2263,7 +1816,7 @@ impl GpuDevice {
                         if p.kick.is_none_or(|old| kt < old) {
                             p.kick = Some(kt);
                             let s = bump(&mut seq, wwid);
-                            sched.push(wsm, (kt, wwid, s));
+                            heap.push(Reverse((kt, wwid, s)));
                         }
                     }
                 }
@@ -2292,8 +1845,7 @@ impl GpuDevice {
         spin.clear();
         self.launch_scratch = LaunchScratch {
             resident,
-            sched: sched.into_parts(),
-            eager,
+            heap: heap.into_vec(),
             sm_next_free,
             sm_last_issue,
             accesses,
@@ -2458,9 +2010,8 @@ impl GpuDevice {
             // Sync-protocol accesses (`bypass`), stores, and atomics keep
             // the legacy path, so spin fast-forward capture/replay and the
             // store pipeline are untouched. Probing mutates LRU state, so
-            // it happens here — on the coordinating thread, in merged pop
-            // order — which keeps clustered execution bit-identical to
-            // serial (DESIGN.md §13).
+            // it happens here, once per issued instruction in pop order
+            // (DESIGN.md §13).
             let probe_cache = l1_lat > 0 && kind == AccessKind::Load && !accesses[0].bypass;
             let mut worst = if probe_cache { l1_lat } else { l2_lat };
             let mut bw_limited = false;

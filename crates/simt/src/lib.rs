@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub(crate) mod cluster;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -379,9 +379,8 @@ pub(crate) enum CacheHit {
 /// ([`crate::DeviceConfig::with_cache`]): per-SM set-associative L1 tag
 /// arrays over a shared L2, tracking 32-byte sectors keyed by
 /// `(buffer, sector)`. Tags only — all hit/miss/eviction *counters* live in
-/// [`crate::LaunchStats`] and are bumped by the engine on the coordinator
-/// thread in merged pop order, so clustered execution observes exactly the
-/// serial probe sequence (DESIGN.md §13). Like the first-touch bitmaps,
+/// [`crate::LaunchStats`] and are bumped by the engine once per probe, in
+/// pop order (DESIGN.md §13). Like the first-touch bitmaps,
 /// the tag state persists across launches on the same device.
 struct CacheSim {
     l1_sets: usize,
@@ -715,8 +714,8 @@ impl DeviceMemory {
     }
 
     /// Probes the cache hierarchy for one sector load issued by SM `sm`.
-    /// Must only be called with the model armed, for non-bypass loads, on
-    /// the coordinating thread in merged pop order (determinism contract).
+    /// Must only be called with the model armed, for non-bypass loads, in
+    /// the engine's pop order (determinism contract).
     pub(crate) fn cache_probe(&mut self, sm: usize, a: RawAccess) -> (CacheHit, u64) {
         let tag = ((a.buf as u64) << 32) | a.sector as u64;
         self.cache
@@ -820,21 +819,6 @@ impl DeviceMemory {
     /// Takes the pending race report, if a racy read occurred.
     pub(crate) fn take_race(&mut self) -> Option<RaceInfo> {
         self.relaxed.as_mut().and_then(|rs| rs.race.take())
-    }
-
-    /// Earliest autonomous-drain deadline over all pending buffered stores,
-    /// or `None` when the relaxed model is disarmed or no store is
-    /// undrained. The cluster engine uses this as the `Relaxed`
-    /// cross-cluster visibility horizon (DESIGN.md §11): strictly before
-    /// this tick no buffered store can reach DRAM without an instruction
-    /// issuing first, so eager per-cluster advancement capped at
-    /// `min(next event, next_drain_due)` can never run past a drain that
-    /// another cluster should have observed.
-    pub(crate) fn next_drain_due(&self) -> Option<u64> {
-        self.relaxed
-            .as_ref()
-            .map(|rs| rs.min_due)
-            .filter(|&d| d != u64::MAX)
     }
 
     // ---- spin fast-forward waiter registry (engine-internal) ------------

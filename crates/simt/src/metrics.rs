@@ -5,13 +5,13 @@
 use crate::config::DeviceConfig;
 
 /// Saturating in-place add for one counter. Every accumulation path in the
-/// engine — per-instruction bumps, fast-forward closed forms, and the
-/// cluster engine's partial-sum merges — goes through this helper (or
-/// [`LaunchStats::accumulate`]) so that counters are *order-independent*:
+/// engine — per-instruction bumps and fast-forward closed forms — goes
+/// through this helper, and multi-launch totals go through
+/// [`LaunchStats::accumulate`], so that counters are *order-independent*:
 /// a saturating sum of saturating partial sums equals the saturating sum of
-/// the serial interleaving (both are `min(u64::MAX, Σ)` for non-negative
+/// the interleaved increments (both are `min(u64::MAX, Σ)` for non-negative
 /// addends). Mixing wrapping and saturating adds would break that identity
-/// at overflow and let cluster-merged counters diverge from serial.
+/// at overflow.
 #[inline]
 pub(crate) fn sat_add(counter: &mut u64, v: u64) {
     *counter = counter.saturating_add(v);
@@ -314,17 +314,17 @@ mod tests {
 
     #[test]
     fn partial_sum_merges_match_serial_accumulation_at_overflow() {
-        // The cluster engine accumulates per-cluster partial stats and
-        // merges them afterwards; serial execution accumulates the same
-        // increments in interleaved order. With saturating adds everywhere
-        // both orders give min(u64::MAX, Σ); a single wrapping add in
-        // either path would break this near the top of the range.
+        // Level-set, session and shard solves sum per-launch partial stats
+        // through `LaunchStats::accumulate`; one launch accumulates the
+        // same increments in interleaved order. With saturating adds
+        // everywhere both orders give min(u64::MAX, Σ); a single wrapping
+        // add in either path would break this near the top of the range.
         let increments: [u64; 5] = [u64::MAX / 2, 7, u64::MAX / 2, 40, 3];
         let mut serial = 0u64;
         for v in increments {
             sat_add(&mut serial, v);
         }
-        // Split [a, b | c, d, e] across two "clusters", then merge.
+        // Split [a, b | c, d, e] across two launches, then merge.
         let (mut part_a, mut part_b) = (0u64, 0u64);
         for v in &increments[..2] {
             sat_add(&mut part_a, *v);

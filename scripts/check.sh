@@ -26,13 +26,7 @@ cargo bench -q -p capellini-bench --bench engine_spin -- --quick
 echo "==> engine_batch smoke (calibration asserts batched == looped bit-exactness)"
 cargo bench -q -p capellini-bench --bench engine_batch -- --quick
 
-echo "==> clustered-engine differential suite (serial vs 2/4/8 clusters bit-exactness)"
-cargo test --release -q -p capellini-sptrsv --test engine_cluster
-
-echo "==> engine_cluster smoke (calibration asserts serial == clustered bit-exactness)"
-cargo bench -q -p capellini-bench --bench engine_cluster -- --quick
-
-echo "==> cache-model differential suite (off invisible, on deterministic across clusters)"
+echo "==> cache-model differential suite (off invisible, on deterministic across runs)"
 cargo test --release -q -p capellini-sptrsv --test cache_model
 
 echo "==> engine_cache smoke (calibration asserts cache-off zero counters + bit-stable solutions)"
@@ -59,8 +53,7 @@ cargo bench -q -p capellini-bench --bench serve_load -- --quick
 # Calibration panics must fail the gate under a non-default thread count
 # too: the benches run their equality asserts before Criterion forks any
 # timing work, and `set -e` above propagates their exit codes verbatim.
-echo "==> 2-thread smoke (bench calibrations under CAPELLINI_THREADS=2)"
-CAPELLINI_THREADS=2 cargo bench -q -p capellini-bench --bench engine_cluster -- --quick
+echo "==> 2-thread smoke (engine_batch calibration under CAPELLINI_THREADS=2)"
 CAPELLINI_THREADS=2 cargo bench -q -p capellini-bench --bench engine_batch -- --quick
 
 echo "==> all checks passed"

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sptrsv solve   --matrix L.mtx [--rhs b.txt] [--algo capellini|syncfree|syncfree-csc|cusparse|levelset|two-phase|hybrid|scheduled|auto]
-//!                [--device pascal|volta|turing] [--engine-threads N] [--cache]
+//!                [--device pascal|volta|turing] [--cache]
 //!                [--devices N [--link pcie|nvlink]]
 //!                [--rhs-cols K] [--session N]
 //!                [--profile trace.json [--profile-interval N]]
@@ -19,6 +19,8 @@
 //! diagonal) unless the matrix already is lower-triangular, then solves on
 //! the simulated GPU (or natively on CPU threads with `--cpu`) and reports
 //! the paper's metrics.
+//!
+//! Every subcommand rejects a `--` flag it does not read with exit code 2.
 
 use std::fs;
 use std::io::BufReader;
@@ -53,8 +55,46 @@ fn main() {
 
 fn usage() {
     eprintln!(
-        "usage:\n  sptrsv solve --matrix L.mtx [--rhs b.txt] [--algo NAME|auto] [--device pascal|volta|turing] [--engine-threads N] [--cache] [--devices N [--link pcie|nvlink]] [--rhs-cols K] [--session N] [--profile trace.json [--profile-interval N]] [--cpu [THREADS]] [--out x.txt]\n  sptrsv stats --matrix L.mtx\n  sptrsv gen --kind powerlaw|circuit|stencil|lp|band --n N --out L.mtx [--seed S]\n  sptrsv serve --matrix L.mtx [--clients N] [--requests N] [--window MS] [--max-batch K] [--device pascal|volta|turing]\n  sptrsv --list-algos\n\nbatching:\n  --rhs-cols K  solve K right-hand sides per launch (SpTRSM); column r scales the base rhs by r+1\n  --session N   analyze once, then run N warm solves through the cached SolverSession\n\nserving:\n  --clients N   concurrent client threads hammering the solver service (default 4)\n  --requests N  requests per client (default 8)\n  --window MS   coalesce window in milliseconds; 0 disables batching (default 3)\n  --max-batch K cap on right-hand sides per coalesced launch (default 8)\n\nsimulation:\n  --engine-threads N  advance the simulated SMs on N host threads (identical output, faster wall-clock)\n  --cache             model a finite per-SM L1 + shared L2 for read-only loads and report hit rates\n  --devices N         shard the solve across N simulated devices (1..=8) joined by a modeled interconnect\n  --link KIND         interconnect class for --devices: pcie (default) or nvlink"
+        "usage:\n  sptrsv solve --matrix L.mtx [--rhs b.txt] [--algo NAME|auto] [--device pascal|volta|turing] [--cache] [--devices N [--link pcie|nvlink]] [--rhs-cols K] [--session N] [--profile trace.json [--profile-interval N]] [--cpu [THREADS]] [--out x.txt]\n  sptrsv stats --matrix L.mtx\n  sptrsv gen --kind powerlaw|circuit|stencil|lp|band --n N --out L.mtx [--seed S]\n  sptrsv serve --matrix L.mtx [--clients N] [--requests N] [--window MS] [--max-batch K] [--device pascal|volta|turing]\n  sptrsv --list-algos\n\nbatching:\n  --rhs-cols K  solve K right-hand sides per launch (SpTRSM); column r scales the base rhs by r+1\n  --session N   analyze once, then run N warm solves through the cached SolverSession\n\nserving:\n  --clients N   concurrent client threads hammering the solver service (default 4)\n  --requests N  requests per client (default 8)\n  --window MS   coalesce window in milliseconds; 0 disables batching (default 3)\n  --max-batch K cap on right-hand sides per coalesced launch (default 8)\n\nsimulation:\n  --cache             model a finite per-SM L1 + shared L2 for read-only loads and report hit rates\n  --devices N         shard the solve across N simulated devices (1..=8) joined by a modeled interconnect\n  --link KIND         interconnect class for --devices: pcie (default) or nvlink"
     );
+}
+
+const SOLVE_FLAGS: &[&str] = &[
+    "--matrix",
+    "--rhs",
+    "--algo",
+    "--device",
+    "--cache",
+    "--devices",
+    "--link",
+    "--rhs-cols",
+    "--session",
+    "--profile",
+    "--profile-interval",
+    "--cpu",
+    "--out",
+];
+const STATS_FLAGS: &[&str] = &["--matrix"];
+const GEN_FLAGS: &[&str] = &["--kind", "--n", "--out", "--seed"];
+const SERVE_FLAGS: &[&str] = &[
+    "--matrix",
+    "--clients",
+    "--requests",
+    "--window",
+    "--max-batch",
+    "--device",
+];
+
+/// Exits with a usage error on the first `--` token `cmd` does not read, so
+/// a misspelled flag cannot silently fall back to a default.
+fn reject_unknown_flags(cmd: &str, args: &[String], known: &[&str]) {
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {bad} for `sptrsv {cmd}`");
+        exit(2);
+    }
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -95,6 +135,7 @@ fn load_matrix(args: &[String]) -> LowerTriangularCsr {
 }
 
 fn cmd_stats(args: &[String]) {
+    reject_unknown_flags("stats", args, STATS_FLAGS);
     let l = load_matrix(args);
     print!("{}", capellini_sptrsv::sparse::diagnostics::report(&l));
     let s = MatrixStats::compute(&l);
@@ -132,6 +173,7 @@ fn list_algos() {
 }
 
 fn cmd_solve(args: &[String]) {
+    reject_unknown_flags("solve", args, SOLVE_FLAGS);
     let l = load_matrix(args);
     let n = l.n();
     let b: Vec<f64> = match flag_value(args, "--rhs") {
@@ -237,13 +279,6 @@ fn cmd_solve(args: &[String]) {
             }
         }
         .scaled_down(4);
-        if let Some(v) = flag_value(args, "--engine-threads") {
-            let threads = v.parse().ok().filter(|&t| t >= 1).unwrap_or_else(|| {
-                eprintln!("--engine-threads must be a positive integer, got {v}");
-                exit(2);
-            });
-            device = device.with_engine_threads(threads);
-        }
         let cache_on = has_flag(args, "--cache");
         if cache_on {
             device = device.with_cache(CacheConfig::small());
@@ -467,6 +502,7 @@ fn cmd_solve(args: &[String]) {
 }
 
 fn cmd_serve(args: &[String]) {
+    reject_unknown_flags("serve", args, SERVE_FLAGS);
     let parse_count = |name: &str, default: usize| -> usize {
         match flag_value(args, name) {
             None => default,
@@ -576,6 +612,7 @@ fn cmd_serve(args: &[String]) {
 }
 
 fn cmd_gen(args: &[String]) {
+    reject_unknown_flags("gen", args, GEN_FLAGS);
     let n: usize = flag_value(args, "--n")
         .and_then(|v| v.parse().ok())
         .unwrap_or(10_000);

@@ -124,30 +124,26 @@ fn batched_kernels_pass_racecheck_fastforward() {
 
 /// Scheduled has no dedicated SpTRSM kernel, so `solve_multi` takes the
 /// looped warm-solve fallback — which must still match the cold batched
-/// path bitwise, through the pooled per-unit flag buffers, even on a
-/// clustered engine.
+/// path bitwise, through the pooled per-unit flag buffers.
 #[test]
 fn session_scheduled_fallback_matches_cold_batched() {
     use capellini_sptrsv::core::SolverSession;
-    for threads in [1, 4] {
-        let cfg = base().with_engine_threads(threads);
-        for (mname, l) in matrices() {
-            let (bs, _) = rhs_block(l.n());
-            let cold = solve_multi_simulated(&cfg, &l, &bs, NRHS, Algorithm::Scheduled).unwrap();
-            let mut session = SolverSession::with_algorithm(&cfg, l.clone(), Algorithm::Scheduled);
-            assert!(!session.batched_kernel_available());
-            for round in 0..2 {
-                let warm = session.solve_multi(&bs, NRHS).unwrap();
-                for (w, c) in warm.x.iter().zip(&cold.x) {
-                    assert_eq!(
-                        w.to_bits(),
-                        c.to_bits(),
-                        "{mname}: scheduled session round {round} ({threads} engine threads) \
-                         diverged from cold batched"
-                    );
-                }
-                assert_eq!(warm.preprocessing_ms, 0.0);
+    let cfg = base();
+    for (mname, l) in matrices() {
+        let (bs, _) = rhs_block(l.n());
+        let cold = solve_multi_simulated(&cfg, &l, &bs, NRHS, Algorithm::Scheduled).unwrap();
+        let mut session = SolverSession::with_algorithm(&cfg, l.clone(), Algorithm::Scheduled);
+        assert!(!session.batched_kernel_available());
+        for round in 0..2 {
+            let warm = session.solve_multi(&bs, NRHS).unwrap();
+            for (w, c) in warm.x.iter().zip(&cold.x) {
+                assert_eq!(
+                    w.to_bits(),
+                    c.to_bits(),
+                    "{mname}: scheduled session round {round} diverged from cold batched"
+                );
             }
+            assert_eq!(warm.preprocessing_ms, 0.0);
         }
     }
 }

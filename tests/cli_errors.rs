@@ -122,8 +122,6 @@ fn bad_batching_flags_are_usage_errors() {
         ("--rhs-cols", "three"),
         ("--session", "0"),
         ("--session", "-2"),
-        ("--engine-threads", "0"),
-        ("--engine-threads", "lots"),
         ("--profile-interval", "0"),
         ("--profile-interval", "often"),
     ] {
@@ -131,6 +129,38 @@ fn bad_batching_flags_are_usage_errors() {
         assert_readable_failure(&out, "positive integer");
         assert_eq!(out.status.code(), Some(2), "{flag} {bad} is a usage error");
     }
+    let _ = fs::remove_file(m);
+}
+
+/// Every subcommand rejects a `--` flag it does not read instead of
+/// silently falling back to a default: one misspelling per subcommand, plus
+/// `--engine-threads`, which `solve` does not read.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let m = scratch("good-flags.mtx", VALID_LOWER_3X3);
+    let m = m.to_str().unwrap();
+    let out_path = std::env::temp_dir().join(format!(
+        "sptrsv-cli-errors-{}-never-written.mtx",
+        std::process::id()
+    ));
+    let out_path = out_path.to_str().unwrap();
+    for args in [
+        vec!["solve", "--matrix", m, "--devics", "4"],
+        vec!["solve", "--matrix", m, "--engine-threads", "2"],
+        vec!["stats", "--matirx", m],
+        vec![
+            "gen", "--kind", "band", "--n", "64", "--out", out_path, "--seeed", "3",
+        ],
+        vec!["serve", "--matrix", m, "--client", "2"],
+    ] {
+        let out = sptrsv(&args);
+        assert_readable_failure(&out, &format!("unknown flag {}", args[args.len() - 2]));
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+    }
+    assert!(
+        !std::path::Path::new(out_path).exists(),
+        "gen must reject the flag before writing anything"
+    );
     let _ = fs::remove_file(m);
 }
 

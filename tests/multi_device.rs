@@ -2,7 +2,7 @@
 //! splitting a solve across simulated devices joined by a modeled
 //! interconnect must be *numerically invisible* for every CSR-ordered
 //! kernel — the sharded solution is bit-for-bit the single-device one under
-//! every memory model × spin model × engine clustering combination, because
+//! every memory model × spin model combination, because
 //! each row still accumulates its partial sums in CSR column order and the
 //! link only changes *when* a dependency becomes visible, never *what*.
 //! The one exception is the CSC kernel, whose scatter-side atomics commit
@@ -106,11 +106,6 @@ fn sharded_bit_exact_racecheck() {
             .with_memory_model(MemoryModel::racecheck(2_000))
             .with_spin_model(SpinModel::FastForward),
     );
-}
-
-#[test]
-fn sharded_bit_exact_clustered_engine() {
-    diff_all(&base_cfg().with_engine_threads(4));
 }
 
 /// A shard holding exactly one row (the warp-aligned tail cut) still

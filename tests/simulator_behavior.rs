@@ -3,7 +3,7 @@
 //! and warp-level execution, the Figure-6 boundary, preprocessing orderings,
 //! and metric sanity.
 
-use capellini_sptrsv::core::kernels::{naive, writing_first};
+use capellini_sptrsv::core::kernels::{naive, syncfree, writing_first};
 use capellini_sptrsv::core::{solve_simulated, Algorithm};
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::SimtError;
@@ -31,6 +31,34 @@ fn challenge1_naive_busywait_deadlocks_but_capellini_does_not() {
     let ok = writing_first::solve(&mut dev, &l, &b).expect("two-phase-free design stays live");
     let x_ref = capellini_sptrsv::core::solve_serial_csr(&l, &b);
     linalg::assert_solutions_close(&ok.x, &x_ref, 1e-10);
+}
+
+#[test]
+fn exhausted_cycle_budget_is_a_deterministic_timeout() {
+    // A launch that runs out of `max_cycles` fails with a structured
+    // Timeout naming the budget, under both spin models, and reruns give
+    // the same text (same cycle counts, same live-warp census).
+    let l = gen::chain(256, 1, 7);
+    let b = vec![1.0; l.n()];
+    for spin in [SpinModel::Replay, SpinModel::FastForward] {
+        let mut cfg = scaled(DeviceConfig::pascal_like()).with_spin_model(spin);
+        cfg.max_cycles = 1_000; // far below the chain's dependency depth
+        let run = || {
+            let mut dev = GpuDevice::new(cfg.clone());
+            syncfree::solve(&mut dev, &l, &b).unwrap_err()
+        };
+        let err = run();
+        assert!(
+            matches!(err, SimtError::Timeout { .. }),
+            "{spin:?}: expected a timeout, got {err:?}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains("cycle budget of 1000"),
+            "{spin:?}: timeout text should name the budget: {text}"
+        );
+        assert_eq!(run().to_string(), text, "{spin:?}: timeout text changed");
+    }
 }
 
 #[test]
@@ -287,11 +315,13 @@ fn empty_system_zero_warp_kernel_launch_is_accounted() {
 
 #[test]
 fn every_solve_entry_point_validates_rhs_length_identically() {
-    // Validation parity (the PR-7 bugfix sweep): the cold free functions,
-    // the `Solver` wrappers, and the cached session must all reject a
+    // Validation parity: the cold free functions, the `Solver` wrappers,
+    // the cached session, and both sharded entry points must all reject a
     // wrong-length right-hand side with the same recoverable Launch error —
     // no panics, no silent misreads.
-    use capellini_sptrsv::core::{solve_multi_simulated, Solver, SolverSession};
+    use capellini_sptrsv::core::{
+        solve_multi_simulated, solve_sharded, ShardConfig, Solver, SolverSession,
+    };
     let l = gen::powerlaw(64, 2.6, 7);
     let n = l.n();
     let cfg = scaled(DeviceConfig::pascal_like());
@@ -323,6 +353,15 @@ fn every_solve_entry_point_validates_rhs_length_identically() {
     );
     let mut session = SolverSession::new(&cfg, l.clone());
     assert_launch(session.solve(&bad).map(|_| ()), "SolverSession");
+    let shard = ShardConfig::pcie(2);
+    assert_launch(
+        solve_sharded(&cfg, &l, &bad, Algorithm::SyncFree, &shard).map(|_| ()),
+        "shard::solve_sharded",
+    );
+    assert_launch(
+        session.solve_sharded(&bad, &shard).map(|_| ()),
+        "SolverSession::solve_sharded",
+    );
 
     // The overflow guard is part of the same parity sweep: absurd nrhs is a
     // structured error on both multi entry points, never an overflow panic.

@@ -234,32 +234,3 @@ fn naive_intra_warp_cycle_deadlocks_immediately() {
         other => panic!("expected deadlock, got {other:?}"),
     }
 }
-
-/// The clustered engine (`with_engine_threads`) must report the *same*
-/// provable deadlock with byte-identical diagnostics — same cycle, same
-/// last-progress, same waiter graph in the same order — as the serial
-/// engine. Error paths are where divergence would hide: the deadlock
-/// snapshot reads the spin registry that eager cluster advancement mutates.
-#[test]
-fn clustered_deadlock_diagnostics_are_byte_identical() {
-    let l = gen::chain(64, 1, 1);
-    let (_, b) = rhs(&l);
-    let cfg = DeviceConfig::pascal_like().with_spin_model(SpinModel::FastForward);
-    let run = |threads: usize| {
-        let mut dev = GpuDevice::new(cfg.clone().with_engine_threads(threads));
-        let err = naive::solve(&mut dev, &l, &b).unwrap_err();
-        assert!(
-            matches!(err, SimtError::Deadlock { .. }),
-            "expected deadlock at {threads} engine threads, got {err:?}"
-        );
-        err.to_string()
-    };
-    let serial = run(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            run(threads),
-            serial,
-            "deadlock diagnostics diverged at {threads} engine threads"
-        );
-    }
-}
