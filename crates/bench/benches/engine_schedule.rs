@@ -47,7 +47,9 @@ fn matrices() -> Vec<(&'static str, LowerTriangularCsr)> {
 }
 
 fn bench_engine_schedule(c: &mut Criterion) {
-    let cfg = DeviceConfig::pascal_like().scaled_down(4);
+    let cfg = DeviceConfig::pascal_like()
+        .scaled_down(4)
+        .with_spin_model(SpinModel::FastForward);
     let (warm, meas) = if quick() {
         (Duration::from_millis(100), Duration::from_millis(300))
     } else {
@@ -82,20 +84,21 @@ fn bench_engine_schedule(c: &mut Criterion) {
             }
         }
 
-        // Calibration 2: FastForward parks the unit-boundary spins without
-        // moving the cycle count or the solution.
-        let ff = solve_simulated(
-            &cfg.clone().with_spin_model(SpinModel::FastForward),
+        // Calibration 2: FastForward (`cfg`'s spin model) parks the
+        // unit-boundary spins without moving the cycle count or the
+        // solution of a Replay run.
+        let replay = solve_simulated(
+            &cfg.clone().with_spin_model(SpinModel::Replay),
             &l,
             &b,
             Algorithm::Scheduled,
         )
-        .expect("fast-forward scheduled solve");
+        .expect("replay scheduled solve");
         assert_eq!(
-            ff.stats.cycles, sched.stats.cycles,
+            sched.stats.cycles, replay.stats.cycles,
             "{mname}: FastForward moved the scheduled cycle count"
         );
-        for (i, (fv, sv)) in ff.x.iter().zip(&sched.x).enumerate() {
+        for (i, (fv, sv)) in sched.x.iter().zip(&replay.x).enumerate() {
             assert_eq!(
                 fv.to_bits(),
                 sv.to_bits(),

@@ -1,7 +1,38 @@
 //! Device-resident matrix and solve buffers shared by all GPU kernels.
 
-use capellini_simt::{BufF64, BufFlag, BufU32, GpuDevice};
+use capellini_simt::{BufF64, BufFlag, BufU32, GpuDevice, SimtError};
 use capellini_sparse::LowerTriangularCsr;
+
+/// The single-rhs length check every solve entry point shares, so a
+/// wrong-length rhs gets the same [`SimtError::Launch`] everywhere.
+pub(crate) fn check_rhs_len(b: &[f64], n: usize) -> Result<(), SimtError> {
+    if b.len() == n {
+        return Ok(());
+    }
+    Err(SimtError::Launch(format!(
+        "rhs length {} does not match matrix dimension {n}",
+        b.len()
+    )))
+}
+
+/// The rhs-block shape check every multi-RHS entry point shares: `bs` must
+/// hold `n` rows x `nrhs` right-hand sides. The multiply is checked, so an
+/// absurd `nrhs` is the same structured [`SimtError::Launch`] as any other
+/// shape mismatch, never an overflow panic.
+pub(crate) fn check_rhs_block(bs: &[f64], n: usize, nrhs: usize) -> Result<(), SimtError> {
+    let expected = n.checked_mul(nrhs).ok_or_else(|| {
+        SimtError::Launch(format!(
+            "rhs block shape {n} rows x {nrhs} rhs overflows usize"
+        ))
+    })?;
+    if bs.len() == expected {
+        return Ok(());
+    }
+    Err(SimtError::Launch(format!(
+        "rhs block has {} elements, expected {n} rows x {nrhs} rhs = {expected}",
+        bs.len(),
+    )))
+}
 
 /// A lower-triangular CSR matrix uploaded to device memory.
 #[derive(Debug, Clone, Copy)]

@@ -14,8 +14,8 @@ use capellini_simt::{
 };
 use capellini_sparse::LowerTriangularCsr;
 
-use crate::buffers::{DeviceCsr, MultiSolveBuffers};
-use crate::kernels::SimSolve;
+use crate::buffers::{DeviceCsr, MultiSolveBuffers, RhsLayout};
+use crate::kernels::{run_multi_on_fresh_device, SimSolve};
 
 const P_LD_INFO: Pc = 0;
 const P_LD_BEGIN: Pc = 1;
@@ -324,13 +324,9 @@ pub fn solve_multi(
     bs: &[f64],
     nrhs: usize,
 ) -> Result<SimSolve, SimtError> {
-    let dm = DeviceCsr::upload(dev, l);
-    let mb = MultiSolveBuffers::upload(dev, bs, l.n(), nrhs);
-    let info = build_info(dev, dm);
-    let stats = launch_multi_with_info(dev, dm, mb, info)?;
-    Ok(SimSolve {
-        x: mb.read_x(dev),
-        stats,
+    run_multi_on_fresh_device(dev, l, bs, nrhs, RhsLayout::RowMajor, |dev, dm, mb| {
+        let info = build_info(dev, dm);
+        launch_multi_with_info(dev, dm, mb, info)
     })
 }
 

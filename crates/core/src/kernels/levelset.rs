@@ -11,7 +11,7 @@ use capellini_simt::{
 use capellini_sparse::{LevelSets, LowerTriangularCsr};
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
-use crate::kernels::SimSolve;
+use crate::kernels::{run_on_fresh_device, SimSolve};
 
 const P_LD_ORDER: Pc = 0;
 const P_LD_BEGIN: Pc = 1;
@@ -212,19 +212,14 @@ pub fn launch_with_uploaded_levels(
     Ok(total)
 }
 
-/// Convenience: analyze levels on the host, upload, solve, read back.
+/// Convenience: upload, analyze levels on the host, solve, read back.
 pub fn solve(
     dev: &mut GpuDevice,
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    let levels = LevelSets::analyze(l);
-    let dm = DeviceCsr::upload(dev, l);
-    let sb = SolveBuffers::upload(dev, b);
-    let stats = launch_with_levels(dev, dm, sb, &levels)?;
-    Ok(SimSolve {
-        x: sb.read_x(dev),
-        stats,
+    run_on_fresh_device(dev, l, b, |dev, m, sb| {
+        launch_with_levels(dev, m, sb, &LevelSets::analyze(l))
     })
 }
 

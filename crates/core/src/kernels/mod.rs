@@ -19,6 +19,12 @@
 //! the evaluation trio; per column their floating-point schedule matches
 //! the single-RHS kernel exactly, so batched solves are bit-identical to
 //! looped ones (pinned by `tests/batched.rs`).
+//! At `k = 1` they still do not reproduce their siblings' `LaunchStats`
+//! (the x load and FMA fuse into one instruction and the finalize loops
+//! per column), so the single-RHS modules stay separate.
+//!
+//! Every public `solve*` wrapper checks the right-hand side (or block)
+//! shape first, returning [`SimtError::Launch`] instead of panicking.
 
 pub mod cusparse_like;
 pub mod cusparse_like_multi;
@@ -36,7 +42,9 @@ pub mod writing_first_multi;
 use capellini_simt::{GpuDevice, LaunchStats, SimtError};
 use capellini_sparse::LowerTriangularCsr;
 
-use crate::buffers::{DeviceCsr, SolveBuffers};
+use crate::buffers::{
+    check_rhs_block, check_rhs_len, DeviceCsr, MultiSolveBuffers, RhsLayout, SolveBuffers,
+};
 
 /// Result of a simulated solve: the solution plus the launch counters.
 #[derive(Debug, Clone)]
@@ -55,12 +63,39 @@ pub(crate) fn run_on_fresh_device(
     b: &[f64],
     solve: impl FnOnce(&mut GpuDevice, DeviceCsr, SolveBuffers) -> Result<LaunchStats, SimtError>,
 ) -> Result<SimSolve, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    check_rhs_len(b, l.n())?;
     let dm = DeviceCsr::upload(dev, l);
     let sb = SolveBuffers::upload(dev, b);
     let stats = solve(dev, dm, sb)?;
     Ok(SimSolve {
         x: sb.read_x(dev),
+        stats,
+    })
+}
+
+/// Uploads the matrix and a row-major `n × nrhs` block tiled per `layout`,
+/// runs `launch`, reads back `X` row-major. A zero-column block launches
+/// nothing and returns an empty solution with zeroed counters.
+pub(crate) fn run_multi_on_fresh_device(
+    dev: &mut GpuDevice,
+    l: &LowerTriangularCsr,
+    bs: &[f64],
+    nrhs: usize,
+    layout: RhsLayout,
+    launch: impl FnOnce(&mut GpuDevice, DeviceCsr, MultiSolveBuffers) -> Result<LaunchStats, SimtError>,
+) -> Result<SimSolve, SimtError> {
+    check_rhs_block(bs, l.n(), nrhs)?;
+    if nrhs == 0 {
+        return Ok(SimSolve {
+            x: Vec::new(),
+            stats: LaunchStats::default(),
+        });
+    }
+    let dm = DeviceCsr::upload(dev, l);
+    let mb = MultiSolveBuffers::upload_with_layout(dev, bs, l.n(), nrhs, layout);
+    let stats = launch(dev, dm, mb)?;
+    Ok(SimSolve {
+        x: mb.read_x(dev),
         stats,
     })
 }

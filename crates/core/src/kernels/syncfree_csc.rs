@@ -25,6 +25,7 @@ use capellini_simt::{
 };
 use capellini_sparse::{CscMatrix, LowerTriangularCsr};
 
+use crate::buffers::check_rhs_len;
 use crate::kernels::SimSolve;
 
 const P_LD_COLBEGIN: Pc = 0;
@@ -332,7 +333,7 @@ pub fn solve(
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    check_rhs_len(b, l.n())?;
     let csc = l.csr().to_csc();
     let deg = in_degrees(&csc);
     let n = l.n();

@@ -16,7 +16,7 @@ use capellini_simt::{Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, War
 use capellini_sparse::LowerTriangularCsr;
 
 use crate::buffers::{DeviceCsr, MultiSolveBuffers};
-use crate::kernels::SimSolve;
+use crate::kernels::{run_multi_on_fresh_device, SimSolve};
 
 const P_LD_BEGIN: Pc = 0;
 const P_LD_END: Pc = 1;
@@ -269,13 +269,7 @@ pub fn solve_multi_layout(
     nrhs: usize,
     layout: crate::buffers::RhsLayout,
 ) -> Result<SimSolve, SimtError> {
-    let dm = DeviceCsr::upload(dev, l);
-    let mb = MultiSolveBuffers::upload_with_layout(dev, bs, l.n(), nrhs, layout);
-    let stats = launch_multi(dev, dm, mb)?;
-    Ok(SimSolve {
-        x: mb.read_x(dev),
-        stats,
-    })
+    run_multi_on_fresh_device(dev, l, bs, nrhs, layout, launch_multi)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! let report = solver
 //!     .solve_simulated(&DeviceConfig::pascal_like(), &b)
 //!     .expect("writing-first never deadlocks");
-//! let x_ref = solver.solve_serial(&b);
+//! let x_ref = solver.solve_serial(&b).expect("rhs matches the matrix");
 //! capellini_sparse::linalg::assert_solutions_close(&report.x, &x_ref, 1e-11);
 //! ```
 

@@ -45,6 +45,7 @@ use std::time::{Duration, Instant};
 use capellini_simt::{DeviceConfig, SimtError};
 use capellini_sparse::{fingerprint, LowerTriangularCsr};
 
+use crate::buffers::check_rhs_len;
 use crate::select::Algorithm;
 use crate::session::SolverSession;
 
@@ -455,12 +456,8 @@ impl SolverService {
         matrix: &MatrixHandle,
         b: &[f64],
     ) -> Result<ServiceResponse, ServiceError> {
-        let n = matrix.matrix().n();
-        if b.len() != n {
-            return Err(ServiceError::BadRequest(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
+        if let Err(SimtError::Launch(msg)) = check_rhs_len(b, matrix.matrix().n()) {
+            return Err(ServiceError::BadRequest(msg));
         }
         loop {
             let entry = self.admit(matrix)?;

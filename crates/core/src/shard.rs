@@ -58,7 +58,7 @@ use capellini_sparse::{
     GhostShard, LevelSets, LowerTriangularCsr, RowPartition, Schedule, ScheduleParams,
 };
 
-use crate::buffers::{DeviceCsr, SolveBuffers};
+use crate::buffers::{check_rhs_len, DeviceCsr, SolveBuffers};
 use crate::kernels::cusparse_like::CusparseLikeKernel;
 use crate::kernels::cusparse_like_multi::build_info;
 use crate::kernels::hybrid::{self, HybridKernel, Task};
@@ -70,7 +70,6 @@ use crate::kernels::syncfree_csc::{self, SyncFreeCscKernel};
 use crate::kernels::two_phase::TwoPhaseKernel;
 use crate::kernels::writing_first::WritingFirstKernel;
 use crate::select::Algorithm;
-use crate::solver::check_rhs_len;
 
 /// Payload bytes per boundary message: the 8-byte value plus the row index
 /// and a routing header (what a real peer-to-peer copy descriptor costs).

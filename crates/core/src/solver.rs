@@ -1,12 +1,14 @@
-//! The high-level solve API: dispatches any [`Algorithm`] onto a simulated
-//! device, accounts host-side preprocessing, and derives the
-//! paper's reporting metrics (GFLOPS, bandwidth, instructions, stalls).
+//! The high-level solve API: cold solves of any [`Algorithm`] on a fresh
+//! simulated device, and the paper's reporting metrics (GFLOPS, bandwidth,
+//! instructions, stalls). A cold solve is a fresh [`SolverSession`]'s first
+//! solve, so the session is the one place that dispatches algorithms.
 
-use capellini_simt::{DeviceConfig, GpuDevice, HostCostModel, LaunchStats, Profile, SimtError};
-use capellini_sparse::{LevelSets, LowerTriangularCsr, MatrixStats};
+use capellini_simt::{DeviceConfig, LaunchStats, Profile, SimtError};
+use capellini_sparse::{LowerTriangularCsr, MatrixStats};
 
-use crate::kernels;
+use crate::buffers::{check_rhs_block, check_rhs_len};
 use crate::select::{recommend, Algorithm};
+use crate::session::{has_batched_kernel, SolverSession};
 
 /// The outcome of one simulated solve, carrying everything the paper's
 /// tables report about a (matrix, algorithm, platform) cell.
@@ -32,114 +34,24 @@ pub struct SolveReport {
     pub profiles: Vec<Profile>,
 }
 
-/// The single-rhs length check every simulated solve entry point shares,
-/// so a wrong-length rhs gets the same [`SimtError::Launch`] everywhere.
-pub(crate) fn check_rhs_len(b: &[f64], n: usize) -> Result<(), SimtError> {
-    if b.len() == n {
-        return Ok(());
-    }
-    Err(SimtError::Launch(format!(
-        "rhs length {} does not match matrix dimension {n}",
-        b.len()
-    )))
-}
-
 /// Runs `algorithm` on a fresh simulated device of the given configuration.
 ///
-/// A right-hand side of the wrong length is a recoverable
-/// [`SimtError::Launch`] — validation parity with
-/// [`crate::session::SolverSession::solve`].
+/// A cold solve is a fresh [`SolverSession`]'s first solve: the session
+/// pays the analysis, and the report's `preprocessing_ms` is that
+/// session's [`SolverSession::analysis_ms`]. A right-hand side of the
+/// wrong length is a recoverable [`SimtError::Launch`], reported before
+/// any analysis runs.
 pub fn solve_simulated(
     config: &DeviceConfig,
     l: &LowerTriangularCsr,
     b: &[f64],
     algorithm: Algorithm,
 ) -> Result<SolveReport, SimtError> {
-    let n = l.n();
-    check_rhs_len(b, n)?;
-    let mut dev = GpuDevice::new(config.clone());
-    let host = HostCostModel::default();
-    let nnz = l.nnz();
-
-    let (sim, preprocessing_ms) = match algorithm {
-        Algorithm::LevelSet => {
-            let levels = LevelSets::analyze(l);
-            let pre = host.levelset_preprocessing_ms(n, nnz, levels.n_levels());
-            let dm = crate::buffers::DeviceCsr::upload(&mut dev, l);
-            let sb = crate::buffers::SolveBuffers::upload(&mut dev, b);
-            let stats = kernels::levelset::launch_with_levels(&mut dev, dm, sb, &levels)?;
-            (
-                kernels::SimSolve {
-                    x: sb.read_x(&dev),
-                    stats,
-                },
-                pre,
-            )
-        }
-        Algorithm::SyncFree => {
-            let pre = host.syncfree_preprocessing_ms(n, nnz);
-            (kernels::syncfree::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::SyncFreeCsc => {
-            // CSC conversion plus the in-degree sweep (one pass over n rows).
-            let pre = host.syncfree_preprocessing_ms(n, nnz) + (n as f64 * 0.3) / 1e6;
-            (kernels::syncfree_csc::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CusparseLike => {
-            let pre = host.cusparse_preprocessing_ms(n, nnz);
-            (kernels::cusparse_like::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CapelliniTwoPhase => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::two_phase::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CapelliniWritingFirst => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::writing_first::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::NaiveThread => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::naive::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::Hybrid => {
-            // Task planning walks row_ptr once: charge it like a light
-            // analysis pass.
-            let pre = host.capellini_preprocessing_ms(n) + (n as f64 * 1.2) / 1e6;
-            (kernels::hybrid::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::Scheduled => {
-            let levels = LevelSets::analyze(l);
-            let schedule = capellini_sparse::Schedule::build(
-                l,
-                &levels,
-                capellini_sparse::ScheduleParams::for_warp(config.warp_size),
-            );
-            let pre = host.scheduled_preprocessing_ms(n, nnz, levels.n_levels());
-            let dm = crate::buffers::DeviceCsr::upload(&mut dev, l);
-            let sb = crate::buffers::SolveBuffers::upload(&mut dev, b);
-            let ds = kernels::scheduled::upload_schedule(&mut dev, &schedule);
-            let stats = kernels::scheduled::launch_with_schedule(&mut dev, dm, sb, ds)?;
-            (
-                kernels::SimSolve {
-                    x: sb.read_x(&dev),
-                    stats,
-                },
-                pre,
-            )
-        }
-    };
-
-    let useful_flops = 2 * nnz as u64;
-    Ok(SolveReport {
-        algorithm,
-        exec_ms: sim.stats.time_ms(config),
-        gflops: sim.stats.gflops(config, useful_flops),
-        bandwidth_gbs: sim.stats.bandwidth_gbs(config),
-        x: sim.x,
-        stats: sim.stats,
-        preprocessing_ms,
-        profiles: dev.take_profiles(),
-    })
+    check_rhs_len(b, l.n())?;
+    let mut session = SolverSession::with_algorithm(config, l.clone(), algorithm);
+    let mut report = session.solve(b)?;
+    report.preprocessing_ms = session.analysis_ms();
+    Ok(report)
 }
 
 /// The outcome of one batched (SpTRSM) solve over `nrhs` right-hand sides.
@@ -164,13 +76,32 @@ pub struct MultiSolveReport {
     pub bandwidth_gbs: f64,
 }
 
+impl MultiSolveReport {
+    /// The answer to a zero-column block: a well-formed degenerate solve
+    /// with an empty solution, zeroed counters and zero derived metrics —
+    /// no analysis, no launch, never an error or a division by zero.
+    pub(crate) fn empty(algorithm: Algorithm) -> Self {
+        MultiSolveReport {
+            algorithm,
+            nrhs: 0,
+            x: Vec::new(),
+            stats: LaunchStats::default(),
+            preprocessing_ms: 0.0,
+            exec_ms: 0.0,
+            gflops: 0.0,
+            bandwidth_gbs: 0.0,
+        }
+    }
+}
+
 /// Solves `L X = B` for `nrhs` right-hand sides packed row-major in `bs`
 /// (`bs[i*nrhs + r]`) on a fresh simulated device. The evaluation trio
-/// (SyncFree, cuSPARSE-like, Writing-First) runs its dedicated SpTRSM
-/// kernel in a single launch; every other algorithm loops `nrhs`
-/// single-RHS solves (each paying its preprocessing) and accumulates the
-/// statistics. Both paths return `X` bit-identical to column-by-column
-/// solving.
+/// (SyncFree, cuSPARSE-like, Writing-First) is a fresh [`SolverSession`]'s
+/// first [`SolverSession::solve_multi`]: its dedicated SpTRSM kernel runs
+/// in a single launch and the analysis is charged once. Every other
+/// algorithm loops `nrhs` cold [`solve_simulated`] calls (each paying its
+/// preprocessing) and accumulates the statistics. Both paths return `X`
+/// bit-identical to column-by-column solving.
 ///
 /// Shape mismatches are recoverable [`SimtError::Launch`] errors. A
 /// zero-column block (`nrhs == 0` with an empty `bs`) is *not* an error:
@@ -184,75 +115,32 @@ pub fn solve_multi_simulated(
     algorithm: Algorithm,
 ) -> Result<MultiSolveReport, SimtError> {
     let n = l.n();
-    let nnz = l.nnz();
-    // Checked multiply: an absurd nrhs must surface as the same structured
-    // Launch error as any other shape mismatch, never an overflow panic.
-    let expected = n.checked_mul(nrhs).ok_or_else(|| {
-        SimtError::Launch(format!(
-            "rhs block shape {n} rows x {nrhs} rhs overflows usize"
-        ))
-    })?;
-    if bs.len() != expected {
-        return Err(SimtError::Launch(format!(
-            "rhs block has {} elements, expected {n} rows x {nrhs} rhs = {expected}",
-            bs.len(),
-        )));
-    }
+    check_rhs_block(bs, n, nrhs)?;
     if nrhs == 0 {
-        // A zero-column block is a well-formed degenerate solve: an empty
-        // solution, zeroed counters, zero derived metrics, and no launch —
-        // never an error or a division by zero.
-        return Ok(MultiSolveReport {
-            algorithm,
-            nrhs: 0,
-            x: Vec::new(),
-            stats: LaunchStats::default(),
-            preprocessing_ms: 0.0,
-            exec_ms: 0.0,
-            gflops: 0.0,
-            bandwidth_gbs: 0.0,
-        });
+        return Ok(MultiSolveReport::empty(algorithm));
     }
-    let host = HostCostModel::default();
-    let (x, stats, preprocessing_ms) = if matches!(
-        algorithm,
-        Algorithm::SyncFree | Algorithm::CusparseLike | Algorithm::CapelliniWritingFirst
-    ) {
-        let mut dev = GpuDevice::new(config.clone());
-        let (sim, pre) = match algorithm {
-            Algorithm::SyncFree => (
-                kernels::syncfree_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.syncfree_preprocessing_ms(n, nnz),
-            ),
-            Algorithm::CusparseLike => (
-                kernels::cusparse_like_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.cusparse_preprocessing_ms(n, nnz),
-            ),
-            _ => (
-                kernels::writing_first_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.capellini_preprocessing_ms(n),
-            ),
-        };
-        (sim.x, sim.stats, pre)
-    } else {
-        let mut x = vec![0.0; n * nrhs];
-        let mut stats = LaunchStats::default();
-        let mut pre = 0.0;
-        let mut col = vec![0.0; n];
-        for r in 0..nrhs {
-            for i in 0..n {
-                col[i] = bs[i * nrhs + r];
-            }
-            let rep = solve_simulated(config, l, &col, algorithm)?;
-            stats.accumulate(&rep.stats);
-            pre += rep.preprocessing_ms;
-            for (i, &xi) in rep.x.iter().enumerate() {
-                x[i * nrhs + r] = xi;
-            }
+    if has_batched_kernel(algorithm) {
+        let mut session = SolverSession::with_algorithm(config, l.clone(), algorithm);
+        let mut report = session.solve_multi(bs, nrhs)?;
+        report.preprocessing_ms = session.analysis_ms();
+        return Ok(report);
+    }
+    let mut x = vec![0.0; n * nrhs];
+    let mut stats = LaunchStats::default();
+    let mut preprocessing_ms = 0.0;
+    let mut col = vec![0.0; n];
+    for r in 0..nrhs {
+        for i in 0..n {
+            col[i] = bs[i * nrhs + r];
         }
-        (x, stats, pre)
-    };
-    let useful_flops = 2 * nnz as u64 * nrhs as u64;
+        let rep = solve_simulated(config, l, &col, algorithm)?;
+        stats.accumulate(&rep.stats);
+        preprocessing_ms += rep.preprocessing_ms;
+        for (i, &xi) in rep.x.iter().enumerate() {
+            x[i * nrhs + r] = xi;
+        }
+    }
+    let useful_flops = 2 * l.nnz() as u64 * nrhs as u64;
     Ok(MultiSolveReport {
         algorithm,
         nrhs,
@@ -325,32 +213,24 @@ impl Solver {
         solve_multi_simulated(config, &self.l, bs, nrhs, self.recommend())
     }
 
-    /// Solves `nrhs` right-hand sides with an explicit algorithm.
-    pub fn solve_multi_simulated_with(
-        &self,
-        config: &DeviceConfig,
-        bs: &[f64],
-        nrhs: usize,
-        algorithm: Algorithm,
-    ) -> Result<MultiSolveReport, SimtError> {
-        solve_multi_simulated(config, &self.l, bs, nrhs, algorithm)
-    }
-
-    /// Opens a [`crate::session::SolverSession`] on this matrix: analysis
-    /// runs once, then many solves reuse it (see the session module docs).
-    pub fn session(&self, config: &DeviceConfig) -> crate::session::SolverSession {
-        crate::session::SolverSession::with_algorithm(config, self.l.clone(), self.recommend())
-    }
-
     /// Solves natively on the CPU with self-scheduled busy-wait threads
-    /// (the CPU analog of CapelliniSpTRSV).
-    pub fn solve_cpu(&self, b: &[f64], n_threads: usize) -> Vec<f64> {
-        crate::cpu::solve_selfsched(&self.l, b, n_threads, crate::cpu::Distribution::Cyclic)
+    /// (the CPU analog of CapelliniSpTRSV). A wrong-length rhs is the same
+    /// [`SimtError::Launch`] as on the simulated paths.
+    pub fn solve_cpu(&self, b: &[f64], n_threads: usize) -> Result<Vec<f64>, SimtError> {
+        check_rhs_len(b, self.l.n())?;
+        Ok(crate::cpu::solve_selfsched(
+            &self.l,
+            b,
+            n_threads,
+            crate::cpu::Distribution::Cyclic,
+        ))
     }
 
-    /// Serial reference solve (Algorithm 1).
-    pub fn solve_serial(&self, b: &[f64]) -> Vec<f64> {
-        crate::reference::solve_serial_csr(&self.l, b)
+    /// Serial reference solve (Algorithm 1). A wrong-length rhs is the same
+    /// [`SimtError::Launch`] as on the simulated paths.
+    pub fn solve_serial(&self, b: &[f64]) -> Result<Vec<f64>, SimtError> {
+        check_rhs_len(b, self.l.n())?;
+        Ok(crate::reference::solve_serial_csr(&self.l, b))
     }
 }
 
@@ -372,7 +252,8 @@ mod tests {
             assert_solutions_close(&rep.x, &x_ref, 1e-11);
             assert!(rep.exec_ms > 0.0);
             assert!(rep.gflops > 0.0);
-            assert!(rep.preprocessing_ms >= 0.0);
+            let session = SolverSession::with_algorithm(&cfg, l.clone(), algo);
+            assert_eq!(rep.preprocessing_ms, session.analysis_ms());
         }
     }
 
@@ -519,12 +400,12 @@ mod tests {
         let solver = Solver::new(l);
         assert_eq!(solver.recommend(), Algorithm::CapelliniWritingFirst);
         let b = vec![1.0; solver.matrix().n()];
-        let x_ref = solver.solve_serial(&b);
+        let x_ref = solver.solve_serial(&b).unwrap();
         let rep = solver
             .solve_simulated(&DeviceConfig::turing_like(), &b)
             .unwrap();
         assert_solutions_close(&rep.x, &x_ref, 1e-11);
-        let x_cpu = solver.solve_cpu(&b, 4);
+        let x_cpu = solver.solve_cpu(&b, 4).unwrap();
         assert_solutions_close(&x_cpu, &x_ref, 1e-11);
     }
 }

@@ -49,7 +49,7 @@ fn main() {
     let report = solver
         .solve_simulated(&DeviceConfig::turing_like().scaled_down(4), &b)
         .expect("solve succeeds");
-    let x_ref = solver.solve_serial(&b);
+    let x_ref = solver.solve_serial(&b).expect("rhs matches the matrix");
     linalg::assert_solutions_close(&report.x, &x_ref, 1e-11);
     println!(
         "solved with {} in {:.3} ms (simulated Turing), verified against Algorithm 1",

@@ -47,7 +47,7 @@ fn main() {
     assert!(worst < 1e-9);
 
     // 5. The same solve natively on CPU threads (the busy-wait analog).
-    let x_cpu = solver.solve_cpu(&b, 4);
+    let x_cpu = solver.solve_cpu(&b, 4).expect("rhs matches the matrix");
     linalg::assert_solutions_close(&x_cpu, &report.x, 1e-10);
     println!("CPU self-scheduled solve agrees with the simulated GPU solve.");
 }

@@ -17,6 +17,9 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q
 
+echo "==> workspace unit tests (core, simt, sparse, bench crates)"
+cargo test -q --workspace
+
 echo "==> spin fast-forward differential suite (Replay vs FastForward bit-exactness)"
 cargo test --release -q -p capellini-sptrsv --test spin_fastforward
 
@@ -31,9 +34,6 @@ cargo test --release -q -p capellini-sptrsv --test cache_model
 
 echo "==> engine_cache smoke (calibration asserts cache-off zero counters + bit-stable solutions)"
 cargo bench -q -p capellini-bench --bench engine_cache -- --quick
-
-echo "==> scheduled-kernel suite (coarsened units bitwise vs reference across spin modes)"
-cargo test --release -q -p capellini-core scheduled
 
 echo "==> engine_schedule smoke (calibration asserts bitwise vs reference + chain cycle win)"
 cargo bench -q -p capellini-bench --bench engine_schedule -- --quick

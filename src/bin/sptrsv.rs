@@ -255,7 +255,10 @@ fn cmd_solve(args: &[String]) {
             .and_then(|v| v.parse().ok())
             .unwrap_or(4);
         let t0 = std::time::Instant::now();
-        let x = solver.solve_cpu(&b, threads);
+        let x = solver.solve_cpu(&b, threads).unwrap_or_else(|e| {
+            eprintln!("solve failed: {e}");
+            exit(1);
+        });
         eprintln!(
             "cpu self-scheduled solve ({threads} threads): {:.2?}",
             t0.elapsed()

@@ -104,7 +104,7 @@ fn multiple_rhs_reuse_the_same_matrix() {
             .map(|i| ((i + seed * 97) % 23) as f64 - 11.0)
             .collect();
         let rep = solver.solve_simulated(&cfg, &b).unwrap();
-        let x_ref = solver.solve_serial(&b);
+        let x_ref = solver.solve_serial(&b).unwrap();
         linalg::assert_solutions_close(&rep.x, &x_ref, 1e-10);
     }
 }

@@ -119,7 +119,10 @@ fn traces_are_bitwise_reproducible() {
 /// 8×8 example over the toy device and a 3000-row random DAG over a
 /// scaled-down Pascal. The engine hot path is optimized under the contract
 /// that simulated *results* never change; this test is that contract.
-/// (Values captured from the pre-optimization engine.)
+/// (Values captured from the pre-optimization engine.) Every row is run
+/// twice: through the kernel's own cold wrapper and through
+/// `solve_simulated` (a fresh session's first solve); both must hit the
+/// stored string.
 #[test]
 fn launch_stats_bit_exact() {
     use capellini_sptrsv::core::kernels::cusparse_like;
@@ -132,13 +135,29 @@ fn launch_stats_bit_exact() {
             &[f64],
         )
             -> Result<capellini_sptrsv::core::kernels::SimSolve, capellini_sptrsv::simt::SimtError>;
-    let kernels: &[(&str, Solve)] = &[
-        ("writing_first", writing_first::solve as Solve),
-        ("syncfree", syncfree::solve as Solve),
-        ("syncfree_csc", syncfree_csc::solve as Solve),
-        ("two_phase", two_phase::solve as Solve),
-        ("levelset", levelset::solve as Solve),
-        ("cusparse_like", cusparse_like::solve as Solve),
+    let kernels: &[(&str, Solve, Algorithm)] = &[
+        (
+            "writing_first",
+            writing_first::solve as Solve,
+            Algorithm::CapelliniWritingFirst,
+        ),
+        ("syncfree", syncfree::solve as Solve, Algorithm::SyncFree),
+        (
+            "syncfree_csc",
+            syncfree_csc::solve as Solve,
+            Algorithm::SyncFreeCsc,
+        ),
+        (
+            "two_phase",
+            two_phase::solve as Solve,
+            Algorithm::CapelliniTwoPhase,
+        ),
+        ("levelset", levelset::solve as Solve, Algorithm::LevelSet),
+        (
+            "cusparse_like",
+            cusparse_like::solve as Solve,
+            Algorithm::CusparseLike,
+        ),
     ];
 
     let expected_paper = [
@@ -169,16 +188,156 @@ fn launch_stats_bit_exact() {
     for (l, cfg, expected) in &fixtures {
         let x_true: Vec<f64> = (0..l.n()).map(|i| (i % 17) as f64 - 8.0).collect();
         let b = linalg::rhs_for_solution(l, &x_true);
-        for ((name, solve), want) in kernels.iter().zip(expected.iter()) {
+        for ((name, solve, algo), want) in kernels.iter().zip(expected.iter()) {
             let mut dev = GpuDevice::new(cfg.clone());
             let out = solve(&mut dev, l, &b).unwrap();
-            linalg::assert_solutions_close(&out.x, &x_true, 1e-9);
-            assert_eq!(
-                format!("{:?}", out.stats),
-                *want,
-                "{name} LaunchStats changed (n={})",
-                l.n()
-            );
+            let cold = solve_simulated(cfg, l, &b, *algo).unwrap();
+            for (path, x, stats) in [
+                ("kernel wrapper", &out.x, &out.stats),
+                ("solve_simulated", &cold.x, &cold.stats),
+            ] {
+                linalg::assert_solutions_close(x, &x_true, 1e-9);
+                assert_eq!(
+                    format!("{stats:?}"),
+                    *want,
+                    "{name} LaunchStats changed via {path} (n={})",
+                    l.n()
+                );
+            }
+        }
+    }
+}
+
+/// The cold entry points are a fresh `SolverSession`'s first solve. This
+/// pins them to the kernels' own cold wrappers on fresh devices for the
+/// algorithms `launch_stats_bit_exact` does not cover: Hybrid, Scheduled,
+/// NaiveThread (on the paper example) and the batched trio
+/// (`solve_multi_simulated` against `*_multi::solve_multi`). Under the
+/// configurations of every documented number, solution bits and
+/// `LaunchStats` (or the error text) must be identical. Under the relaxed,
+/// racecheck and cache models, buffer ids feed the drain skew and the cache
+/// set hash, and the session allocates its analysis buffers before `b` and
+/// `x`; there only the solution bits must agree.
+#[test]
+fn cold_entry_points_match_the_kernel_wrappers() {
+    use capellini_sptrsv::core::kernels::{
+        cusparse_like_multi, hybrid, naive, scheduled, syncfree_multi, writing_first_multi,
+        SimSolve,
+    };
+    use capellini_sptrsv::sparse::gen;
+
+    type Solve = fn(&mut GpuDevice, &LowerTriangularCsr, &[f64]) -> Result<SimSolve, SimtError>;
+    type SolveMulti =
+        fn(&mut GpuDevice, &LowerTriangularCsr, &[f64], usize) -> Result<SimSolve, SimtError>;
+    const NRHS: usize = 3;
+
+    let pascal = DeviceConfig::pascal_like().scaled_down(4);
+    let configs = [
+        (
+            "pascal-fastforward",
+            true,
+            pascal.clone().with_spin_model(SpinModel::FastForward),
+        ),
+        (
+            "pascal-replay",
+            true,
+            pascal.clone().with_spin_model(SpinModel::Replay),
+        ),
+        ("toy", true, toy()),
+        (
+            "relaxed",
+            false,
+            pascal
+                .clone()
+                .with_memory_model(MemoryModel::relaxed(2_000)),
+        ),
+        (
+            "racecheck",
+            false,
+            pascal
+                .clone()
+                .with_memory_model(MemoryModel::racecheck(2_000)),
+        ),
+        (
+            "cache",
+            false,
+            pascal.clone().with_cache(CacheConfig::small()),
+        ),
+    ];
+    let matrices = [
+        ("paper", paper_example()),
+        ("randomk", gen::random_k(300, 3, 300, 42)),
+        ("chain", gen::chain(128, 1, 7)),
+        ("banded", gen::banded(200, 5, 0.6, 7)),
+        ("powerlaw", gen::powerlaw(200, 3.0, 61)),
+    ];
+    let singles: [(Algorithm, Solve); 3] = [
+        (Algorithm::Hybrid, hybrid::solve),
+        (Algorithm::Scheduled, scheduled::solve),
+        (Algorithm::NaiveThread, naive::solve),
+    ];
+    let multis: [(Algorithm, SolveMulti); 3] = [
+        (Algorithm::SyncFree, syncfree_multi::solve_multi),
+        (Algorithm::CusparseLike, cusparse_like_multi::solve_multi),
+        (
+            Algorithm::CapelliniWritingFirst,
+            writing_first_multi::solve_multi,
+        ),
+    ];
+
+    let compare = |what: String,
+                   exact: bool,
+                   kernel: Result<(Vec<f64>, LaunchStats), SimtError>,
+                   cold: Result<(Vec<f64>, LaunchStats), SimtError>| {
+        match (kernel, cold) {
+            (Ok((kx, ks)), Ok((cx, cs))) => {
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&kx), bits(&cx), "{what}: solution bits differ");
+                if exact {
+                    assert_eq!(format!("{ks:?}"), format!("{cs:?}"), "{what}: stats differ");
+                }
+            }
+            (Err(ke), Err(ce)) => {
+                if exact {
+                    assert_eq!(ke.to_string(), ce.to_string(), "{what}: errors differ");
+                }
+            }
+            (k, c) => panic!("{what}: outcome differs: kernel={k:?} cold={c:?}"),
+        }
+    };
+
+    for (cname, exact, cfg) in &configs {
+        for (mname, l) in &matrices {
+            let n = l.n();
+            let x_true: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
+            let b = linalg::rhs_for_solution(l, &x_true);
+            for (algo, solve) in &singles {
+                if *algo == Algorithm::NaiveThread && *mname != "paper" {
+                    continue;
+                }
+                let kernel = solve(&mut GpuDevice::new(cfg.clone()), l, &b).map(|o| (o.x, o.stats));
+                let cold = solve_simulated(cfg, l, &b, *algo).map(|r| (r.x, r.stats));
+                compare(
+                    format!("{cname}/{mname}/{}", algo.label()),
+                    *exact,
+                    kernel,
+                    cold,
+                );
+            }
+            let bs: Vec<f64> = (0..n * NRHS)
+                .map(|k| b[k / NRHS] * (k % NRHS + 1) as f64)
+                .collect();
+            for (algo, solve_multi) in &multis {
+                let kernel = solve_multi(&mut GpuDevice::new(cfg.clone()), l, &bs, NRHS)
+                    .map(|o| (o.x, o.stats));
+                let cold = solve_multi_simulated(cfg, l, &bs, NRHS, *algo).map(|r| (r.x, r.stats));
+                compare(
+                    format!("{cname}/{mname}/{} x{NRHS}", algo.label()),
+                    *exact,
+                    kernel,
+                    cold,
+                );
+            }
         }
     }
 }

@@ -315,13 +315,21 @@ fn empty_system_zero_warp_kernel_launch_is_accounted() {
 
 #[test]
 fn every_solve_entry_point_validates_rhs_length_identically() {
-    // Validation parity: the cold free functions, the `Solver` wrappers,
-    // the cached session, and both sharded entry points must all reject a
-    // wrong-length right-hand side with the same recoverable Launch error —
-    // no panics, no silent misreads.
-    use capellini_sptrsv::core::{
-        solve_multi_simulated, solve_sharded, ShardConfig, Solver, SolverSession,
+    // Validation parity: the cold free functions, the `Solver` wrappers
+    // (simulated, CPU and serial), the cached session, both sharded entry
+    // points, every public kernel `solve*` wrapper and the service must all
+    // reject a wrong-length right-hand side with the same recoverable error
+    // — no panics, no silent misreads.
+    use capellini_sptrsv::core::kernels::{
+        cusparse_like, cusparse_like_multi, hybrid, levelset, scheduled, syncfree, syncfree_csc,
+        syncfree_multi, two_phase, writing_first, writing_first_multi, SimSolve,
     };
+    use capellini_sptrsv::core::{
+        solve_multi_simulated, solve_sharded, solve_upper_simulated, MatrixHandle, RhsLayout,
+        ServiceConfig, ServiceError, ShardConfig, Solver, SolverService, SolverSession,
+    };
+    use capellini_sptrsv::simt::{GpuDevice, Trace};
+    use capellini_sptrsv::sparse::UpperTriangularCsr;
     let l = gen::powerlaw(64, 2.6, 7);
     let n = l.n();
     let cfg = scaled(DeviceConfig::pascal_like());
@@ -362,6 +370,89 @@ fn every_solve_entry_point_validates_rhs_length_identically() {
         session.solve_sharded(&bad, &shard).map(|_| ()),
         "SolverSession::solve_sharded",
     );
+    assert_launch(solver.solve_cpu(&bad, 2).map(|_| ()), "Solver::solve_cpu");
+    assert_launch(
+        solver.solve_serial(&bad).map(|_| ()),
+        "Solver::solve_serial",
+    );
+    assert_launch(
+        solve_upper_simulated(
+            &cfg,
+            &UpperTriangularCsr::transpose_of(&l),
+            &bad,
+            Algorithm::SyncFree,
+        )
+        .map(|_| ()),
+        "solve_upper_simulated",
+    );
+
+    // Every public kernel wrapper, single-rhs and batched, on a fresh device.
+    type Solve = fn(&mut GpuDevice, &LowerTriangularCsr, &[f64]) -> Result<SimSolve, SimtError>;
+    let wrappers: [(&str, Solve); 13] = [
+        ("levelset::solve", levelset::solve),
+        ("syncfree::solve", syncfree::solve),
+        ("syncfree::solve_traced", |d, l, b| {
+            syncfree::solve_traced(d, l, b, &mut Trace::new())
+        }),
+        ("syncfree_csc::solve", syncfree_csc::solve),
+        ("cusparse_like::solve", cusparse_like::solve),
+        ("two_phase::solve", two_phase::solve),
+        ("writing_first::solve", writing_first::solve),
+        (
+            "writing_first::solve_with_explicit_last_check",
+            writing_first::solve_with_explicit_last_check,
+        ),
+        ("writing_first::solve_traced", |d, l, b| {
+            writing_first::solve_traced(d, l, b, &mut Trace::new())
+        }),
+        ("naive::solve", naive::solve),
+        ("hybrid::solve", hybrid::solve),
+        ("hybrid::solve_with_threshold", |d, l, b| {
+            hybrid::solve_with_threshold(d, l, b, 0.5)
+        }),
+        ("scheduled::solve", scheduled::solve),
+    ];
+    for (what, solve) in wrappers {
+        assert_launch(
+            solve(&mut GpuDevice::new(cfg.clone()), &l, &bad).map(|_| ()),
+            what,
+        );
+    }
+    type SolveMulti =
+        fn(&mut GpuDevice, &LowerTriangularCsr, &[f64], usize) -> Result<SimSolve, SimtError>;
+    let multi_wrappers: [(&str, SolveMulti); 5] = [
+        ("syncfree_multi::solve_multi", syncfree_multi::solve_multi),
+        ("syncfree_multi::solve_multi_layout", |d, l, b, k| {
+            syncfree_multi::solve_multi_layout(d, l, b, k, RhsLayout::ColMajor)
+        }),
+        (
+            "cusparse_like_multi::solve_multi",
+            cusparse_like_multi::solve_multi,
+        ),
+        (
+            "writing_first_multi::solve_multi",
+            writing_first_multi::solve_multi,
+        ),
+        ("writing_first_multi::solve_multi_layout", |d, l, b, k| {
+            writing_first_multi::solve_multi_layout(d, l, b, k, RhsLayout::ColMajor)
+        }),
+    ];
+    for (what, solve_multi) in multi_wrappers {
+        assert_launch(
+            solve_multi(&mut GpuDevice::new(cfg.clone()), &l, &bad, 1).map(|_| ()),
+            what,
+        );
+    }
+
+    // The service rejects before queueing, with the same message text.
+    let service = SolverService::new(ServiceConfig::new(cfg.clone()));
+    let want = session.solve(&bad).unwrap_err();
+    match service.solve("t0", &MatrixHandle::new(l.clone()), &bad) {
+        Err(ServiceError::BadRequest(msg)) => {
+            assert_eq!(want, SimtError::Launch(msg), "SolverService::solve")
+        }
+        other => panic!("SolverService::solve: expected BadRequest, got {other:?}"),
+    }
 
     // The overflow guard is part of the same parity sweep: absurd nrhs is a
     // structured error on both multi entry points, never an overflow panic.

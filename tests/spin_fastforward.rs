@@ -5,7 +5,8 @@
 //! of DESIGN.md §9 is pinned here.
 
 use capellini_sptrsv::core::kernels::{
-    cusparse_like, hybrid, levelset, naive, syncfree, syncfree_csc, two_phase, writing_first,
+    cusparse_like, hybrid, levelset, naive, scheduled, syncfree, syncfree_csc, two_phase,
+    writing_first,
 };
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
@@ -28,6 +29,7 @@ fn kernels() -> Vec<(&'static str, Solve)> {
         ("levelset", levelset::solve as Solve),
         ("cusparse_like", cusparse_like::solve as Solve),
         ("hybrid", hybrid::solve as Solve),
+        ("scheduled", scheduled::solve as Solve),
     ]
 }
 
