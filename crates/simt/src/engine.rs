@@ -28,7 +28,7 @@ use crate::mem::{
     AccessKind, CacheHit, DeviceMemory, ExtEvent, LaneMem, RawAccess, SpinRec, SECTOR_BYTES,
 };
 use crate::metrics::{sat_add, LaunchStats};
-use crate::profile::{LaunchResult, Profile, Profiler, StallReason};
+use crate::profile::{Profile, Profiler, StallReason};
 use crate::trace::{Trace, TraceEvent};
 
 /// A simulated GPU: a configuration plus device memory that persists across
@@ -40,19 +40,15 @@ pub struct GpuDevice {
     /// algorithms issue thousands of small launches per solve; recycling the
     /// stack/shared vectors keeps those launches allocation-free.
     warp_scratch: Vec<WarpScratch>,
-    /// Pooled per-launch scratch (scheduler queues, SM bookkeeping,
-    /// per-instruction coalescing buffers) — every kernel-independent
-    /// allocation of `launch_inner`, reused across launches.
-    launch_scratch: LaunchScratch,
+    /// The most recent launch's state. It stays on the device, failed
+    /// launches included, so the next launch reuses every allocation.
+    launch: Launch,
     /// Profiles collected by launches run with profiling armed (see
     /// [`ProfileMode`]), in launch order. Drained by
     /// [`GpuDevice::take_profiles`].
     profiles: Vec<Profile>,
-    /// Scheduler heap events processed by the most recent launch (see
-    /// [`GpuDevice::last_launch_heap_events`]).
-    last_heap_events: u64,
     /// Grid-reuse: cached initial-residency assignments keyed by warp
-    /// count. See the fill loop in [`GpuDevice::launch_inner`].
+    /// count. See the fill in [`GpuDevice::launch_inner`].
     grid_cache: Vec<GridPlan>,
     /// Number of launches that reused a cached grid plan (see
     /// [`GpuDevice::grid_reuses`]).
@@ -73,18 +69,157 @@ struct GridPlan {
     sms: Vec<u32>,
 }
 
-/// Kernel-independent per-launch allocations, pooled on the device.
+impl GridPlan {
+    /// The round-robin fill: SMs take one warp each in turn until the grid
+    /// or every SM's residency is exhausted, so warp `w` lands on SM
+    /// `w % sm_count`.
+    fn round_robin(n_warps: usize, sm_count: usize, max_resident: usize) -> Self {
+        let resident = n_warps.min(sm_count * max_resident);
+        let sms = (0..resident).map(|w| (w % sm_count) as u32).collect();
+        GridPlan { n_warps, sms }
+    }
+}
+
+/// A device's latencies and hang bounds in scheduler ticks: each SM issues
+/// one warp instruction per tick, and a cycle is `schedulers_per_sm` ticks.
+#[derive(Clone, Copy, Default)]
+struct Ticks {
+    per_cycle: u64,
+    dram: u64,
+    l2: u64,
+    /// L1 hit latency of the finite-cache model. 0 disables cache probing
+    /// entirely (the legacy first-touch path is then the only accounting,
+    /// bit-exact with pre-cache builds).
+    l1: u64,
+    shared: u64,
+    alu: u64,
+    store: u64,
+    fence: u64,
+    /// DRAM occupancy per 32-byte sector (the bandwidth model).
+    sector_service: f64,
+    /// The deadlock window.
+    deadlock: u64,
+    /// The cycle budget.
+    max: u64,
+}
+
+impl Ticks {
+    fn new(cfg: &DeviceConfig) -> Self {
+        let tpc = cfg.schedulers_per_sm.max(1) as u64;
+        Ticks {
+            per_cycle: tpc,
+            dram: cfg.dram_latency * tpc,
+            l2: cfg.l2_latency * tpc,
+            l1: cfg.cache.map_or(0, |c| c.l1_latency.max(1) * tpc),
+            shared: cfg.shared_latency * tpc,
+            alu: (cfg.alu_latency * tpc).max(1),
+            store: (cfg.store_latency * tpc).max(1),
+            fence: (cfg.fence_latency * tpc).max(1),
+            sector_service: SECTOR_BYTES as f64 / cfg.bytes_per_cycle() * tpc as f64,
+            deadlock: cfg.deadlock_window * tpc,
+            max: cfg.max_cycles.saturating_mul(tpc),
+        }
+    }
+
+    /// The hang an issue at tick `t` would be, given the last progress
+    /// tick and the deadlock window `dl` in force; the budget is checked
+    /// first.
+    fn hang_at(&self, t: u64, last_progress: u64, dl: u64) -> Option<Hang> {
+        if t > self.max {
+            Some(Hang::Timeout)
+        } else if t.saturating_sub(last_progress) > dl {
+            Some(Hang::Deadlock {
+                cycle: t / self.per_cycle,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// The first tick at which an issue is a hang (see [`Ticks::hang_at`]).
+    fn hang_limit(&self, last_progress: u64, dl: u64) -> u64 {
+        self.max
+            .saturating_add(1)
+            .min(last_progress.saturating_add(dl).saturating_add(1))
+    }
+}
+
+/// Why a launch stopped before its warps finished.
+enum Hang {
+    /// The cycle budget ran out.
+    Timeout,
+    /// Nothing stored or retired a lane for the deadlock window, or the
+    /// schedule emptied with warps still parked; detected at `cycle`.
+    Deadlock { cycle: u64 },
+}
+
+/// The scheduler's event queue: issue events `(tick, warp, seq)`, earliest
+/// first (same-tick events in warp-id order). A warp's sequence number
+/// marks its one valid entry; superseded entries (re-kicked or displaced
+/// warps) stay in the heap and are skipped when popped.
 #[derive(Default)]
-struct LaunchScratch {
-    resident: Vec<usize>,
-    heap: Vec<Reverse<(u64, u32, u32)>>,
-    sm_next_free: Vec<u64>,
-    sm_last_issue: Vec<u64>,
-    accesses: Vec<RawAccess>,
-    targets: Vec<(u32, Pc)>,
-    groups: Vec<(Pc, u64)>,
+struct Queue {
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
     seq: Vec<u32>,
+}
+
+impl Queue {
+    /// Schedules `warp` to issue at `tick`, superseding its pending entry.
+    #[inline]
+    fn push(&mut self, tick: u64, warp: u32) {
+        let s = &mut self.seq[warp as usize];
+        *s = s.wrapping_add(1);
+        self.heap.push(Reverse((tick, warp, *s)));
+    }
+}
+
+/// A launch's kernel-independent state. It lives on the device between
+/// launches, so every allocation is reused; [`Launch::reset`] starts a
+/// launch. The kernel-typed warps stay local to [`GpuDevice::launch_inner`].
+#[derive(Default)]
+struct Launch {
+    // Fixed for the launch.
+    ticks: Ticks,
+    /// The configured cycle budget (reported by a timeout).
+    max_cycles: u64,
+    warp_size: usize,
+    ff_on: bool,
+    relaxed_on: bool,
+    /// Relaxed model with per-SM store buffers (else per warp).
+    sm_scope: bool,
+    racecheck: bool,
+    /// Neither a profiler nor a trace wants per-instruction events, so
+    /// parked warps advance in closed form.
+    batch_ok: bool,
+
+    // Scheduling.
+    queue: Queue,
+    /// Heap events popped, superseded ones included (see
+    /// [`GpuDevice::last_launch_heap_events`]).
+    heap_events: u64,
+    /// Resident warps per SM.
+    resident: Vec<usize>,
+    /// Per SM: the first tick its issue slot is free...
+    sm_next_free: Vec<u64>,
+    /// ...and the tick of its last issue (stall gaps are measured from it).
+    sm_last_issue: Vec<u64>,
+
+    // Accounting.
+    stats: LaunchStats,
+    /// Armed only under [`ProfileMode::Sampled`]: every hook is a skipped
+    /// `if let` otherwise, keeping the default path byte-identical.
+    prof: Option<Profiler>,
+    /// Tick at which the DRAM bandwidth queue drains.
+    dram_busy: f64,
+    /// Last tick at which a warp stored or retired a lane, or a link event
+    /// landed (the deadlock window runs from here).
+    last_progress: u64,
+    /// Latest completion tick of anything issued.
+    end_tick: u64,
+
+    // Spin fast-forwarding (see `SpinFf`).
     spin: Vec<SpinState>,
+    n_parked: usize,
     sm_parked: Vec<Vec<u32>>,
     /// Per-SM min-heap of `(next_tick, warp)` keys for parked warps, so
     /// `ff_advance` selects its next virtual visit in O(log parked) instead
@@ -97,11 +232,16 @@ struct LaunchScratch {
     /// issue cursor, sorted by warp id (the replay heap's same-tick tie
     /// order). See [`SpinFf::ready`].
     sm_ready: Vec<Vec<u32>>,
-    /// Reusable buffers for [`ff_mw_batch`]'s planning passes, so the
+    /// Reusable buffers for `ff_mw_batch`'s planning passes, so the
     /// (usually bailing) attempt never allocates on the advance hot path.
     mw_plans: Vec<MwPlan>,
     mw_res: Vec<u64>,
     wakes: Vec<(u32, u64, u32)>,
+
+    // Per-instruction scratch.
+    accesses: Vec<RawAccess>,
+    targets: Vec<(u32, Pc)>,
+    groups: Vec<(Pc, u64)>,
     spin_rec: SpinRec,
 }
 
@@ -134,6 +274,39 @@ struct WarpRt<L> {
 }
 
 impl<L> WarpRt<L> {
+    /// A warp on a retired warp's allocations; [`WarpRt::reset`] makes it
+    /// runnable.
+    fn from_scratch(WarpScratch { stack, shared }: WarpScratch) -> Self {
+        WarpRt {
+            sm: 0,
+            lanes: Vec::new(),
+            alive: 0,
+            stack,
+            shared,
+        }
+    }
+
+    /// Makes this warp a fresh warp `wid` of `kernel` on `sm`, keeping its
+    /// allocations: every lane alive at pc 0, zeroed shared memory, newly
+    /// made lanes. A fresh warp and a recycled one are indistinguishable,
+    /// so pooling never changes a simulated result.
+    fn reset<K: WarpKernel<Lane = L>>(&mut self, kernel: &K, wid: usize, sm: usize, ws: usize) {
+        let full_mask = if ws == 64 { u64::MAX } else { (1u64 << ws) - 1 };
+        self.sm = sm;
+        self.alive = full_mask;
+        self.stack.clear();
+        self.stack.push(StackEntry {
+            pc: 0,
+            reconv: PC_EXIT,
+            mask: full_mask,
+        });
+        self.shared.clear();
+        self.shared.resize(kernel.shared_per_warp(), 0.0);
+        self.lanes.clear();
+        self.lanes
+            .extend((0..ws).map(|l| kernel.make_lane((wid * ws + l) as u32)));
+    }
+
     fn done(&self) -> bool {
         self.stack.is_empty() || self.alive == 0
     }
@@ -167,6 +340,9 @@ fn normalize(stack: &mut Vec<StackEntry>, alive: &mut u64, retired: &mut u64) {
 }
 
 struct StepOutcome {
+    /// The issued instruction's pc and active mask.
+    pc: Pc,
+    mask: u64,
     cost_ticks: u64,
     stored: bool,
     retired: u64,
@@ -182,8 +358,9 @@ struct StepOutcome {
     l2_hits: u32,
     /// Spin capture: the step was uniform, straight-line (the
     /// `top.pc = first_target` fast path) and side-effect free with all
-    /// memory traffic hitting L2 — repeating it against unchanged memory
-    /// reproduces identical accounting.
+    /// memory traffic hitting L2 and no stale read under the relaxed model
+    /// — repeating it against unchanged memory reproduces identical
+    /// accounting.
     pure: bool,
 }
 
@@ -220,7 +397,6 @@ fn snapshot_warps<L>(warps: &[Option<WarpRt<L>>], spin: &[SpinState]) -> Vec<War
         .take(MAX_SNAPSHOT_WARPS)
         .collect()
 }
-
 // --- Spin fast-forwarding (wake-on-write) --------------------------------
 //
 // Under `SpinModel::FastForward`, a warp caught in a *pure* busy-wait loop
@@ -295,6 +471,20 @@ fn eff_next(p: &SpinFf, free: u64) -> u64 {
     }
 }
 
+impl SpinFf {
+    /// Takes warp `wid` (this warp) off its SM's ready row, if it is on it.
+    #[inline]
+    fn leave_ready(&mut self, sm_ready: &mut [Vec<u32>], wid: u32) {
+        if self.ready {
+            self.ready = false;
+            let row = &mut sm_ready[self.sm];
+            if let Ok(pos) = row.binary_search(&wid) {
+                row.remove(pos);
+            }
+        }
+    }
+}
+
 /// Consecutive all-lanes-failed anchor visits required before a capture
 /// starts. Starting a capture allocates (`Box<SpinFf>` plus its vectors),
 /// which is pure overhead for the short spins that dominate shallow DAGs —
@@ -317,24 +507,6 @@ enum SpinState {
     /// A wake kick rewound the warp to its anchor poll; the next real step
     /// re-polls and either proceeds or re-captures.
     Waking(Box<SpinFf>),
-}
-
-/// Hang detected while fast-forwarding parked warps.
-struct FfHang {
-    /// True: cycle budget exceeded. False: deadlock window expired.
-    timeout: bool,
-    /// Tick of the virtual issue that crossed the threshold.
-    tick: u64,
-}
-
-/// Bumps and returns `warp`'s heap-event sequence number. Only the entry
-/// carrying the current number is valid; superseded entries (re-kicked or
-/// displaced warps) are skipped on pop.
-#[inline]
-fn bump(seq: &mut [u32], warp: u32) -> u32 {
-    let s = &mut seq[warp as usize];
-    *s = s.wrapping_add(1);
-    *s
 }
 
 /// Starts a capture at an all-lanes-failed pure poll.
@@ -399,7 +571,7 @@ fn poll_at_or_after(p: &SpinFf, next_tick: u64, tick: u64, min_warp: u32, wid: u
     u
 }
 
-/// One warp's share of a [`ff_mw_batch`] window, planned before anything
+/// One warp's share of a [`Launch::ff_mw_batch`] window, planned before anything
 /// mutates so any bail leaves the advance state untouched.
 struct MwPlan {
     wid: u32,
@@ -414,1498 +586,746 @@ struct MwPlan {
     new_idx: usize,
 }
 
-/// Attempts to advance *all* parked warps of one SM below `bound_tick` in
-/// one closed form. This is the crowd analogue of the single-warp batch in
-/// [`ff_advance`]: that batch dies whenever another parked warp's visit is
-/// near (the runner-up horizon), which on a crowded SM is every iteration,
-/// so the advance degenerates to one heap round-trip per virtual
-/// instruction. But if every parked warp spins with the *same* period and
-/// their issue slots are pairwise disjoint modulo it, the whole window is
-/// displacement-free — each visit lands exactly at its projected slot, no
-/// slot is contested — and two facts make the merged schedule computable
-/// without interleaving: each warp's slots are an arithmetic progression
-/// of its own signature, and the stall gaps of the *merged* issue sequence
-/// still telescope (for issues at `u_1 < … < u_n` after an issue at `L`,
-/// the gaps sum to `(u_n − L) − n` no matter which warp owns which slot).
-/// Residue disjointness is not a lucky accident: a slot collision makes
-/// replay displace the higher-id warp by one slot, permanently shifting
-/// its phase, so colliding crowds self-heal into disjointness and stay
-/// there. Transients (a pending displacement, unequal periods, a collision)
-/// bail to the caller's per-visit path before anything is mutated.
-///
-/// Returns true if any virtual instruction was accounted.
-#[allow(clippy::too_many_arguments)]
-fn ff_mw_batch(
-    spin: &mut [SpinState],
-    parked: &[u32],
-    visit: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &mut Vec<u32>,
-    plans: &mut Vec<MwPlan>,
-    res: &mut Vec<u64>,
-    bound_tick: u64,
-    stats: &mut LaunchStats,
-    sm_next_free: &mut u64,
-    sm_last_issue: &mut u64,
-    end_tick: &mut u64,
-    last_progress: u64,
-    max_ticks: u64,
-    deadlock_ticks: u64,
-) -> bool {
-    let free = *sm_next_free;
-    // Hang thresholds cap the window exactly like the per-visit path: the
-    // first visit at or past a threshold is left for that path to turn
-    // into the error at the same tick replay would report.
-    let lim = bound_tick.min(max_ticks.saturating_add(1)).min(
-        last_progress
-            .saturating_add(deadlock_ticks)
-            .saturating_add(1),
-    );
-    if lim <= free {
-        return false;
-    }
-    // Cheap qualifying pass: the crowd form needs at least two parked
-    // warps, one shared period, and no pending displacement (a stored
-    // projection below the cursor; ready-row staleness is exactly that).
-    // Bailing here costs a few field reads per parked warp.
-    let mut period = 0u64;
-    let mut m = 0usize;
-    for &wid in parked {
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            continue;
-        };
-        m += 1;
-        if p.next_tick < free {
-            return false;
-        }
-        if period == 0 {
-            period = p.period;
-        } else if p.period != period {
-            return false;
-        }
-    }
-    if m < 2 || period == 0 {
-        return false;
-    }
-    // A window shorter than one iteration holds a handful of visits at
-    // most; planning costs more than letting the per-visit path run them.
-    if lim - free < period {
-        return false;
-    }
-    plans.clear();
-    res.clear();
-    for &wid in parked {
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            continue;
-        };
-        let l = p.sig.len();
-        let v = p.next_tick;
-        // Cycle aggregates, slot residues, and the relative offsets of the
-        // last issue (`off_last`) and latest completion (`moff`) per cycle.
-        let (mut off, mut cyc_fl, mut cyc_l2, mut cyc_pf) = (0u64, 0u64, 0u64, 0u64);
-        let mut moff = 0u64;
-        for i in 0..l {
-            let s = &p.sig[(p.idx + i) % l];
-            res.push((v + off) % period);
-            moff = moff.max(off + s.cost);
-            cyc_fl += s.flops;
-            cyc_l2 += s.l2_hits as u64;
-            cyc_pf += s.poll_fails as u64;
-            off += s.cost;
-        }
-        if off != period {
-            return false;
-        }
-        let off_last = period - p.sig[(p.idx + l - 1) % l].cost;
-        // Whole cycles strictly below the window, then the partial tail.
-        let q = if lim > v.saturating_add(off_last) {
-            (lim - 1 - off_last - v) / period + 1
-        } else {
-            0
-        };
-        let mut steps = q * l as u64;
-        let mut fl = cyc_fl * q;
-        let mut l2 = cyc_l2 * q;
-        let mut pf = cyc_pf * q;
-        let (mut u_last, mut end) = if q > 0 {
-            (v + (q - 1) * period + off_last, v + (q - 1) * period + moff)
-        } else {
-            (0, 0)
-        };
-        let mut slot = v + q * period;
-        let mut i = p.idx;
-        let mut cnt = 0;
-        while slot < lim && cnt < l {
-            let s = &p.sig[i];
-            u_last = slot;
-            end = end.max(slot + s.cost);
-            steps += 1;
-            fl += s.flops;
-            l2 += s.l2_hits as u64;
-            pf += s.poll_fails as u64;
-            slot += s.cost;
-            i = (i + 1) % l;
-            cnt += 1;
-        }
-        if slot < lim {
-            // Zero-cost signature steps; replay it rather than loop.
-            return false;
-        }
-        plans.push(MwPlan {
-            wid,
-            steps,
-            flops: fl,
-            l2,
-            polls: pf,
-            threads: steps * p.lanes,
-            u_last,
-            end,
-            new_tick: slot,
-            new_idx: i,
-        });
-    }
-    res.sort_unstable();
-    if res.windows(2).any(|w| w[0] == w[1]) {
-        return false;
-    }
-    let n: u64 = plans.iter().map(|pl| pl.steps).sum();
-    if n == 0 {
-        return false;
-    }
-    let mut u_last = 0u64;
-    for pl in plans.iter() {
-        if pl.steps == 0 {
-            continue;
-        }
-        u_last = u_last.max(pl.u_last);
-        *end_tick = (*end_tick).max(pl.end);
-        sat_add(&mut stats.issue_ticks, pl.steps);
-        sat_add(&mut stats.warp_instructions, pl.steps);
-        sat_add(&mut stats.thread_instructions, pl.threads);
-        sat_add(&mut stats.flops, pl.flops);
-        sat_add(&mut stats.l2_hits, pl.l2);
-        sat_add(&mut stats.failed_polls, pl.polls);
-        let SpinState::Parked(p) = &mut spin[pl.wid as usize] else {
-            unreachable!("planned warp is parked");
-        };
-        p.next_tick = pl.new_tick;
-        p.idx = pl.new_idx;
-        if p.ready {
-            p.ready = false;
-            if let Ok(pos) = ready.binary_search(&pl.wid) {
-                ready.remove(pos);
-            }
-        }
-        visit.push(Reverse((pl.new_tick, pl.wid)));
-    }
-    stats.stall_ticks = stats
-        .stall_ticks
-        .saturating_add((u_last - *sm_last_issue).saturating_sub(n));
-    *sm_last_issue = u_last;
-    *sm_next_free = u_last + 1;
-    true
+/// Adds `n` reconstructed warp instructions (`threads` thread instructions
+/// in all) with their flops, L2 hits and failed polls to `stats`.
+fn add_virtual(stats: &mut LaunchStats, n: u64, threads: u64, flops: u64, l2: u64, polls: u64) {
+    sat_add(&mut stats.issue_ticks, n);
+    sat_add(&mut stats.warp_instructions, n);
+    sat_add(&mut stats.thread_instructions, threads);
+    sat_add(&mut stats.flops, flops);
+    sat_add(&mut stats.l2_hits, l2);
+    sat_add(&mut stats.failed_polls, polls);
 }
 
-/// Advances parked warps' virtual execution up to (excluding) the
-/// scheduler key `bound`, reproducing exactly the accounting their
-/// replayed spin iterations would have generated. `sm_filter` restricts
-/// the advance to one SM (valid whenever no global ordering is observed:
-/// all reconstructed quantities commute across SMs); traced launches pass
-/// `None` so `TraceEvent`s come out in schedule order. When `batch_ok`
-/// (neither profiling nor tracing wants per-instruction events), whole
-/// iterations are accounted in closed form: the stall gaps of consecutive
-/// issues telescope — for issues at `u_1 < … < u_n` on one SM following an
-/// issue at `L`, the gaps sum to `(u_n − L) − n`.
-#[allow(clippy::too_many_arguments)]
-fn ff_advance<K: WarpKernel>(
-    kernel: &K,
-    spin: &mut [SpinState],
-    sm_parked: &[Vec<u32>],
-    sm_visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    sm_ready: &mut [Vec<u32>],
-    mw_plans: &mut Vec<MwPlan>,
-    mw_res: &mut Vec<u64>,
-    sm_filter: Option<usize>,
-    bound: (u64, u32),
-    batch_ok: bool,
-    stats: &mut LaunchStats,
-    prof: &mut Option<Profiler>,
-    trace: &mut Option<&mut Trace>,
-    sm_next_free: &mut [u64],
-    sm_last_issue: &mut [u64],
-    end_tick: &mut u64,
-    last_progress: u64,
-    max_ticks: u64,
-    deadlock_ticks: u64,
-    tpc: u64,
-) -> Result<(), FfHang> {
-    // A visit-heap key is live iff the warp is still parked and the key
-    // matches its current projection (`next_tick` is strictly increasing
-    // per warp, so every superseded key compares stale).
-    fn live(spin: &[SpinState], tk: u64, w: u32) -> bool {
-        matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk)
-    }
-    // Try the whole-crowd closed form once per advance; transients fall
-    // back to the per-visit loop below and re-qualify on the next call.
-    if batch_ok {
-        if let Some(s) = sm_filter {
-            if sm_parked[s].len() >= 2 {
-                ff_mw_batch(
-                    spin,
-                    &sm_parked[s],
-                    &mut sm_visit[s],
-                    &mut sm_ready[s],
-                    mw_plans,
-                    mw_res,
-                    bound.0,
-                    stats,
-                    &mut sm_next_free[s],
-                    &mut sm_last_issue[s],
-                    end_tick,
-                    last_progress,
-                    max_ticks,
-                    deadlock_ticks,
-                );
-            }
-        }
-    }
-    loop {
-        // Lex-least (next_tick, warp) among candidate parked warps, plus
-        // the runner-up tick (the batching horizon).
-        let (u0, wid, runner_up) = match sm_filter {
-            Some(s) => {
-                // Single-SM advance. Visit keys due at or below the SM
-                // issue cursor move onto the ready row, where the crowd
-                // issues in warp-id order — the order the replay heap
-                // produces for same-tick displaced entries — without being
-                // re-keyed every slot the cursor advances past.
-                let h = &mut sm_visit[s];
-                let r = &mut sm_ready[s];
-                let free = sm_next_free[s];
-                while let Some(&Reverse((tk, w))) = h.peek() {
-                    if !live(spin, tk, w) {
-                        h.pop();
-                        continue;
-                    }
-                    if tk > free {
-                        break;
-                    }
-                    h.pop();
-                    let SpinState::Parked(p) = &mut spin[w as usize] else {
-                        unreachable!("live key is parked");
-                    };
-                    p.ready = true;
-                    if let Err(pos) = r.binary_search(&w) {
-                        r.insert(pos, w);
-                    }
-                }
-                // A ready-row warp issues at the cursor; every remaining
-                // visit key is strictly later, so the row front (lowest
-                // warp id) wins whenever the row is non-empty. Another
-                // ready warp caps the batching horizon at the pick itself
-                // (it issues in the very next slot); otherwise the next
-                // timed visit does. A timed pick consumes its key — the
-                // advance below pushes the successor.
-                if let Some(&w0) = r.first() {
-                    if (free, w0) >= bound {
-                        return Ok(());
-                    }
-                    let runner_up = if r.len() > 1 {
-                        free
-                    } else {
-                        h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
-                    };
-                    (free, w0, runner_up)
-                } else if let Some(&Reverse((tk0, w0))) = h.peek() {
-                    if (tk0, w0) >= bound {
-                        return Ok(());
-                    }
-                    h.pop();
-                    while let Some(&Reverse((tk, w))) = h.peek() {
-                        if live(spin, tk, w) {
-                            break;
-                        }
-                        h.pop();
-                    }
-                    let runner_up = h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
-                    (tk0, w0, runner_up)
-                } else {
-                    return Ok(());
-                }
-            }
-            None => {
-                // Global (traced) advance: scan every SM's parked list so
-                // events come out in schedule order. The candidate's stale
-                // key stays in its visit heap and is dropped lazily.
-                let mut pick: Option<(u64, u32)> = None;
-                let mut runner_up = u64::MAX;
-                for lst in sm_parked {
-                    for &wid in lst {
-                        if let SpinState::Parked(p) = &spin[wid as usize] {
-                            let p_next = p.next_tick;
-                            match pick {
-                                None => pick = Some((p_next, wid)),
-                                Some(cur) => {
-                                    if (p_next, wid) < cur {
-                                        runner_up = runner_up.min(cur.0);
-                                        pick = Some((p_next, wid));
-                                    } else {
-                                        runner_up = runner_up.min(p_next);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let Some((u0, wid)) = pick else {
-                    return Ok(());
-                };
-                if (u0, wid) >= bound {
-                    return Ok(());
-                }
-                (u0, wid, runner_up)
-            }
-        };
-        let SpinState::Parked(p) = &mut spin[wid as usize] else {
-            unreachable!("candidate is parked");
-        };
-        let sm = p.sm;
-        // Same displacement rule as a popped heap event.
-        if sm_next_free[sm] > u0 {
-            p.next_tick = sm_next_free[sm];
-            sm_visit[sm].push(Reverse((p.next_tick, wid)));
-            continue;
-        }
-        // Hang thresholds, checked at the issue tick like the real loop.
-        if u0 > max_ticks {
-            return Err(FfHang {
-                timeout: true,
-                tick: u0,
-            });
-        }
-        if u0.saturating_sub(last_progress) > deadlock_ticks {
-            return Err(FfHang {
-                timeout: false,
-                tick: u0,
-            });
-        }
-        // Committed to issuing: a ready-row warp leaves the row (the
-        // successor visit key re-enters through the heap).
-        if p.ready {
-            p.ready = false;
-            let r = &mut sm_ready[sm];
-            if let Ok(pos) = r.binary_search(&wid) {
-                r.remove(pos);
-            }
-        }
-        let len = p.sig.len();
-        if batch_ok {
-            // Closed form: as many whole iterations as fit strictly below
-            // the horizon. Below `bound` this SM is exclusively ours (the
-            // heap has no earlier event), so the telescoped stall formula
-            // applies verbatim.
-            let last_i = (p.idx + len - 1) % len;
-            let off_last = p.period - p.sig[last_i].cost;
-            let lim = bound.0.min(runner_up).min(max_ticks.saturating_add(1)).min(
-                last_progress
-                    .saturating_add(deadlock_ticks)
-                    .saturating_add(1),
-            );
-            if lim > u0.saturating_add(off_last) {
-                let k = (lim - 1 - off_last - u0) / p.period + 1;
-                let n = k * len as u64;
-                let u_last = u0 + (k - 1) * p.period + off_last;
-                sat_add(&mut stats.issue_ticks, n);
-                sat_add(&mut stats.warp_instructions, n);
-                sat_add(&mut stats.thread_instructions, n * p.lanes);
-                let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
-                for s in &p.sig {
-                    fl += s.flops;
-                    l2 += s.l2_hits as u64;
-                    pf += s.poll_fails as u64;
-                }
-                sat_add(&mut stats.flops, fl * k);
-                sat_add(&mut stats.l2_hits, l2 * k);
-                sat_add(&mut stats.failed_polls, pf * k);
-                stats.stall_ticks = stats
-                    .stall_ticks
-                    .saturating_add((u_last - sm_last_issue[sm]).saturating_sub(n));
-                sm_last_issue[sm] = u_last;
-                sm_next_free[sm] = u_last + 1;
-                *end_tick = (*end_tick).max(u_last + p.sig[last_i].cost);
-                p.next_tick = u0 + k * p.period;
-                sm_visit[sm].push(Reverse((p.next_tick, wid)));
-                continue;
-            }
-        }
-        // One virtual instruction, mirroring the real issue path.
-        let s = p.sig[p.idx];
-        sat_add(&mut stats.issue_ticks, 1);
-        let gap = u0.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
-        stats.stall_ticks = stats.stall_ticks.saturating_add(gap);
-        sm_last_issue[sm] = u0;
-        sm_next_free[sm] = u0 + 1;
-        sat_add(&mut stats.warp_instructions, 1);
-        sat_add(&mut stats.thread_instructions, p.lanes);
-        sat_add(&mut stats.flops, s.flops);
-        sat_add(&mut stats.l2_hits, s.l2_hits as u64);
-        sat_add(&mut stats.failed_polls, s.poll_fails as u64);
-        let t_done = u0 + s.cost;
-        *end_tick = (*end_tick).max(t_done);
-        if let Some(pr) = prof.as_mut() {
-            pr.on_issue(
-                sm,
-                u0,
-                gap,
-                wid as usize,
-                s.pc,
-                kernel.pc_name(s.pc),
-                s.issue,
-                s.wait,
-                t_done,
-            );
-        }
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.events.push(TraceEvent {
-                cycle: u0 / tpc,
-                sm,
-                warp: wid,
-                pc: s.pc,
-                label: kernel.pc_name(s.pc),
-                mask: p.mask,
-            });
-        }
-        p.idx = (p.idx + 1) % len;
-        p.next_tick = t_done;
-        sm_visit[sm].push(Reverse((t_done, wid)));
-    }
-}
-
-impl GpuDevice {
-    /// Creates a device with empty memory.
-    pub fn new(config: DeviceConfig) -> Self {
-        let mut mem = DeviceMemory::new();
-        if let Some(cache) = &config.cache {
-            // Arm the finite-cache tag state for the device's lifetime; like
-            // the first-touch bitmaps it persists across launches, so warm
-            // relaunches on the same buffers see a warm cache.
-            mem.set_cache(cache, config.sm_count);
-        }
-        GpuDevice {
-            config,
-            mem,
-            warp_scratch: Vec::new(),
-            launch_scratch: LaunchScratch::default(),
-            profiles: Vec::new(),
-            last_heap_events: 0,
-            grid_cache: Vec::new(),
-            grid_reuses: 0,
-        }
-    }
-
-    /// Number of launches on this device that reused a cached grid plan
-    /// instead of re-walking the round-robin residency fill. Diagnostic for
-    /// the session-amortization contract: warm same-shape launches should
-    /// all hit the cache. Reuse is bit-transparent — the cached plan is
-    /// exactly the assignment the fill loop would recompute.
-    pub fn grid_reuses(&self) -> u64 {
-        self.grid_reuses
-    }
-
-    /// Scheduler heap events processed by the most recent launch — the
-    /// event count [`crate::SpinModel::FastForward`] minimizes (identical
-    /// stats, far fewer events on spin-heavy kernels). Diagnostic only;
-    /// deliberately not part of [`LaunchStats`] so Replay and FastForward
-    /// stats stay directly comparable.
-    pub fn last_launch_heap_events(&self) -> u64 {
-        self.last_heap_events
-    }
-
-    /// Drains and returns the profiles accumulated by profiled launches,
-    /// in launch order. Empty unless the device config armed profiling via
-    /// [`DeviceConfig::with_profile`].
-    pub fn take_profiles(&mut self) -> Vec<Profile> {
-        std::mem::take(&mut self.profiles)
-    }
-
-    /// The profiles accumulated so far by profiled launches (not drained).
-    pub fn profiles(&self) -> &[Profile] {
-        &self.profiles
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
-    /// Device memory (allocation and host read-back).
-    pub fn mem(&mut self) -> &mut DeviceMemory {
-        &mut self.mem
-    }
-
-    /// Read-only device memory access.
-    pub fn mem_ref(&self) -> &DeviceMemory {
-        &self.mem
-    }
-
-    /// Launches `n_warps` warps of `kernel` and runs to completion.
-    pub fn launch<K: WarpKernel>(
-        &mut self,
-        kernel: &K,
-        n_warps: usize,
-    ) -> Result<LaunchStats, SimtError> {
-        self.launch_inner(kernel, n_warps, None, &[])
-    }
-
-    /// Launches like [`GpuDevice::launch`] with a pre-scheduled stream of
-    /// external memory events (must be sorted by tick, ascending): each
-    /// event is applied to device memory the moment simulated time reaches
-    /// its tick, waking any parked warps that spin on the written word.
-    /// This is how the multi-device coordinator injects link-delivered
-    /// boundary values into a consumer shard's timeline. While events are
-    /// still pending the deadlock window is suspended — a warp spinning on
-    /// a word the link has not delivered yet is waiting, not deadlocked.
-    pub fn launch_with_events<K: WarpKernel>(
-        &mut self,
-        kernel: &K,
-        n_warps: usize,
-        events: &[ExtEvent],
-    ) -> Result<LaunchStats, SimtError> {
-        debug_assert!(
-            events.windows(2).all(|w| w[0].tick <= w[1].tick),
-            "external events must be sorted by tick"
-        );
-        self.launch_inner(kernel, n_warps, None, events)
-    }
-
-    /// Launches like [`GpuDevice::launch`] but returns the launch's
-    /// [`Profile`] alongside the stats. The profile is `None` when the
-    /// device config runs with [`ProfileMode::Off`] or the launch was a
-    /// zero-warp no-op; otherwise it is moved into the result instead of
-    /// accumulating on the device.
-    pub fn launch_profiled<K: WarpKernel>(
-        &mut self,
-        kernel: &K,
-        n_warps: usize,
-    ) -> Result<LaunchResult, SimtError> {
-        let before = self.profiles.len();
-        let stats = self.launch_inner(kernel, n_warps, None, &[])?;
-        let profile = if self.profiles.len() > before {
-            self.profiles.pop()
-        } else {
-            None
-        };
-        Ok(LaunchResult { stats, profile })
-    }
-
-    /// Launches with an instruction trace (intended for the toy device).
-    pub fn launch_traced<K: WarpKernel>(
-        &mut self,
-        kernel: &K,
-        n_warps: usize,
-        trace: &mut Trace,
-    ) -> Result<LaunchStats, SimtError> {
-        self.launch_inner(kernel, n_warps, Some(trace), &[])
-    }
-
-    fn launch_inner<K: WarpKernel>(
-        &mut self,
-        kernel: &K,
-        n_warps: usize,
-        mut trace: Option<&mut Trace>,
-        events: &[ExtEvent],
-    ) -> Result<LaunchStats, SimtError> {
-        if n_warps == 0 {
-            // A zero-warp grid is a legal no-op launch: no kernel body ever
-            // runs, so report well-formed zeroed stats (plus the fixed
-            // launch overhead) instead of erroring or producing a bogus
-            // deadlock snapshot downstream. External events still land.
-            for ev in events {
-                self.mem.ext_apply(ev);
-            }
-            self.last_heap_events = 0;
-            return Ok(LaunchStats {
-                launches: 1,
-                cycles: self.config.launch_overhead_cycles,
-                ..Default::default()
-            });
-        }
-        let cfg = &self.config;
-        if cfg.warp_size > 64 {
-            return Err(SimtError::Launch("warp size exceeds 64 lanes".into()));
-        }
-        if n_warps
-            .checked_mul(cfg.warp_size)
-            .is_none_or(|threads| threads > u32::MAX as usize)
-        {
-            return Err(SimtError::Launch(format!(
-                "grid of {n_warps} warps exceeds the 32-bit thread-id space"
-            )));
-        }
-        let tpc = cfg.schedulers_per_sm.max(1) as u64; // ticks per cycle
-        let dram_lat = cfg.dram_latency * tpc;
-        let l2_lat = cfg.l2_latency * tpc;
-        // Finite-cache model: 0 disables cache probing entirely (the legacy
-        // first-touch path is then the only accounting, bit-exact with
-        // pre-cache builds).
-        let l1_lat = cfg.cache.map_or(0, |c| c.l1_latency.max(1) * tpc);
-        let shared_lat = cfg.shared_latency * tpc;
-        let alu_ticks = (cfg.alu_latency * tpc).max(1);
-        let store_ticks = (cfg.store_latency * tpc).max(1);
-        let fence_ticks = (cfg.fence_latency * tpc).max(1);
-        // Bandwidth: ticks of DRAM occupancy per 32-byte sector.
-        let sector_service_ticks = SECTOR_BYTES as f64 / cfg.bytes_per_cycle() * tpc as f64;
-        let deadlock_ticks = cfg.deadlock_window * tpc;
-        let max_ticks = cfg.max_cycles.saturating_mul(tpc);
-        let warp_size = cfg.warp_size;
-        let full_mask: u64 = if warp_size == 64 {
-            u64::MAX
-        } else {
-            (1u64 << warp_size) - 1
-        };
+impl Launch {
+    /// Starts a launch of `n_warps` warps of the kernel named `kernel` on a
+    /// device configured by `cfg`: every field takes its launch-start value
+    /// and every allocation is kept.
+    fn reset(&mut self, cfg: &DeviceConfig, kernel: &'static str, n_warps: usize, traced: bool) {
         let sm_count = cfg.sm_count;
-        let max_resident = cfg.max_warps_per_sm;
-        // Relaxed memory model: arm per-launch store buffers; everything on
-        // the SC path stays byte-identical (all hooks early-return).
-        let (relaxed_on, store_scope, racecheck) = match cfg.memory_model {
-            MemoryModel::SequentiallyConsistent => (false, StoreScope::Warp, false),
+        self.ticks = Ticks::new(cfg);
+        self.max_cycles = cfg.max_cycles;
+        self.warp_size = cfg.warp_size;
+        self.ff_on = cfg.spin_model == SpinModel::FastForward;
+        (self.relaxed_on, self.sm_scope, self.racecheck) = match cfg.memory_model {
+            MemoryModel::SequentiallyConsistent => (false, false, false),
             MemoryModel::Relaxed {
-                drain_ticks,
-                scope,
-                racecheck,
-            } => {
-                self.mem.set_relaxed(drain_ticks, racecheck);
-                (true, scope, racecheck)
-            }
+                scope, racecheck, ..
+            } => (true, scope == StoreScope::Sm, racecheck),
         };
-
-        let shared_len = kernel.shared_per_warp();
-        let mut warps: Vec<Option<WarpRt<K::Lane>>> = Vec::with_capacity(n_warps);
-        warps.resize_with(n_warps, || None);
-
-        // Warp-allocation pool: new warps draw their stack/shared vectors
-        // from allocations retired by earlier launches, and within a launch
-        // a finished warp's `WarpRt` (lane vector included) is recycled
-        // wholesale for the next pending warp. Resetting reproduces a fresh
-        // warp's state exactly, so simulated results are unchanged.
-        let mut pool = std::mem::take(&mut self.warp_scratch);
-        let pool_cap = sm_count * max_resident;
-        let make_warp = |pool: &mut Vec<WarpScratch>, kernel: &K, wid: usize, sm: usize| {
-            let WarpScratch {
-                mut stack,
-                mut shared,
-            } = pool.pop().unwrap_or_default();
-            stack.clear();
-            stack.push(StackEntry {
-                pc: 0,
-                reconv: PC_EXIT,
-                mask: full_mask,
-            });
-            shared.clear();
-            shared.resize(shared_len, 0.0);
-            let mut lanes = Vec::with_capacity(warp_size);
-            lanes.extend((0..warp_size).map(|l| kernel.make_lane((wid * warp_size + l) as u32)));
-            WarpRt {
-                sm,
-                lanes,
-                alive: full_mask,
-                stack,
-                shared,
-            }
-        };
-
-        // Initial residency: fill SMs round-robin. All kernel-independent
-        // launch state draws on the pooled `LaunchScratch` allocations.
-        let mut scratch = std::mem::take(&mut self.launch_scratch);
-        scratch.resident.clear();
-        scratch.resident.resize(sm_count, 0);
-        let mut resident = scratch.resident;
-        scratch.heap.clear();
-        let mut heap: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::from(scratch.heap);
-
-        // Spin fast-forwarding (wake-on-write): parked warps leave the heap
-        // and are reconstructed virtually — see the module-level comment at
-        // `SpinFf`. Always clear the waiter registry first so an errored
-        // previous launch cannot leak parked-warp registrations.
-        self.mem.spin_clear();
-        let ff_on = cfg.spin_model == SpinModel::FastForward;
-        scratch.seq.clear();
-        scratch.seq.resize(n_warps, 0);
-        let mut seq = scratch.seq;
-        scratch.spin.clear();
-        let mut spin = scratch.spin;
-        let mut sm_parked = scratch.sm_parked;
-        for lst in &mut sm_parked {
-            lst.clear();
-        }
-        let mut sm_visit = scratch.sm_visit;
-        for h in &mut sm_visit {
-            h.clear();
-        }
-        let mut sm_ready = scratch.sm_ready;
-        for r in &mut sm_ready {
-            r.clear();
-        }
-        let mut mw_plans = scratch.mw_plans;
-        mw_plans.clear();
-        let mut mw_res = scratch.mw_res;
-        mw_res.clear();
-        let mut wakes = scratch.wakes;
-        let mut spin_rec = scratch.spin_rec;
-        spin_rec.reads.clear();
-        spin_rec.record_reads = false;
-        if ff_on {
-            spin.resize_with(n_warps, || SpinState::Idle);
-            sm_parked.resize(sm_count, Vec::new());
-            sm_visit.resize_with(sm_count, BinaryHeap::new);
-            sm_ready.resize(sm_count, Vec::new());
-        }
-        let mut n_parked: usize = 0;
-        let mut heap_events: u64 = 0;
-
-        // Grid-reuse: the initial assignment depends only on `n_warps` and
-        // device constants (`sm_count`, `max_warps_per_sm`), so same-shape
-        // launches — a session re-solving the same matrix, level-set's
-        // per-level grids — replay a cached plan instead of re-walking the
-        // round-robin cycle. Reuse is bit-transparent: the cached plan *is*
-        // the assignment the fill loop below would produce.
-        let mut next_pending = 0usize;
-        if let Some(pos) = self.grid_cache.iter().position(|p| p.n_warps == n_warps) {
-            self.grid_reuses += 1;
-            for (wid, &sm) in self.grid_cache[pos].sms.iter().enumerate() {
-                let sm = sm as usize;
-                warps[wid] = Some(make_warp(&mut pool, kernel, wid, sm));
-                resident[sm] += 1;
-                let s = bump(&mut seq, wid as u32);
-                heap.push(Reverse((0, wid as u32, s)));
-                next_pending += 1;
-            }
-        } else {
-            let mut plan_sms: Vec<u32> = Vec::new();
-            'fill: for sm in (0..sm_count).cycle() {
-                if next_pending >= n_warps {
-                    break 'fill;
-                }
-                if resident[sm] < max_resident {
-                    warps[next_pending] = Some(make_warp(&mut pool, kernel, next_pending, sm));
-                    resident[sm] += 1;
-                    plan_sms.push(sm as u32);
-                    let s = bump(&mut seq, next_pending as u32);
-                    heap.push(Reverse((0, next_pending as u32, s)));
-                    next_pending += 1;
-                } else if resident.iter().all(|&r| r >= max_resident) {
-                    break 'fill;
-                }
-            }
-            if self.grid_cache.len() >= GRID_CACHE_CAP {
-                self.grid_cache.remove(0);
-            }
-            self.grid_cache.push(GridPlan {
+        self.prof = match cfg.profile {
+            ProfileMode::Off => None,
+            ProfileMode::Sampled { interval_cycles } => Some(Profiler::new(
+                kernel,
+                sm_count,
                 n_warps,
-                sms: plan_sms,
-            });
-        }
+                interval_cycles,
+                self.ticks.per_cycle,
+            )),
+        };
+        self.batch_ok = self.prof.is_none() && !traced;
 
-        scratch.sm_next_free.clear();
-        scratch.sm_next_free.resize(sm_count, 0);
-        let mut sm_next_free = scratch.sm_next_free;
-        scratch.sm_last_issue.clear();
-        scratch.sm_last_issue.resize(sm_count, 0);
-        let mut sm_last_issue = scratch.sm_last_issue;
-        let mut stats = LaunchStats {
+        self.queue.heap.clear();
+        self.queue.seq.clear();
+        self.queue.seq.resize(n_warps, 0);
+        self.heap_events = 0;
+        self.resident.clear();
+        self.resident.resize(sm_count, 0);
+        self.sm_next_free.clear();
+        self.sm_next_free.resize(sm_count, 0);
+        self.sm_last_issue.clear();
+        self.sm_last_issue.resize(sm_count, 0);
+
+        self.stats = LaunchStats {
             warps_launched: n_warps as u64,
             launches: 1,
             ..Default::default()
         };
-        // Profiling is opt-in: `prof` stays `None` under `ProfileMode::Off`
-        // and every hook below is a skipped `if let`, keeping the default
-        // path byte-identical (golden traces stay bit-exact).
-        let mut prof = match cfg.profile {
-            ProfileMode::Off => None,
-            ProfileMode::Sampled { interval_cycles } => Some(Profiler::new(
-                kernel.name(),
-                sm_count,
-                n_warps,
-                interval_cycles,
-                tpc,
-            )),
-        };
-        let mut dram_busy: f64 = 0.0;
-        let mut last_progress: u64 = 0;
-        let mut end_tick: u64 = 0;
+        self.dram_busy = 0.0;
+        self.last_progress = 0;
+        self.end_tick = 0;
 
-        // Reused scratch to avoid per-instruction allocation.
-        let mut accesses = scratch.accesses;
-        let mut targets = scratch.targets;
-        let mut groups = scratch.groups;
+        self.spin.clear();
+        self.n_parked = 0;
+        self.sm_parked.iter_mut().for_each(Vec::clear);
+        self.sm_visit.iter_mut().for_each(BinaryHeap::clear);
+        self.sm_ready.iter_mut().for_each(Vec::clear);
+        if self.ff_on {
+            self.spin.resize_with(n_warps, || SpinState::Idle);
+            self.sm_parked.resize(sm_count, Vec::new());
+            self.sm_visit.resize_with(sm_count, BinaryHeap::new);
+            self.sm_ready.resize(sm_count, Vec::new());
+        }
+        self.mw_plans.clear();
+        self.mw_res.clear();
+        self.spin_rec.reads.clear();
+        self.spin_rec.record_reads = false;
+    }
 
-        let batch_ok = prof.is_none() && trace.is_none();
-        let mut ev_i = 0usize;
-        loop {
-            // Apply external (link-delivered) events that are due at or
-            // before the next scheduled pop, re-peeking after each one: an
-            // applied event may wake a parked warp whose kick lands earlier
-            // than the previous heap top. With an empty heap the remaining
-            // events apply unconditionally (every runnable warp is parked
-            // or done; only an event can unblock anything).
-            while ev_i < events.len() {
-                if let Some(&Reverse((nt, _, _))) = heap.peek() {
-                    if events[ev_i].tick > nt {
-                        break;
-                    }
-                }
-                let ev = events[ev_i];
-                ev_i += 1;
-                self.mem.ext_apply(&ev);
-                // The link delivering a value is forward progress for the
-                // deadlock accounting, exactly like a local store.
-                last_progress = last_progress.max(ev.tick);
-                end_tick = end_tick.max(ev.tick);
-                if ff_on && n_parked > 0 {
-                    let ev_dl = if ev_i < events.len() {
-                        u64::MAX
-                    } else {
-                        deadlock_ticks
-                    };
-                    self.mem.take_spin_wakes(&mut wakes);
-                    for &(wwid, wtick, wmin) in &wakes {
-                        let wsm = match &spin[wwid as usize] {
-                            SpinState::Parked(p) => p.sm,
-                            _ => continue,
-                        };
-                        if let Err(h) = ff_advance(
-                            kernel,
-                            &mut spin,
-                            &sm_parked,
-                            &mut sm_visit,
-                            &mut sm_ready,
-                            &mut mw_plans,
-                            &mut mw_res,
-                            Some(wsm),
-                            (ev.tick, 0),
-                            batch_ok,
-                            &mut stats,
-                            &mut prof,
-                            &mut trace,
-                            &mut sm_next_free,
-                            &mut sm_last_issue,
-                            &mut end_tick,
-                            last_progress,
-                            max_ticks,
-                            ev_dl,
-                            tpc,
-                        ) {
-                            self.mem.finish_relaxed(end_tick);
-                            self.mem.spin_clear();
-                            self.last_heap_events = heap_events;
-                            let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                            return Err(if h.timeout {
-                                SimtError::Timeout {
-                                    kernel: kernel.name(),
-                                    max_cycles: cfg.max_cycles,
-                                    live_warps,
-                                    last_progress_cycle: last_progress / tpc,
-                                    warps: snapshot_warps(&warps, &spin),
-                                }
-                            } else {
-                                SimtError::Deadlock {
-                                    kernel: kernel.name(),
-                                    cycle: h.tick / tpc,
-                                    live_warps,
-                                    last_progress_cycle: last_progress / tpc,
-                                    warps: snapshot_warps(&warps, &spin),
-                                }
-                            });
-                        }
-                        if let SpinState::Parked(p) = &mut spin[wwid as usize] {
-                            let eff = eff_next(p, sm_next_free[wsm]);
-                            let kt = poll_at_or_after(p, eff, wtick, wmin, wwid);
-                            if p.kick.is_none_or(|old| kt < old) {
-                                p.kick = Some(kt);
-                                let s = bump(&mut seq, wwid);
-                                heap.push(Reverse((kt, wwid, s)));
-                            }
-                        }
-                    }
-                }
-            }
-            let Some(Reverse((t, wid, sq))) = heap.pop() else {
-                break;
-            };
-            // While link events are still pending, a stall is waiting on
-            // the link, not a deadlock: suspend the window (the max-cycles
-            // timeout stays armed as the backstop).
-            let dl_ticks = if ev_i < events.len() {
-                u64::MAX
-            } else {
-                deadlock_ticks
-            };
-            heap_events += 1;
-            if sq != seq[wid as usize] {
-                // Superseded event: the warp was re-kicked or re-scheduled
-                // after this entry was pushed.
+    /// The error for a hang of the kernel named `kernel`, with a snapshot
+    /// of where its live `warps` are.
+    fn hang_error<L>(
+        &self,
+        kernel: &'static str,
+        warps: &[Option<WarpRt<L>>],
+        hang: Hang,
+    ) -> SimtError {
+        let live_warps = warps.iter().filter(|w| w.is_some()).count();
+        let last_progress_cycle = self.last_progress / self.ticks.per_cycle;
+        let warps = snapshot_warps(warps, &self.spin);
+        match hang {
+            Hang::Timeout => SimtError::Timeout {
+                kernel,
+                max_cycles: self.max_cycles,
+                live_warps,
+                last_progress_cycle,
+                warps,
+            },
+            Hang::Deadlock { cycle } => SimtError::Deadlock {
+                kernel,
+                cycle,
+                live_warps,
+                last_progress_cycle,
+                warps,
+            },
+        }
+    }
+
+    /// Attempts to advance *all* parked warps of SM `s` below `bound_tick`
+    /// in one closed form. This is the crowd analogue of the single-warp
+    /// batch in [`Launch::ff_advance`]: that batch dies whenever another
+    /// parked warp's visit is near (the runner-up horizon), which on a
+    /// crowded SM is every iteration, so the advance degenerates to one heap
+    /// round-trip per virtual instruction. But if every parked warp spins
+    /// with the *same* period and their issue slots are pairwise disjoint
+    /// modulo it, the whole window is displacement-free — each visit lands
+    /// exactly at its projected slot, no slot is contested — and two facts
+    /// make the merged schedule computable without interleaving: each
+    /// warp's slots are an arithmetic progression of its own signature, and
+    /// the stall gaps of the *merged* issue sequence still telescope (for
+    /// issues at `u_1 < … < u_n` after an issue at `L`, the gaps sum to
+    /// `(u_n − L) − n` no matter which warp owns which slot). Residue
+    /// disjointness is not a lucky accident: a slot collision makes replay
+    /// displace the higher-id warp by one slot, permanently shifting its
+    /// phase, so colliding crowds self-heal into disjointness and stay
+    /// there. Transients (a pending displacement, unequal periods, a
+    /// collision) bail to the caller's per-visit path before anything is
+    /// mutated. `dl` is the deadlock window in force.
+    ///
+    /// Returns true if any virtual instruction was accounted.
+    fn ff_mw_batch(&mut self, s: usize, bound_tick: u64, dl: u64) -> bool {
+        // Hang thresholds cap the window exactly like the per-visit path: the
+        // first visit at or past a threshold is left for that path to turn
+        // into the error at the same tick replay would report.
+        let lim = bound_tick.min(self.ticks.hang_limit(self.last_progress, dl));
+        let (spin, parked, visit) = (
+            &mut self.spin[..],
+            &self.sm_parked[s][..],
+            &mut self.sm_visit[s],
+        );
+        let (plans, res) = (&mut self.mw_plans, &mut self.mw_res);
+        let free = self.sm_next_free[s];
+        if lim <= free {
+            return false;
+        }
+        // Cheap qualifying pass: the crowd form needs at least two parked
+        // warps, one shared period, and no pending displacement (a stored
+        // projection below the cursor; ready-row staleness is exactly that).
+        // Bailing here costs a few field reads per parked warp.
+        let mut period = 0u64;
+        let mut m = 0usize;
+        for &wid in parked {
+            let SpinState::Parked(p) = &spin[wid as usize] else {
                 continue;
+            };
+            m += 1;
+            if p.next_tick < free {
+                return false;
             }
-            if relaxed_on {
-                // Heap pops are monotone in t, so due-expired stores drain
-                // exactly once, in program order.
-                self.mem.drain_due(t);
+            if period == 0 {
+                period = p.period;
+            } else if p.period != period {
+                return false;
             }
-            let sm = warps[wid as usize]
-                .as_ref()
-                .expect("scheduled warp exists")
-                .sm;
-            if ff_on && n_parked > 0 {
-                // Bring parked warps' virtual execution up to this event.
-                // Traced launches advance every SM so events stay globally
-                // ordered; otherwise only this SM's parked warps can
-                // matter before the issue below.
-                let sm_filter = if trace.is_some() { None } else { Some(sm) };
-                if let Err(h) = ff_advance(
-                    kernel,
-                    &mut spin,
-                    &sm_parked,
-                    &mut sm_visit,
-                    &mut sm_ready,
-                    &mut mw_plans,
-                    &mut mw_res,
-                    sm_filter,
-                    (t, wid),
-                    batch_ok,
-                    &mut stats,
-                    &mut prof,
-                    &mut trace,
-                    &mut sm_next_free,
-                    &mut sm_last_issue,
-                    &mut end_tick,
-                    last_progress,
-                    max_ticks,
-                    dl_ticks,
-                    tpc,
-                ) {
-                    self.mem.finish_relaxed(t);
-                    self.mem.spin_clear();
-                    self.last_heap_events = heap_events;
-                    let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                    return Err(if h.timeout {
-                        SimtError::Timeout {
-                            kernel: kernel.name(),
-                            max_cycles: cfg.max_cycles,
-                            live_warps,
-                            last_progress_cycle: last_progress / tpc,
-                            warps: snapshot_warps(&warps, &spin),
-                        }
-                    } else {
-                        SimtError::Deadlock {
-                            kernel: kernel.name(),
-                            cycle: h.tick / tpc,
-                            live_warps,
-                            last_progress_cycle: last_progress / tpc,
-                            warps: snapshot_warps(&warps, &spin),
-                        }
-                    });
-                }
-                // A parked warp's own event is its wake kick: convert it
-                // to a real poll if the virtual cursor sits exactly on the
-                // anchor now, else re-kick at the next anchor visit.
-                if matches!(&spin[wid as usize], SpinState::Parked(_)) {
-                    let slot = &mut spin[wid as usize];
-                    let SpinState::Parked(mut p) = std::mem::replace(slot, SpinState::Idle) else {
-                        unreachable!()
-                    };
-                    let eff = eff_next(&p, sm_next_free[sm]);
-                    if p.idx == 0 && eff == t {
-                        // Rewind the warp to its anchor poll and run it for
-                        // real: registers at the anchor are
-                        // iteration-invariant for a pure loop.
-                        let w = warps[wid as usize].as_mut().expect("parked warp exists");
-                        w.stack.last_mut().expect("parked warp has stack").pc = p.anchor_pc;
-                        sm_parked[sm].retain(|&x| x != wid);
-                        if p.ready {
-                            p.ready = false;
-                            if let Ok(pos) = sm_ready[sm].binary_search(&wid) {
-                                sm_ready[sm].remove(pos);
-                            }
-                        }
-                        n_parked -= 1;
-                        p.kick = None;
-                        *slot = SpinState::Waking(p);
-                        // Fall through: the poll issues at t like any event.
-                    } else {
-                        // Displacement (or a later projection) moved the
-                        // anchor past this kick: re-kick there.
-                        let kt = poll_at_or_after(&p, eff, 0, 0, wid);
-                        p.kick = Some(kt);
-                        *slot = SpinState::Parked(p);
-                        let s = bump(&mut seq, wid);
-                        heap.push(Reverse((kt, wid, s)));
-                        continue;
-                    }
-                }
-            }
-            let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
-            if sm_next_free[sm] > t {
-                let s = bump(&mut seq, wid);
-                heap.push(Reverse((sm_next_free[sm], wid, s)));
+        }
+        if m < 2 || period == 0 {
+            return false;
+        }
+        // A window shorter than one iteration holds a handful of visits at
+        // most; planning costs more than letting the per-visit path run them.
+        if lim - free < period {
+            return false;
+        }
+        plans.clear();
+        res.clear();
+        for &wid in parked {
+            let SpinState::Parked(p) = &spin[wid as usize] else {
                 continue;
-            }
-            if t > max_ticks {
-                self.mem.finish_relaxed(t);
-                self.mem.spin_clear();
-                self.last_heap_events = heap_events;
-                return Err(SimtError::Timeout {
-                    kernel: kernel.name(),
-                    max_cycles: cfg.max_cycles,
-                    live_warps: warps.iter().filter(|w| w.is_some()).count(),
-                    last_progress_cycle: last_progress / tpc,
-                    warps: snapshot_warps(&warps, &spin),
-                });
-            }
-            if t.saturating_sub(last_progress) > dl_ticks {
-                self.mem.finish_relaxed(t);
-                self.mem.spin_clear();
-                self.last_heap_events = heap_events;
-                return Err(SimtError::Deadlock {
-                    kernel: kernel.name(),
-                    cycle: t / tpc,
-                    live_warps: warps.iter().filter(|w| w.is_some()).count(),
-                    last_progress_cycle: last_progress / tpc,
-                    warps: snapshot_warps(&warps, &spin),
-                });
-            }
-
-            // Issue accounting.
-            sat_add(&mut stats.issue_ticks, 1);
-            let gap = t.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
-            stats.stall_ticks = stats.stall_ticks.saturating_add(gap);
-            sm_last_issue[sm] = t;
-            sm_next_free[sm] = t + 1;
-            let (pre_pc, pre_mask) = {
-                let top = w.stack.last().expect("non-done warp has stack");
-                (top.pc, top.mask)
             };
-
-            // Execute one warp instruction.
-            let owner = match store_scope {
-                StoreScope::Warp => wid,
-                StoreScope::Sm => sm as u32,
-            };
-            let stale_before = if ff_on && relaxed_on {
-                self.mem.stale_count()
+            let l = p.sig.len();
+            let v = p.next_tick;
+            // Cycle aggregates, slot residues, and the relative offsets of the
+            // last issue (`off_last`) and latest completion (`moff`) per cycle.
+            let (mut off, mut cyc_fl, mut cyc_l2, mut cyc_pf) = (0u64, 0u64, 0u64, 0u64);
+            let mut moff = 0u64;
+            for i in 0..l {
+                let st = &p.sig[(p.idx + i) % l];
+                res.push((v + off) % period);
+                moff = moff.max(off + st.cost);
+                cyc_fl += st.flops;
+                cyc_l2 += st.l2_hits as u64;
+                cyc_pf += st.poll_fails as u64;
+                off += st.cost;
+            }
+            if off != period {
+                return false;
+            }
+            let off_last = period - p.sig[(p.idx + l - 1) % l].cost;
+            // Whole cycles strictly below the window, then the partial tail.
+            let q = if lim > v.saturating_add(off_last) {
+                (lim - 1 - off_last - v) / period + 1
             } else {
                 0
             };
-            if ff_on {
-                spin_rec.begin_instr();
-                spin_rec.record_reads = matches!(&spin[wid as usize], SpinState::Capturing(_));
+            let mut steps = q * l as u64;
+            let mut fl = cyc_fl * q;
+            let mut l2 = cyc_l2 * q;
+            let mut pf = cyc_pf * q;
+            let (mut u_last, mut end) = if q > 0 {
+                (v + (q - 1) * period + off_last, v + (q - 1) * period + moff)
+            } else {
+                (0, 0)
+            };
+            let mut slot = v + q * period;
+            let mut i = p.idx;
+            let mut cnt = 0;
+            while slot < lim && cnt < l {
+                let st = &p.sig[i];
+                u_last = slot;
+                end = end.max(slot + st.cost);
+                steps += 1;
+                fl += st.flops;
+                l2 += st.l2_hits as u64;
+                pf += st.poll_fails as u64;
+                slot += st.cost;
+                i = (i + 1) % l;
+                cnt += 1;
             }
-            let out = Self::step_warp(
-                kernel,
-                w,
+            if slot < lim {
+                // Zero-cost signature steps; replay it rather than loop.
+                return false;
+            }
+            plans.push(MwPlan {
                 wid,
-                owner,
-                warp_size,
-                &mut self.mem,
-                &mut stats,
-                &mut accesses,
-                &mut targets,
-                &mut groups,
-                if ff_on { Some(&mut spin_rec) } else { None },
-                &mut trace,
-                t,
-                tpc,
-                dram_lat,
-                l2_lat,
-                l1_lat,
-                shared_lat,
-                alu_ticks,
-                store_ticks,
-                fence_ticks,
-                sector_service_ticks,
-                &mut dram_busy,
+                steps,
+                flops: fl,
+                l2,
+                polls: pf,
+                threads: steps * p.lanes,
+                u_last,
+                end,
+                new_tick: slot,
+                new_idx: i,
+            });
+        }
+        res.sort_unstable();
+        if res.windows(2).any(|w| w[0] == w[1]) {
+            return false;
+        }
+        let n: u64 = plans.iter().map(|pl| pl.steps).sum();
+        if n == 0 {
+            return false;
+        }
+        let mut u_last = 0u64;
+        for pl in plans.iter() {
+            if pl.steps == 0 {
+                continue;
+            }
+            u_last = u_last.max(pl.u_last);
+            self.end_tick = self.end_tick.max(pl.end);
+            add_virtual(
+                &mut self.stats,
+                pl.steps,
+                pl.threads,
+                pl.flops,
+                pl.l2,
+                pl.polls,
             );
-            if racecheck {
-                if let Some(r) = self.mem.take_race() {
-                    self.mem.finish_relaxed(t);
-                    self.mem.spin_clear();
-                    self.last_heap_events = heap_events;
-                    return Err(SimtError::RaceDetected {
-                        kernel: kernel.name(),
-                        buffer: r.buf,
-                        index: r.idx,
-                        producer_warp: r.producer_warp,
-                        consumer_warp: r.consumer_warp,
-                        pc: r.pc,
-                    });
+            let SpinState::Parked(p) = &mut spin[pl.wid as usize] else {
+                unreachable!("planned warp is parked");
+            };
+            p.next_tick = pl.new_tick;
+            p.idx = pl.new_idx;
+            p.leave_ready(&mut self.sm_ready, pl.wid);
+            visit.push(Reverse((pl.new_tick, pl.wid)));
+        }
+        self.stats.stall_ticks = self
+            .stats
+            .stall_ticks
+            .saturating_add((u_last - self.sm_last_issue[s]).saturating_sub(n));
+        self.sm_last_issue[s] = u_last;
+        self.sm_next_free[s] = u_last + 1;
+        true
+    }
+
+    /// Advances parked warps' virtual execution up to (excluding) the
+    /// scheduler key `bound`, reproducing exactly the accounting their
+    /// replayed spin iterations would have generated. `sm_filter` restricts
+    /// the advance to one SM (valid whenever no global ordering is observed:
+    /// all reconstructed quantities commute across SMs); traced launches pass
+    /// `None` so `TraceEvent`s come out in schedule order. When `batch_ok`
+    /// (neither profiling nor tracing wants per-instruction events), whole
+    /// iterations are accounted in closed form: the stall gaps of consecutive
+    /// issues telescope — for issues at `u_1 < … < u_n` on one SM following an
+    /// issue at `L`, the gaps sum to `(u_n − L) − n`. `dl` is the deadlock
+    /// window in force; a virtual issue past a hang threshold is the hang.
+    fn ff_advance<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        trace: &mut Option<&mut Trace>,
+        sm_filter: Option<usize>,
+        bound: (u64, u32),
+        dl: u64,
+    ) -> Result<(), Hang> {
+        // A visit-heap key is live iff the warp is still parked and the key
+        // matches its current projection (`next_tick` is strictly increasing
+        // per warp, so every superseded key compares stale).
+        fn live(spin: &[SpinState], tk: u64, w: u32) -> bool {
+            matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk)
+        }
+        // Try the whole-crowd closed form once per advance; transients fall
+        // back to the per-visit loop below and re-qualify on the next call.
+        if self.batch_ok {
+            if let Some(s) = sm_filter {
+                if self.sm_parked[s].len() >= 2 {
+                    self.ff_mw_batch(s, bound.0, dl);
                 }
             }
-            if out.stored || out.retired > 0 {
-                last_progress = t;
+        }
+        let hang_limit = self.ticks.hang_limit(self.last_progress, dl);
+        let (spin, sm_parked) = (&mut self.spin[..], &self.sm_parked[..]);
+        let (sm_visit, sm_ready) = (&mut self.sm_visit[..], &mut self.sm_ready[..]);
+        let (sm_next_free, sm_last_issue) =
+            (&mut self.sm_next_free[..], &mut self.sm_last_issue[..]);
+        loop {
+            // Lex-least (next_tick, warp) among candidate parked warps, plus
+            // the runner-up tick (the batching horizon).
+            let (u0, wid, runner_up) = match sm_filter {
+                Some(s) => {
+                    // Single-SM advance. Visit keys due at or below the SM
+                    // issue cursor move onto the ready row, where the crowd
+                    // issues in warp-id order — the order the replay heap
+                    // produces for same-tick displaced entries — without being
+                    // re-keyed every slot the cursor advances past.
+                    let h = &mut sm_visit[s];
+                    let r = &mut sm_ready[s];
+                    let free = sm_next_free[s];
+                    while let Some(&Reverse((tk, w))) = h.peek() {
+                        if !live(spin, tk, w) {
+                            h.pop();
+                            continue;
+                        }
+                        if tk > free {
+                            break;
+                        }
+                        h.pop();
+                        let SpinState::Parked(p) = &mut spin[w as usize] else {
+                            unreachable!("live key is parked");
+                        };
+                        p.ready = true;
+                        if let Err(pos) = r.binary_search(&w) {
+                            r.insert(pos, w);
+                        }
+                    }
+                    // A ready-row warp issues at the cursor; every remaining
+                    // visit key is strictly later, so the row front (lowest
+                    // warp id) wins whenever the row is non-empty. Another
+                    // ready warp caps the batching horizon at the pick itself
+                    // (it issues in the very next slot); otherwise the next
+                    // timed visit does. A timed pick consumes its key — the
+                    // advance below pushes the successor.
+                    if let Some(&w0) = r.first() {
+                        if (free, w0) >= bound {
+                            return Ok(());
+                        }
+                        let runner_up = if r.len() > 1 {
+                            free
+                        } else {
+                            h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
+                        };
+                        (free, w0, runner_up)
+                    } else if let Some(&Reverse((tk0, w0))) = h.peek() {
+                        if (tk0, w0) >= bound {
+                            return Ok(());
+                        }
+                        h.pop();
+                        while let Some(&Reverse((tk, w))) = h.peek() {
+                            if live(spin, tk, w) {
+                                break;
+                            }
+                            h.pop();
+                        }
+                        let runner_up = h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
+                        (tk0, w0, runner_up)
+                    } else {
+                        return Ok(());
+                    }
+                }
+                None => {
+                    // Global (traced) advance: scan every SM's parked list so
+                    // events come out in schedule order. The candidate's stale
+                    // key stays in its visit heap and is dropped lazily.
+                    let mut pick: Option<(u64, u32)> = None;
+                    let mut runner_up = u64::MAX;
+                    for lst in sm_parked {
+                        for &wid in lst {
+                            if let SpinState::Parked(p) = &spin[wid as usize] {
+                                let p_next = p.next_tick;
+                                match pick {
+                                    None => pick = Some((p_next, wid)),
+                                    Some(cur) => {
+                                        if (p_next, wid) < cur {
+                                            runner_up = runner_up.min(cur.0);
+                                            pick = Some((p_next, wid));
+                                        } else {
+                                            runner_up = runner_up.min(p_next);
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let Some((u0, wid)) = pick else {
+                        return Ok(());
+                    };
+                    if (u0, wid) >= bound {
+                        return Ok(());
+                    }
+                    (u0, wid, runner_up)
+                }
+            };
+            let SpinState::Parked(p) = &mut spin[wid as usize] else {
+                unreachable!("candidate is parked");
+            };
+            let sm = p.sm;
+            // Same displacement rule as a popped heap event.
+            if sm_next_free[sm] > u0 {
+                p.next_tick = sm_next_free[sm];
+                sm_visit[sm].push(Reverse((p.next_tick, wid)));
+                continue;
             }
-            sat_add(&mut stats.lanes_retired, out.retired);
-            let t_done = t + out.cost_ticks;
-            end_tick = end_tick.max(t_done);
-            if let Some(p) = prof.as_mut() {
-                p.on_issue(
+            // Hang thresholds, checked at the issue tick like the real loop.
+            if let Some(hang) = self.ticks.hang_at(u0, self.last_progress, dl) {
+                return Err(hang);
+            }
+            // Committed to issuing: a ready-row warp leaves the row (the
+            // successor visit key re-enters through the heap).
+            p.leave_ready(sm_ready, wid);
+            let len = p.sig.len();
+            if self.batch_ok {
+                // Closed form: as many whole iterations as fit strictly below
+                // the horizon. Below `bound` this SM is exclusively ours (the
+                // heap has no earlier event), so the telescoped stall formula
+                // applies verbatim.
+                let last_i = (p.idx + len - 1) % len;
+                let off_last = p.period - p.sig[last_i].cost;
+                let lim = bound.0.min(runner_up).min(hang_limit);
+                if lim > u0.saturating_add(off_last) {
+                    let k = (lim - 1 - off_last - u0) / p.period + 1;
+                    let n = k * len as u64;
+                    let u_last = u0 + (k - 1) * p.period + off_last;
+                    let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
+                    for st in &p.sig {
+                        fl += st.flops;
+                        l2 += st.l2_hits as u64;
+                        pf += st.poll_fails as u64;
+                    }
+                    add_virtual(&mut self.stats, n, n * p.lanes, fl * k, l2 * k, pf * k);
+                    self.stats.stall_ticks = self
+                        .stats
+                        .stall_ticks
+                        .saturating_add((u_last - sm_last_issue[sm]).saturating_sub(n));
+                    sm_last_issue[sm] = u_last;
+                    sm_next_free[sm] = u_last + 1;
+                    self.end_tick = self.end_tick.max(u_last + p.sig[last_i].cost);
+                    p.next_tick = u0 + k * p.period;
+                    sm_visit[sm].push(Reverse((p.next_tick, wid)));
+                    continue;
+                }
+            }
+            // One virtual instruction, mirroring the real issue path.
+            let st = p.sig[p.idx];
+            let gap = u0.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
+            self.stats.stall_ticks = self.stats.stall_ticks.saturating_add(gap);
+            sm_last_issue[sm] = u0;
+            sm_next_free[sm] = u0 + 1;
+            add_virtual(
+                &mut self.stats,
+                1,
+                p.lanes,
+                st.flops,
+                st.l2_hits as u64,
+                st.poll_fails as u64,
+            );
+            let t_done = u0 + st.cost;
+            self.end_tick = self.end_tick.max(t_done);
+            if let Some(pr) = self.prof.as_mut() {
+                pr.on_issue(
                     sm,
-                    t,
+                    u0,
                     gap,
                     wid as usize,
-                    pre_pc,
-                    kernel.pc_name(pre_pc),
-                    out.issue,
-                    out.wait,
+                    st.pc,
+                    kernel.pc_name(st.pc),
+                    st.issue,
+                    st.wait,
                     t_done,
                 );
             }
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.events.push(TraceEvent {
+                    cycle: u0 / self.ticks.per_cycle,
+                    sm,
+                    warp: wid,
+                    pc: st.pc,
+                    label: kernel.pc_name(st.pc),
+                    mask: p.mask,
+                });
+            }
+            p.idx = (p.idx + 1) % len;
+            p.next_tick = t_done;
+            sm_visit[sm].push(Reverse((t_done, wid)));
+        }
+    }
 
-            // --- Spin capture state machine ------------------------------
-            // Recognize a pure busy-wait loop: an all-lanes-failed poll
-            // (the anchor) followed by pure steps that return to the same
-            // anchor with the same mask. On the second anchor visit the
-            // warp parks: it leaves the heap and waits for a write to its
-            // watch set.
-            let mut parked_now = false;
-            if ff_on {
-                let stale_delta = if relaxed_on {
-                    self.mem.stale_count() - stale_before
-                } else {
-                    0
-                };
-                let is_poll = !spin_rec.polled.is_empty() || spin_rec.polled_ok > 0;
-                let anchor_ok = !spin_rec.polled.is_empty()
-                    && spin_rec.polled_ok == 0
-                    && out.pure
-                    && stale_delta == 0
-                    && kernel.spin_pure(pre_pc);
-                let slot = &mut spin[wid as usize];
-                if let SpinState::Waking(old) = slot {
-                    // The woken warp just re-executed its poll for real;
-                    // drop the stale watch registration (re-parking below
-                    // re-registers a freshly captured set, so changed
-                    // read-set values are re-observed).
-                    self.mem.spin_unpark(wid, &old.watch);
-                    *slot = SpinState::Idle;
+    /// Delivers the wakes queued in `mem` (by stores, atomics, fences,
+    /// drains or link events) to parked warps, as of scheduler key `bound`:
+    /// each woken warp gets a kick at its first anchor poll that can
+    /// observe the write. `dl` is the deadlock window in force.
+    // Runs after every issued instruction; kept inline in the scheduler
+    // loop, where it measured faster on spin-heavy solves.
+    #[inline(always)]
+    fn deliver_wakes<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        mem: &mut DeviceMemory,
+        trace: &mut Option<&mut Trace>,
+        bound: (u64, u32),
+        dl: u64,
+    ) -> Result<(), Hang> {
+        if self.n_parked == 0 {
+            return Ok(());
+        }
+        mem.take_spin_wakes(&mut self.wakes);
+        for i in 0..self.wakes.len() {
+            let (wid, tick, min_warp) = self.wakes[i];
+            let SpinState::Parked(p) = &self.spin[wid as usize] else {
+                continue;
+            };
+            let sm = p.sm;
+            // The target warp's SM may be lazily behind this event
+            // (untraced launches advance one SM per pop), in which case the
+            // anchor-visit projection below would miss displacement already
+            // decided: a lattice visit just before the write can really
+            // issue at-or-after it. Bring the SM up to this event first —
+            // every visit the advance consumes precedes the write in
+            // schedule order, so it fails in replay too.
+            self.ff_advance(kernel, trace, Some(sm), bound, dl)?;
+            if let SpinState::Parked(p) = &mut self.spin[wid as usize] {
+                let eff = eff_next(p, self.sm_next_free[sm]);
+                let kt = poll_at_or_after(p, eff, tick, min_warp, wid);
+                if p.kick.is_none_or(|old| kt < old) {
+                    p.kick = Some(kt);
+                    self.queue.push(kt, wid);
                 }
-                match std::mem::replace(slot, SpinState::Idle) {
-                    SpinState::Idle => {
-                        if anchor_ok {
-                            *slot = SpinState::Arming {
-                                anchor_pc: pre_pc,
-                                mask: pre_mask,
-                                fails: 1,
-                            };
-                        }
-                    }
-                    SpinState::Arming {
-                        anchor_pc,
+            }
+        }
+        Ok(())
+    }
+
+    /// A popped event of parked warp `wid` is its wake kick. If the warp's
+    /// virtual cursor sits exactly on its anchor poll at `t`, it unparks
+    /// and the anchor pc is returned: the caller rewinds the warp there and
+    /// runs the poll for real (registers at the anchor are
+    /// iteration-invariant for a pure loop). Otherwise displacement (or a
+    /// later projection) moved the anchor past this kick, and the warp is
+    /// re-kicked there.
+    fn take_kick(&mut self, wid: u32, t: u64) -> Option<Pc> {
+        let slot = &mut self.spin[wid as usize];
+        let SpinState::Parked(mut p) = std::mem::replace(slot, SpinState::Idle) else {
+            unreachable!("kicked warp is parked")
+        };
+        let sm = p.sm;
+        let eff = eff_next(&p, self.sm_next_free[sm]);
+        if p.idx == 0 && eff == t {
+            let anchor = p.anchor_pc;
+            self.sm_parked[sm].retain(|&x| x != wid);
+            p.leave_ready(&mut self.sm_ready, wid);
+            self.n_parked -= 1;
+            p.kick = None;
+            *slot = SpinState::Waking(p);
+            Some(anchor)
+        } else {
+            let kt = poll_at_or_after(&p, eff, 0, 0, wid);
+            p.kick = Some(kt);
+            *slot = SpinState::Parked(p);
+            self.queue.push(kt, wid);
+            None
+        }
+    }
+
+    /// The spin capture state machine, fed warp `wid`'s instruction just
+    /// issued on `sm` (outcome `out`, complete at `t_done`). It recognizes a
+    /// pure busy-wait loop: an all-lanes-failed poll (the anchor) followed
+    /// by pure steps that return to the same anchor with the same mask. On
+    /// the closing anchor visit the warp parks: it leaves the heap and
+    /// waits for a write to its watch set. Returns true if it parked.
+    // Runs after every issued instruction under fast-forward; see
+    // `deliver_wakes` on inlining.
+    #[inline(always)]
+    fn capture<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        mem: &mut DeviceMemory,
+        wid: u32,
+        sm: usize,
+        out: &StepOutcome,
+        t_done: u64,
+    ) -> bool {
+        let rec = &mut self.spin_rec;
+        let (pc, mask) = (out.pc, out.mask);
+        let is_poll = !rec.polled.is_empty() || rec.polled_ok > 0;
+        let anchor_ok =
+            !rec.polled.is_empty() && rec.polled_ok == 0 && out.pure && kernel.spin_pure(pc);
+        let slot = &mut self.spin[wid as usize];
+        if let SpinState::Waking(old) = slot {
+            // The woken warp just re-executed its poll for real; drop the
+            // stale watch registration (re-parking below re-registers a
+            // freshly captured set, so changed read-set values are
+            // re-observed).
+            mem.spin_unpark(wid, &old.watch);
+            *slot = SpinState::Idle;
+        }
+        match std::mem::replace(slot, SpinState::Idle) {
+            SpinState::Idle => {
+                if anchor_ok {
+                    *slot = SpinState::Arming {
+                        anchor_pc: pc,
                         mask,
-                        fails,
-                    } => {
-                        if anchor_ok {
-                            if pre_pc == anchor_pc && pre_mask == mask {
-                                if fails + 1 >= ARM_VISITS {
-                                    *slot = SpinState::Capturing(new_capture(
-                                        sm,
-                                        pre_pc,
-                                        pre_mask,
-                                        &out,
-                                        &spin_rec.polled,
-                                    ));
-                                } else {
-                                    *slot = SpinState::Arming {
-                                        anchor_pc,
-                                        mask,
-                                        fails: fails + 1,
-                                    };
-                                }
-                            } else {
-                                *slot = SpinState::Arming {
-                                    anchor_pc: pre_pc,
-                                    mask: pre_mask,
-                                    fails: 1,
-                                };
-                            }
-                        } else if !is_poll {
-                            // Loop-body steps between anchor visits keep the
-                            // streak; a progressing or impure poll drops it
-                            // (the implicit fall-through to `Idle`).
+                        fails: 1,
+                    };
+                }
+            }
+            SpinState::Arming {
+                anchor_pc,
+                mask: armed,
+                fails,
+            } => {
+                if anchor_ok {
+                    if pc == anchor_pc && mask == armed {
+                        if fails + 1 >= ARM_VISITS {
+                            *slot =
+                                SpinState::Capturing(new_capture(sm, pc, mask, out, &rec.polled));
+                        } else {
                             *slot = SpinState::Arming {
                                 anchor_pc,
                                 mask,
-                                fails,
+                                fails: fails + 1,
                             };
                         }
+                    } else {
+                        *slot = SpinState::Arming {
+                            anchor_pc: pc,
+                            mask,
+                            fails: 1,
+                        };
                     }
-                    SpinState::Capturing(mut c) => {
-                        if is_poll {
-                            if anchor_ok
-                                && pre_pc == c.anchor_pc
-                                && pre_mask == c.mask
-                                && spin_rec.polled.len() == c.sig[0].poll_fails as usize
-                                && spin_rec.polled.iter().all(|wd| c.watch.contains(wd))
-                            {
-                                // The loop closed on its anchor: park.
-                                debug_assert_eq!(out.cost_ticks, c.sig[0].cost);
-                                for &r in spin_rec.reads.iter() {
-                                    if !c.watch.contains(&r) {
-                                        c.watch.push(r);
-                                    }
-                                }
-                                spin_rec.reads.clear();
-                                c.period = c.sig.iter().map(|s| s.cost).sum();
-                                c.idx = if c.sig.len() > 1 { 1 } else { 0 };
-                                c.next_tick = t_done;
-                                c.kick = None;
-                                if let Some(due) = self.mem.spin_park(wid, &c.watch) {
-                                    // A buffered store to a watched word
-                                    // drains no later than `due`; schedule
-                                    // the corresponding no-later-than wake.
-                                    let kt = poll_at_or_after(&c, c.next_tick, due, 0, wid);
-                                    c.kick = Some(kt);
-                                    let s = bump(&mut seq, wid);
-                                    heap.push(Reverse((kt, wid, s)));
-                                }
-                                sm_parked[sm].push(wid);
-                                sm_visit[sm].push(Reverse((c.next_tick, wid)));
-                                n_parked += 1;
-                                parked_now = true;
-                                *slot = SpinState::Parked(c);
-                            } else if anchor_ok {
-                                // A different all-fail pure poll: restart
-                                // the capture from this new anchor.
-                                spin_rec.reads.clear();
-                                *slot = SpinState::Capturing(new_capture(
-                                    sm,
-                                    pre_pc,
-                                    pre_mask,
-                                    &out,
-                                    &spin_rec.polled,
-                                ));
-                            } else {
-                                // The poll (partially) succeeded or went
-                                // impure: the loop is making progress.
-                                spin_rec.reads.clear();
-                            }
-                        } else if out.pure
-                            && stale_delta == 0
-                            && pre_mask == c.mask
-                            && c.sig.len() < MAX_SIG
-                        {
-                            c.sig.push(SigStep {
-                                pc: pre_pc,
-                                cost: out.cost_ticks,
-                                l2_hits: out.l2_hits,
-                                flops: out.flops,
-                                poll_fails: 0,
-                                issue: out.issue,
-                                wait: out.wait,
-                            });
-                            *slot = SpinState::Capturing(c);
-                        } else {
-                            spin_rec.reads.clear();
-                        }
-                    }
-                    SpinState::Parked(_) | SpinState::Waking(_) => {
-                        unreachable!("parked warps do not execute")
-                    }
-                }
-            }
-
-            if warps[wid as usize].as_ref().is_some_and(|w| w.done()) {
-                let done = warps[wid as usize].take().expect("done warp exists");
-                resident[sm] -= 1;
-                if next_pending < n_warps {
-                    // Recycle the retired warp in place: same reset as
-                    // `make_warp`, but the lane vector is reused too.
-                    let mut w = done;
-                    w.sm = sm;
-                    w.alive = full_mask;
-                    w.stack.clear();
-                    w.stack.push(StackEntry {
-                        pc: 0,
-                        reconv: PC_EXIT,
-                        mask: full_mask,
-                    });
-                    w.shared.clear();
-                    w.shared.resize(shared_len, 0.0);
-                    w.lanes.clear();
-                    w.lanes.extend(
-                        (0..warp_size)
-                            .map(|l| kernel.make_lane((next_pending * warp_size + l) as u32)),
-                    );
-                    warps[next_pending] = Some(w);
-                    resident[sm] += 1;
-                    let s = bump(&mut seq, next_pending as u32);
-                    heap.push(Reverse((t + 1, next_pending as u32, s)));
-                    next_pending += 1;
-                } else if pool.len() < pool_cap {
-                    pool.push(WarpScratch {
-                        stack: done.stack,
-                        shared: done.shared,
-                    });
-                }
-            } else if !parked_now {
-                let s = bump(&mut seq, wid);
-                heap.push(Reverse((t_done, wid, s)));
-            }
-
-            // Deliver wakes produced by this instruction's stores, atomics,
-            // fences, or evictions to parked warps.
-            if ff_on && n_parked > 0 {
-                self.mem.take_spin_wakes(&mut wakes);
-                for &(wwid, wtick, wmin) in &wakes {
-                    let wsm = match &spin[wwid as usize] {
-                        SpinState::Parked(p) => p.sm,
-                        _ => continue,
+                } else if !is_poll {
+                    // Loop-body steps between anchor visits keep the
+                    // streak; a progressing or impure poll drops it (the
+                    // implicit fall-through to `Idle`).
+                    *slot = SpinState::Arming {
+                        anchor_pc,
+                        mask: armed,
+                        fails,
                     };
-                    // The target warp's SM may be lazily behind this event
-                    // (untraced launches advance one SM per pop), in which
-                    // case the anchor-visit projection below would miss
-                    // displacement already decided: a lattice visit just
-                    // before the store can really issue at-or-after it.
-                    // Bring the SM up to this event first — every visit the
-                    // advance consumes precedes the storing instruction in
-                    // schedule order, so it fails in replay too.
-                    if let Err(h) = ff_advance(
-                        kernel,
-                        &mut spin,
-                        &sm_parked,
-                        &mut sm_visit,
-                        &mut sm_ready,
-                        &mut mw_plans,
-                        &mut mw_res,
-                        Some(wsm),
-                        (t, wid),
-                        batch_ok,
-                        &mut stats,
-                        &mut prof,
-                        &mut trace,
-                        &mut sm_next_free,
-                        &mut sm_last_issue,
-                        &mut end_tick,
-                        last_progress,
-                        max_ticks,
-                        dl_ticks,
-                        tpc,
-                    ) {
-                        self.mem.finish_relaxed(t);
-                        self.mem.spin_clear();
-                        self.last_heap_events = heap_events;
-                        let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                        return Err(if h.timeout {
-                            SimtError::Timeout {
-                                kernel: kernel.name(),
-                                max_cycles: cfg.max_cycles,
-                                live_warps,
-                                last_progress_cycle: last_progress / tpc,
-                                warps: snapshot_warps(&warps, &spin),
-                            }
-                        } else {
-                            SimtError::Deadlock {
-                                kernel: kernel.name(),
-                                cycle: h.tick / tpc,
-                                live_warps,
-                                last_progress_cycle: last_progress / tpc,
-                                warps: snapshot_warps(&warps, &spin),
-                            }
-                        });
-                    }
-                    if let SpinState::Parked(p) = &mut spin[wwid as usize] {
-                        let eff = eff_next(p, sm_next_free[wsm]);
-                        let kt = poll_at_or_after(p, eff, wtick, wmin, wwid);
-                        if p.kick.is_none_or(|old| kt < old) {
-                            p.kick = Some(kt);
-                            let s = bump(&mut seq, wwid);
-                            heap.push(Reverse((kt, wwid, s)));
-                        }
-                    }
                 }
             }
+            SpinState::Capturing(mut c) => {
+                if is_poll {
+                    if anchor_ok
+                        && pc == c.anchor_pc
+                        && mask == c.mask
+                        && rec.polled.len() == c.sig[0].poll_fails as usize
+                        && rec.polled.iter().all(|wd| c.watch.contains(wd))
+                    {
+                        // The loop closed on its anchor: park.
+                        debug_assert_eq!(out.cost_ticks, c.sig[0].cost);
+                        for &r in rec.reads.iter() {
+                            if !c.watch.contains(&r) {
+                                c.watch.push(r);
+                            }
+                        }
+                        rec.reads.clear();
+                        c.period = c.sig.iter().map(|s| s.cost).sum();
+                        c.idx = if c.sig.len() > 1 { 1 } else { 0 };
+                        c.next_tick = t_done;
+                        c.kick = None;
+                        if let Some(due) = mem.spin_park(wid, &c.watch) {
+                            // A buffered store to a watched word drains no
+                            // later than `due`; schedule the corresponding
+                            // no-later-than wake.
+                            let kt = poll_at_or_after(&c, c.next_tick, due, 0, wid);
+                            c.kick = Some(kt);
+                            self.queue.push(kt, wid);
+                        }
+                        self.sm_parked[sm].push(wid);
+                        self.sm_visit[sm].push(Reverse((c.next_tick, wid)));
+                        self.n_parked += 1;
+                        *slot = SpinState::Parked(c);
+                        return true;
+                    } else if anchor_ok {
+                        // A different all-fail pure poll: restart the
+                        // capture from this new anchor.
+                        rec.reads.clear();
+                        *slot = SpinState::Capturing(new_capture(sm, pc, mask, out, &rec.polled));
+                    } else {
+                        // The poll (partially) succeeded or went impure:
+                        // the loop is making progress.
+                        rec.reads.clear();
+                    }
+                } else if out.pure && mask == c.mask && c.sig.len() < MAX_SIG {
+                    c.sig.push(SigStep {
+                        pc,
+                        cost: out.cost_ticks,
+                        l2_hits: out.l2_hits,
+                        flops: out.flops,
+                        poll_fails: 0,
+                        issue: out.issue,
+                        wait: out.wait,
+                    });
+                    *slot = SpinState::Capturing(c);
+                } else {
+                    rec.reads.clear();
+                }
+            }
+            SpinState::Parked(_) | SpinState::Waking(_) => {
+                unreachable!("parked warps do not execute")
+            }
         }
-
-        // The heap drained. Every pending wake for a parked warp keeps a
-        // kick in the heap, so parked warps remaining here can never run
-        // again: report the deadlock *now*, waiter graph attached, instead
-        // of burning the deadlock window on an empty schedule.
-        if ff_on && n_parked > 0 {
-            self.mem.finish_relaxed(end_tick);
-            self.mem.spin_clear();
-            self.last_heap_events = heap_events;
-            return Err(SimtError::Deadlock {
-                kernel: kernel.name(),
-                cycle: end_tick / tpc + 1,
-                live_warps: warps.iter().filter(|w| w.is_some()).count(),
-                last_progress_cycle: last_progress / tpc,
-                warps: snapshot_warps(&warps, &spin),
-            });
-        }
-
-        self.warp_scratch = pool;
-        self.last_heap_events = heap_events;
-        spin.clear();
-        self.launch_scratch = LaunchScratch {
-            resident,
-            heap: heap.into_vec(),
-            sm_next_free,
-            sm_last_issue,
-            accesses,
-            targets,
-            groups,
-            seq,
-            spin,
-            sm_parked,
-            sm_visit,
-            sm_ready,
-            mw_plans,
-            mw_res,
-            wakes,
-            spin_rec,
-        };
-
-        // Kernel completion is a device-wide sync point: under the relaxed
-        // model every still-buffered store drains here, which is what makes
-        // launch-boundary-synchronized algorithms (Level-Set) correct.
-        if relaxed_on {
-            let (stale, drained) = self.mem.finish_relaxed(end_tick);
-            stats.stale_reads = stale;
-            stats.drained_stores = drained;
-        }
-
-        // Kernel completion includes draining the DRAM write queue
-        // (fire-and-forget stores still occupy bandwidth).
-        let end_tick = end_tick.max(dram_busy.ceil() as u64);
-        stats.cycles = end_tick.div_ceil(tpc) + cfg.launch_overhead_cycles;
-        if let Some(p) = prof {
-            self.profiles.push(p.finish(end_tick));
-        }
-        Ok(stats)
+        false
     }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Issues one instruction of warp `wid` at tick `t`: executes its
+    /// active lanes, charges memory, fence or ALU timing, and resolves
+    /// control flow on the reconvergence stack.
     fn step_warp<K: WarpKernel>(
+        &mut self,
         kernel: &K,
         w: &mut WarpRt<K::Lane>,
         wid: u32,
-        owner: u32,
-        warp_size: usize,
         mem: &mut DeviceMemory,
-        stats: &mut LaunchStats,
-        accesses: &mut Vec<RawAccess>,
-        targets: &mut Vec<(u32, Pc)>,
-        groups: &mut Vec<(Pc, u64)>,
-        mut spin_rec: Option<&mut SpinRec>,
         trace: &mut Option<&mut Trace>,
         t: u64,
-        tpc: u64,
-        dram_lat: u64,
-        l2_lat: u64,
-        l1_lat: u64,
-        shared_lat: u64,
-        alu_ticks: u64,
-        store_ticks: u64,
-        fence_ticks: u64,
-        sector_service_ticks: f64,
-        dram_busy: &mut f64,
     ) -> StepOutcome {
         let top = w.stack.last().expect("non-done warp has stack");
         let pc = top.pc;
@@ -1913,6 +1333,20 @@ impl GpuDevice {
         debug_assert!(mask != 0, "active group must have lanes");
         debug_assert_eq!(mask & !w.alive, 0, "active mask contains retired lanes");
 
+        let tk = &self.ticks;
+        let warp_size = self.warp_size;
+        let owner = if self.sm_scope { w.sm as u32 } else { wid };
+        let stale_before = mem.stale_count();
+        let mut spin_rec = if self.ff_on {
+            self.spin_rec.begin_instr();
+            self.spin_rec.record_reads = matches!(self.spin[wid as usize], SpinState::Capturing(_));
+            Some(&mut self.spin_rec)
+        } else {
+            None
+        };
+        let accesses = &mut self.accesses;
+        let targets = &mut self.targets;
+        let stats = &mut self.stats;
         accesses.clear();
         targets.clear();
         let mut shared_ops: u32 = 0;
@@ -1976,7 +1410,7 @@ impl GpuDevice {
 
         if let Some(tr) = trace.as_deref_mut() {
             tr.events.push(TraceEvent {
-                cycle: t / tpc,
+                cycle: t / tk.per_cycle,
                 sm: w.sm,
                 warp: wid,
                 pc,
@@ -2012,8 +1446,8 @@ impl GpuDevice {
             // store pipeline are untouched. Probing mutates LRU state, so
             // it happens here, once per issued instruction in pop order
             // (DESIGN.md §13).
-            let probe_cache = l1_lat > 0 && kind == AccessKind::Load && !accesses[0].bypass;
-            let mut worst = if probe_cache { l1_lat } else { l2_lat };
+            let probe_cache = tk.l1 > 0 && kind == AccessKind::Load && !accesses[0].bypass;
+            let mut worst = if probe_cache { tk.l1 } else { tk.l2 };
             let mut bw_limited = false;
             let mut l1_missed = false;
             for &a in accesses.iter() {
@@ -2034,7 +1468,7 @@ impl GpuDevice {
                             sat_add(&mut stats.l1_misses, 1);
                             sat_add(&mut stats.l2_hits, 1);
                             l2_here += 1;
-                            worst = worst.max(l2_lat);
+                            worst = worst.max(tk.l2);
                             l1_missed = true;
                         }
                         CacheHit::Miss => {
@@ -2042,9 +1476,9 @@ impl GpuDevice {
                             sat_add(&mut stats.l2_misses, 1);
                             sat_add(&mut stats.dram_transactions, 1);
                             sat_add(&mut stats.dram_read_bytes, SECTOR_BYTES as u64);
-                            *dram_busy = dram_busy.max(t as f64) + sector_service_ticks;
-                            let ready = (*dram_busy as u64).max(t + dram_lat);
-                            bw_limited |= ready > t + dram_lat;
+                            self.dram_busy = self.dram_busy.max(t as f64) + tk.sector_service;
+                            let ready = (self.dram_busy as u64).max(t + tk.dram);
+                            bw_limited |= ready > t + tk.dram;
                             worst = worst.max(ready - t);
                             l1_missed = true;
                         }
@@ -2059,12 +1493,12 @@ impl GpuDevice {
                     } else {
                         sat_add(&mut stats.dram_read_bytes, SECTOR_BYTES as u64);
                     }
-                    *dram_busy = dram_busy.max(t as f64) + sector_service_ticks;
-                    let ready = (*dram_busy as u64).max(t + dram_lat);
+                    self.dram_busy = self.dram_busy.max(t as f64) + tk.sector_service;
+                    let ready = (self.dram_busy as u64).max(t + tk.dram);
                     // The DRAM queue pushed this sector past the raw
                     // latency: the warp is bandwidth-throttled, not merely
                     // latency-bound.
-                    bw_limited |= ready > t + dram_lat;
+                    bw_limited |= ready > t + tk.dram;
                     worst = worst.max(ready - t);
                     pure_mem = false;
                 } else {
@@ -2080,7 +1514,7 @@ impl GpuDevice {
             }
             // Plain stores are fire-and-forget; loads and atomics block the
             // warp until the L2/DRAM responds.
-            cost_ticks = if is_store { store_ticks } else { worst };
+            cost_ticks = if is_store { tk.store } else { worst };
             wait = if is_store {
                 StallReason::Executing
             } else if bw_limited {
@@ -2095,16 +1529,16 @@ impl GpuDevice {
             }
         } else if fence {
             sat_add(&mut stats.fences, 1);
-            cost_ticks = fence_ticks;
+            cost_ticks = tk.fence;
             wait = StallReason::StoreDrain;
             // Under the relaxed model the fence is load-bearing: it drains
             // and publishes this owner's store buffer (no-op under SC).
             mem.fence_drain(owner, wid, t);
         } else if shared_ops > 0 {
-            cost_ticks = shared_lat;
+            cost_ticks = tk.shared;
             wait = StallReason::MemLatency;
         } else {
-            cost_ticks = alu_ticks;
+            cost_ticks = tk.alu;
             wait = StallReason::Executing;
         }
 
@@ -2131,6 +1565,7 @@ impl GpuDevice {
             let rpc = kernel.reconv(pc);
             w.stack.last_mut().expect("stack non-empty").pc = rpc;
             // Group lanes by target (scratch hoisted by the caller).
+            let groups = &mut self.groups;
             groups.clear();
             for &(lane, tg) in targets.iter() {
                 match groups.iter_mut().find(|g| g.0 == tg) {
@@ -2160,6 +1595,8 @@ impl GpuDevice {
         }
 
         StepOutcome {
+            pc,
+            mask,
             cost_ticks: cost_ticks.max(1),
             stored,
             retired: retired_ct,
@@ -2167,8 +1604,412 @@ impl GpuDevice {
             wait,
             flops,
             l2_hits: l2_here,
-            pure: straight && !stored && !fence && shared_ops == 0 && pure_mem,
+            pure: straight
+                && !stored
+                && !fence
+                && shared_ops == 0
+                && pure_mem
+                && mem.stale_count() == stale_before,
         }
+    }
+}
+
+impl GpuDevice {
+    /// Creates a device with empty memory.
+    pub fn new(config: DeviceConfig) -> Self {
+        let mut mem = DeviceMemory::new();
+        if let Some(cache) = &config.cache {
+            // Arm the finite-cache tag state for the device's lifetime; like
+            // the first-touch bitmaps it persists across launches, so warm
+            // relaunches on the same buffers see a warm cache.
+            mem.set_cache(cache, config.sm_count);
+        }
+        GpuDevice {
+            config,
+            mem,
+            warp_scratch: Vec::new(),
+            launch: Launch::default(),
+            profiles: Vec::new(),
+            grid_cache: Vec::new(),
+            grid_reuses: 0,
+        }
+    }
+
+    /// Number of launches on this device that reused a cached grid plan
+    /// instead of re-walking the round-robin residency fill. Diagnostic for
+    /// the session-amortization contract: warm same-shape launches should
+    /// all hit the cache. Reuse is bit-transparent — the cached plan is
+    /// exactly the assignment the fill loop would recompute.
+    pub fn grid_reuses(&self) -> u64 {
+        self.grid_reuses
+    }
+
+    /// Scheduler heap events processed by the most recent launch — the
+    /// event count [`crate::SpinModel::FastForward`] minimizes (identical
+    /// stats, far fewer events on spin-heavy kernels). Diagnostic only;
+    /// deliberately not part of [`LaunchStats`] so Replay and FastForward
+    /// stats stay directly comparable.
+    pub fn last_launch_heap_events(&self) -> u64 {
+        self.launch.heap_events
+    }
+
+    /// Drains and returns the profiles accumulated by profiled launches,
+    /// in launch order. Empty unless the device config armed profiling via
+    /// [`DeviceConfig::with_profile`].
+    pub fn take_profiles(&mut self) -> Vec<Profile> {
+        std::mem::take(&mut self.profiles)
+    }
+
+    /// The device configuration.
+    pub fn config(&self) -> &DeviceConfig {
+        &self.config
+    }
+
+    /// Device memory (allocation and host read-back).
+    pub fn mem(&mut self) -> &mut DeviceMemory {
+        &mut self.mem
+    }
+
+    /// Read-only device memory access.
+    pub fn mem_ref(&self) -> &DeviceMemory {
+        &self.mem
+    }
+
+    /// Launches `n_warps` warps of `kernel` and runs to completion.
+    pub fn launch<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        n_warps: usize,
+    ) -> Result<LaunchStats, SimtError> {
+        self.launch_inner(kernel, n_warps, None, &[])
+    }
+
+    /// Launches like [`GpuDevice::launch`] with a pre-scheduled stream of
+    /// external memory events, sorted by tick (ascending; an unsorted list
+    /// is a [`SimtError::Launch`]): each event is applied to device memory
+    /// the moment simulated time reaches its tick, waking any parked warps
+    /// that spin on the written word. This is how the multi-device
+    /// coordinator injects link-delivered boundary values into a consumer
+    /// shard's timeline. While events are still pending the deadlock window
+    /// is suspended — a warp spinning on a word the link has not delivered
+    /// yet is waiting, not deadlocked.
+    pub fn launch_with_events<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        n_warps: usize,
+        events: &[ExtEvent],
+    ) -> Result<LaunchStats, SimtError> {
+        if !events.is_sorted_by_key(|ev| ev.tick) {
+            return Err(SimtError::Launch(
+                "external events must be sorted by tick".into(),
+            ));
+        }
+        self.launch_inner(kernel, n_warps, None, events)
+    }
+
+    /// Launches with an instruction trace (intended for the toy device).
+    pub fn launch_traced<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        n_warps: usize,
+        trace: &mut Trace,
+    ) -> Result<LaunchStats, SimtError> {
+        self.launch_inner(kernel, n_warps, Some(trace), &[])
+    }
+
+    fn launch_inner<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        n_warps: usize,
+        mut trace: Option<&mut Trace>,
+        events: &[ExtEvent],
+    ) -> Result<LaunchStats, SimtError> {
+        let cfg = &self.config;
+        if cfg.sm_count == 0 || cfg.max_warps_per_sm == 0 {
+            return Err(SimtError::Config(format!(
+                "device has no warp slots ({} SMs with {} resident warps each)",
+                cfg.sm_count, cfg.max_warps_per_sm
+            )));
+        }
+        if cfg.warp_size == 0 || cfg.warp_size > 64 {
+            return Err(SimtError::Config(format!(
+                "warp size must be 1 to 64 lanes (got {})",
+                cfg.warp_size
+            )));
+        }
+        if n_warps == 0 {
+            // A zero-warp grid is a legal no-op launch: no kernel body ever
+            // runs, so report well-formed zeroed stats (plus the fixed
+            // launch overhead) instead of erroring or producing a bogus
+            // deadlock snapshot downstream. External events still land.
+            for ev in events {
+                self.mem.ext_apply(ev);
+            }
+            self.launch.heap_events = 0;
+            return Ok(LaunchStats {
+                launches: 1,
+                cycles: cfg.launch_overhead_cycles,
+                ..Default::default()
+            });
+        }
+        if n_warps
+            .checked_mul(cfg.warp_size)
+            .is_none_or(|threads| threads > u32::MAX as usize)
+        {
+            return Err(SimtError::Launch(format!(
+                "grid of {n_warps} warps exceeds the 32-bit thread-id space"
+            )));
+        }
+        if let MemoryModel::Relaxed {
+            drain_ticks,
+            racecheck,
+            ..
+        } = cfg.memory_model
+        {
+            // Relaxed memory model: arm per-launch store buffers; everything
+            // on the SC path stays byte-identical (all hooks early-return).
+            self.mem.set_relaxed(drain_ticks, racecheck);
+        }
+        // Spin fast-forwarding (wake-on-write) parks warps off the heap and
+        // reconstructs them virtually — see the comment at `SpinFf`. The
+        // waiter registry starts every launch empty.
+        self.mem.spin_clear();
+        let mut launch = std::mem::take(&mut self.launch);
+        let s = &mut launch;
+        s.reset(cfg, kernel.name(), n_warps, trace.is_some());
+        let tpc = s.ticks.per_cycle;
+        let ws = cfg.warp_size;
+
+        // Initial residency: fill SMs round-robin. The assignment depends
+        // only on `n_warps` and device constants, so same-shape launches —
+        // a session re-solving the same matrix, level-set's per-level grids
+        // — replay a cached plan instead of re-walking the round-robin
+        // cycle. Reuse is bit-transparent: the cached plan *is* the
+        // assignment the fill computes.
+        let plan = match self.grid_cache.iter().position(|p| p.n_warps == n_warps) {
+            Some(pos) => {
+                self.grid_reuses += 1;
+                &self.grid_cache[pos]
+            }
+            None => {
+                if self.grid_cache.len() >= GRID_CACHE_CAP {
+                    self.grid_cache.remove(0);
+                }
+                let plan = GridPlan::round_robin(n_warps, cfg.sm_count, cfg.max_warps_per_sm);
+                self.grid_cache.push(plan);
+                self.grid_cache.last().expect("plan just cached")
+            }
+        };
+        // Warp-allocation pool: new warps draw their stack/shared vectors
+        // from allocations retired by earlier launches, and within a launch
+        // a finished warp's `WarpRt` (lane vector included) is recycled
+        // wholesale for the next pending warp (see `WarpRt::reset`).
+        let pool_cap = cfg.sm_count * cfg.max_warps_per_sm;
+        let mut warps: Vec<Option<WarpRt<K::Lane>>> = (0..n_warps).map(|_| None).collect();
+        for (wid, &sm) in plan.sms.iter().enumerate() {
+            let sm = sm as usize;
+            let mut w = WarpRt::from_scratch(self.warp_scratch.pop().unwrap_or_default());
+            w.reset(kernel, wid, sm, ws);
+            warps[wid] = Some(w);
+            s.resident[sm] += 1;
+            s.queue.push(0, wid as u32);
+        }
+        let mut next_pending = plan.sms.len();
+
+        // While link events are still pending, a stall is waiting on the
+        // link, not a deadlock: the window is suspended (the max-cycles
+        // timeout stays armed as the backstop).
+        let deadlock_ticks = s.ticks.deadlock;
+        let window = |ev_i: usize| {
+            if ev_i < events.len() {
+                u64::MAX
+            } else {
+                deadlock_ticks
+            }
+        };
+        let mut ev_i = 0usize;
+        // Every failure breaks out with its error and the tick at which
+        // buffered stores flush; the one teardown below handles them all.
+        let exit: Result<(), (SimtError, u64)> = 'run: loop {
+            // Apply external (link-delivered) events that are due at or
+            // before the next scheduled pop, re-peeking after each one: an
+            // applied event may wake a parked warp whose kick lands earlier
+            // than the previous heap top. With an empty heap the remaining
+            // events apply unconditionally (every runnable warp is parked
+            // or done; only an event can unblock anything).
+            while ev_i < events.len() {
+                if let Some(&Reverse((nt, _, _))) = s.queue.heap.peek() {
+                    if events[ev_i].tick > nt {
+                        break;
+                    }
+                }
+                let ev = events[ev_i];
+                ev_i += 1;
+                self.mem.ext_apply(&ev);
+                // The link delivering a value is forward progress for the
+                // deadlock accounting, exactly like a local store.
+                s.last_progress = s.last_progress.max(ev.tick);
+                s.end_tick = s.end_tick.max(ev.tick);
+                let woken = s.deliver_wakes(
+                    kernel,
+                    &mut self.mem,
+                    &mut trace,
+                    (ev.tick, 0),
+                    window(ev_i),
+                );
+                if let Err(hang) = woken {
+                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), s.end_tick));
+                }
+            }
+            let Some(Reverse((t, wid, sq))) = s.queue.heap.pop() else {
+                // The heap drained. Every pending wake for a parked warp
+                // keeps a kick in the heap, so parked warps remaining here
+                // can never run again: report the deadlock *now*, waiter
+                // graph attached, instead of burning the deadlock window on
+                // an empty schedule.
+                if s.n_parked > 0 {
+                    let hang = Hang::Deadlock {
+                        cycle: s.end_tick / tpc + 1,
+                    };
+                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), s.end_tick));
+                }
+                break Ok(());
+            };
+            let dl = window(ev_i);
+            s.heap_events += 1;
+            if sq != s.queue.seq[wid as usize] {
+                // Superseded event: the warp was re-kicked or re-scheduled
+                // after this entry was pushed.
+                continue;
+            }
+            if s.relaxed_on {
+                // Heap pops are monotone in t, so due-expired stores drain
+                // exactly once, in program order.
+                self.mem.drain_due(t);
+            }
+            let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
+            let sm = w.sm;
+            if s.n_parked > 0 {
+                // Bring parked warps' virtual execution up to this event.
+                // Traced launches advance every SM so events stay globally
+                // ordered; otherwise only this SM's parked warps can
+                // matter before the issue below.
+                let sm_filter = if trace.is_some() { None } else { Some(sm) };
+                if let Err(hang) = s.ff_advance(kernel, &mut trace, sm_filter, (t, wid), dl) {
+                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+                }
+                if matches!(s.spin[wid as usize], SpinState::Parked(_)) {
+                    match s.take_kick(wid, t) {
+                        // Fall through: the poll issues at t like any event.
+                        Some(anchor) => {
+                            w.stack.last_mut().expect("parked warp has stack").pc = anchor
+                        }
+                        None => continue,
+                    }
+                }
+            }
+            if s.sm_next_free[sm] > t {
+                s.queue.push(s.sm_next_free[sm], wid);
+                continue;
+            }
+            if let Some(hang) = s.ticks.hang_at(t, s.last_progress, dl) {
+                break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+            }
+
+            // Issue accounting.
+            sat_add(&mut s.stats.issue_ticks, 1);
+            let gap = t.saturating_sub(s.sm_last_issue[sm]).saturating_sub(1);
+            s.stats.stall_ticks = s.stats.stall_ticks.saturating_add(gap);
+            s.sm_last_issue[sm] = t;
+            s.sm_next_free[sm] = t + 1;
+
+            // Execute one warp instruction.
+            let out = s.step_warp(kernel, w, wid, &mut self.mem, &mut trace, t);
+            if s.racecheck {
+                if let Some(r) = self.mem.take_race() {
+                    let err = SimtError::RaceDetected {
+                        kernel: kernel.name(),
+                        buffer: r.buf,
+                        index: r.idx,
+                        producer_warp: r.producer_warp,
+                        consumer_warp: r.consumer_warp,
+                        pc: r.pc,
+                    };
+                    break 'run Err((err, t));
+                }
+            }
+            if out.stored || out.retired > 0 {
+                s.last_progress = t;
+            }
+            sat_add(&mut s.stats.lanes_retired, out.retired);
+            let t_done = t + out.cost_ticks;
+            s.end_tick = s.end_tick.max(t_done);
+            if let Some(p) = s.prof.as_mut() {
+                p.on_issue(
+                    sm,
+                    t,
+                    gap,
+                    wid as usize,
+                    out.pc,
+                    kernel.pc_name(out.pc),
+                    out.issue,
+                    out.wait,
+                    t_done,
+                );
+            }
+            let parked = s.ff_on && s.capture(kernel, &mut self.mem, wid, sm, &out, t_done);
+            if w.done() {
+                let mut w = warps[wid as usize].take().expect("done warp exists");
+                s.resident[sm] -= 1;
+                if next_pending < n_warps {
+                    w.reset(kernel, next_pending, sm, ws);
+                    warps[next_pending] = Some(w);
+                    s.resident[sm] += 1;
+                    s.queue.push(t + 1, next_pending as u32);
+                    next_pending += 1;
+                } else if self.warp_scratch.len() < pool_cap {
+                    self.warp_scratch.push(WarpScratch {
+                        stack: w.stack,
+                        shared: w.shared,
+                    });
+                }
+            } else if !parked {
+                s.queue.push(t_done, wid);
+            }
+
+            // Deliver wakes produced by this instruction's stores, atomics,
+            // fences, or evictions to parked warps.
+            if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, &mut trace, (t, wid), dl) {
+                break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+            }
+        };
+        if let Err((err, flush)) = exit {
+            // Buffered stores still land and no registration outlives the
+            // launch. The launch state and the warp pool stay on the device.
+            self.mem.finish_relaxed(flush);
+            self.mem.spin_clear();
+            self.launch = launch;
+            return Err(err);
+        }
+
+        // Kernel completion is a device-wide sync point: under the relaxed
+        // model every still-buffered store drains here, which is what makes
+        // launch-boundary-synchronized algorithms (Level-Set) correct.
+        if s.relaxed_on {
+            let (stale, drained) = self.mem.finish_relaxed(s.end_tick);
+            s.stats.stale_reads = stale;
+            s.stats.drained_stores = drained;
+        }
+        // Kernel completion includes draining the DRAM write queue
+        // (fire-and-forget stores still occupy bandwidth).
+        let end_tick = s.end_tick.max(s.dram_busy.ceil() as u64);
+        s.stats.cycles = end_tick.div_ceil(tpc) + cfg.launch_overhead_cycles;
+        if let Some(p) = s.prof.take() {
+            self.profiles.push(p.finish(end_tick));
+        }
+        let stats = s.stats;
+        self.launch = launch;
+        Ok(stats)
     }
 }
 
@@ -2600,9 +2441,9 @@ mod tests {
         assert_eq!(dev.mem_ref().read_flags(flag), &[0]);
         let mut dev = GpuDevice::new(DeviceConfig::toy().with_profile(ProfileMode::sampled(8)));
         let flag = dev.mem().alloc_flags(1);
-        let out = dev.launch_profiled(&CrossWarpSpin { flag }, 0).unwrap();
-        assert!(out.profile.is_none());
-        assert_eq!(out.stats.warps_launched, 0);
+        let stats = dev.launch(&CrossWarpSpin { flag }, 0).unwrap();
+        assert!(dev.take_profiles().is_empty());
+        assert_eq!(stats.warps_launched, 0);
     }
 
     #[test]
@@ -2623,21 +2464,26 @@ mod tests {
             let mut dev = GpuDevice::new(cfg);
             let x = dev.mem().alloc_f64(&xs);
             let y = dev.mem().alloc_f64_zeroed(n);
-            let out = dev
-                .launch_profiled(&DoubleKernel { n, x, y }, n.div_ceil(32))
+            let stats = dev
+                .launch(&DoubleKernel { n, x, y }, n.div_ceil(32))
                 .unwrap();
-            (out, dev.mem_ref().read_f64(y).to_vec())
+            (
+                stats,
+                dev.take_profiles(),
+                dev.mem_ref().read_f64(y).to_vec(),
+            )
         };
-        let (plain, y_plain) = run(ProfileMode::Off);
-        let (profiled, y_prof) = run(ProfileMode::sampled(64));
-        assert!(plain.profile.is_none());
-        assert_eq!(plain.stats, profiled.stats, "profiling must not perturb");
+        let (plain, plain_profiles, y_plain) = run(ProfileMode::Off);
+        let (profiled, mut profiles, y_prof) = run(ProfileMode::sampled(64));
+        assert!(plain_profiles.is_empty());
+        assert_eq!(plain, profiled, "profiling must not perturb");
         assert_eq!(y_plain, y_prof);
-        let p = profiled.profile.expect("sampled mode yields a profile");
+        assert_eq!(profiles.len(), 1, "sampled mode yields one profile");
+        let p = profiles.pop().unwrap();
         assert_eq!(p.kernel, "double");
         assert_eq!(p.interval_cycles, 64);
         // Every issue slot the stats counted appears in the timeline.
-        assert_eq!(p.issued_slots, profiled.stats.warp_instructions);
+        assert_eq!(p.issued_slots, profiled.warp_instructions);
         // Buckets account for every SM issue slot of the whole run: one
         // slot per SM per tick, so the total is within one cycle's worth of
         // total_cycles × slot capacity.
@@ -3082,6 +2928,83 @@ mod tests {
                 );
             }
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unsorted_external_events_are_a_launch_error() {
+        use crate::mem::{ExtEvent, ExtOp};
+        let mut dev = GpuDevice::new(DeviceConfig::toy());
+        let flag = dev.mem().alloc_flags(1);
+        let x = dev.mem().alloc_f64_zeroed(1);
+        let y = dev.mem().alloc_f64_zeroed(1);
+        let ev = |tick| ExtEvent {
+            tick,
+            buf: flag.raw(),
+            idx: 0,
+            op: ExtOp::StoreFlag(true),
+        };
+        let err = dev
+            .launch_with_events(&WaitForLink { flag, x, y }, 1, &[ev(20), ev(10)])
+            .unwrap_err();
+        assert!(
+            matches!(&err, SimtError::Launch(msg) if msg.contains("sorted by tick")),
+            "{err:?}"
+        );
+        // Nothing ran: the flag is still unset.
+        assert_eq!(dev.mem_ref().read_flags(flag), &[0]);
+    }
+
+    #[test]
+    fn a_failed_launch_keeps_its_state_on_the_device() {
+        let mut cfg = DeviceConfig::toy();
+        cfg.deadlock_window = 1_000;
+        let mut dev = GpuDevice::new(cfg);
+        let flag = dev.mem().alloc_flags(1);
+        let (x, y) = (
+            dev.mem().alloc_f64(&[1.0; 8]),
+            dev.mem().alloc_f64_zeroed(8),
+        );
+        dev.launch(&DoubleKernel { n: 8, x, y }, 3).unwrap();
+        let pooled = dev.warp_scratch.len();
+        assert!(pooled > 0, "retired warps return to the pool");
+        let spinner = IntraWarpSpin {
+            flag,
+            spin_first: true,
+        };
+        assert!(matches!(
+            dev.launch(&spinner, 1),
+            Err(SimtError::Deadlock { .. })
+        ));
+        // The live warp's allocations go down with the launch; the rest of
+        // the pool and the launch state stay for the next launch.
+        assert_eq!(dev.warp_scratch.len(), pooled - 1);
+        assert_eq!(dev.launch.sm_next_free.len(), dev.config().sm_count);
+        assert!(dev.last_launch_heap_events() > 0);
+        dev.launch(&DoubleKernel { n: 8, x, y }, 3).unwrap();
+        assert_eq!(dev.mem_ref().read_f64(y), &[2.0; 8]);
+    }
+
+    #[test]
+    fn a_device_without_warp_slots_or_lanes_is_a_config_error() {
+        let flag_kernel = |dev: &mut GpuDevice| {
+            let flag = dev.mem().alloc_flags(1);
+            dev.launch(&CrossWarpSpin { flag }, 2)
+        };
+        let mut shapes = [(); 4].map(|_| DeviceConfig::toy());
+        shapes[0].sm_count = 0;
+        shapes[1].max_warps_per_sm = 0;
+        shapes[2].warp_size = 0;
+        shapes[3].warp_size = 65;
+        for cfg in shapes {
+            let what = format!(
+                "{} SMs x {} warps of {} lanes",
+                cfg.sm_count, cfg.max_warps_per_sm, cfg.warp_size
+            );
+            match flag_kernel(&mut GpuDevice::new(cfg)) {
+                Err(SimtError::Config(_)) => {}
+                other => panic!("{what}: expected a Config error, got {other:?}"),
+            }
         }
     }
 

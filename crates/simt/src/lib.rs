@@ -68,9 +68,7 @@ pub use kernel::{Effect, Pc, WarpKernel, PC_EXIT};
 pub use mem::{BufF64, BufFlag, BufU32, ExtEvent, ExtOp, LaneMem, PubRecord, SECTOR_BYTES};
 pub use metrics::LaunchStats;
 pub use multidev::{merge_deadlock, DeviceOutcome, Link, LinkConfig, MAX_DEVICES};
-pub use profile::{
-    LaunchResult, PhaseCount, Profile, StallBucket, StallReason, WarpSpan, N_STALL_REASONS,
-};
+pub use profile::{PhaseCount, Profile, StallBucket, StallReason, WarpSpan, N_STALL_REASONS};
 pub use trace::{Trace, TraceEvent};
 
 /// Convenient glob import.
@@ -84,6 +82,6 @@ pub mod prelude {
     pub use crate::kernel::{Effect, Pc, WarpKernel, PC_EXIT};
     pub use crate::mem::{BufF64, BufFlag, BufU32, LaneMem};
     pub use crate::metrics::LaunchStats;
-    pub use crate::profile::{LaunchResult, Profile, StallReason};
+    pub use crate::profile::{Profile, StallReason};
     pub use crate::trace::Trace;
 }

@@ -24,7 +24,6 @@
 use std::collections::BTreeMap;
 
 use crate::kernel::Pc;
-use crate::metrics::LaunchStats;
 
 /// Why an issue slot was spent the way it was. The taxonomy mirrors the
 /// stall-reason breakdown of `nvprof`'s issue-slot utilization metrics,
@@ -129,7 +128,7 @@ pub struct PhaseCount {
 
 /// The time-resolved profile of one launch. Produced by the engine when the
 /// device's [`ProfileMode`](crate::ProfileMode) is not `Off`; purely
-/// observational — the simulated schedule and [`LaunchStats`] are identical
+/// observational — the simulated schedule and [`LaunchStats`](crate::LaunchStats) are identical
 /// with profiling on or off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
@@ -186,17 +185,6 @@ impl Profile {
             100.0 * self.totals()[reason.idx()] as f64 / total as f64
         }
     }
-}
-
-/// A launch outcome carrying both the aggregate counters and (when
-/// profiling was armed) the time-resolved profile.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaunchResult {
-    /// Aggregate counters — identical to what [`GpuDevice::launch`]
-    /// (crate::GpuDevice::launch) returns for the same launch.
-    pub stats: LaunchStats,
-    /// The profile, when the launch ran with profiling armed.
-    pub profile: Option<Profile>,
 }
 
 /// In-flight profiling state owned by the engine during one launch.

@@ -20,6 +20,13 @@ cargo test -q
 echo "==> workspace unit tests (core, simt, sparse, bench crates)"
 cargo test -q --workspace
 
+# perfbench is a package of its own that builds against the library crates
+# by path; nothing else compiles it, so a public-API change could break the
+# benchmark unnoticed. Its smoke tests also check every workload reports
+# every metric named in BENCHMARK.json.
+echo "==> perfbench build + smoke tests (frozen benchmark package)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> spin fast-forward differential suite (Replay vs FastForward bit-exactness)"
 cargo test --release -q -p capellini-sptrsv --test spin_fastforward
 

@@ -370,3 +370,214 @@ fn upper_triangular_golden() {
         );
     }
 }
+
+/// 64-bit FNV-1a: a stable, dependency-free digest for pinning bulky
+/// outputs (solution bits, profiles, trace renders) on one fixture line.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn x_hash(x: &[f64]) -> u64 {
+    fnv1a(x.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// Every engine-visible output, in absolute terms, under every engine
+/// model: `LaunchStats`, solution bits, the launch's heap-event count and
+/// the error text (warp snapshots included), plus profile and trace
+/// digests and sharded per-device results. Other suites compare models
+/// with each other, so a change that moved both sides alike would pass
+/// them; this one fails on the first line that differs from the fixture.
+/// The regenerated text is written to
+/// `CARGO_TARGET_TMPDIR/engine_golden.actual.txt` for diffing.
+#[test]
+fn engine_outputs_match_the_golden_fixture() {
+    use capellini_sptrsv::core::kernels::writing_first::FenceMode;
+    use capellini_sptrsv::core::kernels::{
+        cusparse_like, cusparse_like_multi, hybrid, naive, scheduled, syncfree_multi,
+        writing_first_multi, SimSolve,
+    };
+    use capellini_sptrsv::core::shard::{solve_sharded, ShardConfig};
+    use capellini_sptrsv::simt::{StoreScope, Trace};
+    use capellini_sptrsv::sparse::gen;
+    use std::fmt::Write as _;
+
+    type Solve = fn(&mut GpuDevice, &LowerTriangularCsr, &[f64]) -> Result<SimSolve, SimtError>;
+    type SolveMulti =
+        fn(&mut GpuDevice, &LowerTriangularCsr, &[f64], usize) -> Result<SimSolve, SimtError>;
+    type SolveTraced =
+        fn(&mut GpuDevice, &LowerTriangularCsr, &[f64], &mut Trace) -> Result<SimSolve, SimtError>;
+    const NRHS: usize = 3;
+
+    let pascal = DeviceConfig::pascal_like().scaled_down(4);
+    let mut budget = pascal.clone();
+    budget.max_cycles = 20_000;
+    budget.deadlock_window = 3_000;
+    let configs = [
+        (
+            "fastforward",
+            pascal.clone().with_spin_model(SpinModel::FastForward),
+        ),
+        ("replay", pascal.clone().with_spin_model(SpinModel::Replay)),
+        (
+            "relaxed",
+            pascal
+                .clone()
+                .with_memory_model(MemoryModel::relaxed(2_000)),
+        ),
+        (
+            "relaxed-sm",
+            pascal.clone().with_memory_model(MemoryModel::Relaxed {
+                drain_ticks: 2_000,
+                scope: StoreScope::Sm,
+                racecheck: false,
+            }),
+        ),
+        (
+            "racecheck",
+            pascal
+                .clone()
+                .with_memory_model(MemoryModel::racecheck(2_000)),
+        ),
+        ("cache", pascal.clone().with_cache(CacheConfig::small())),
+        (
+            "profile",
+            pascal.clone().with_profile(ProfileMode::sampled(64)),
+        ),
+        // Tight hang bounds, so timeouts and windowed deadlocks are pinned
+        // under both spin models too.
+        ("budget", budget.clone()),
+        ("budget-replay", budget.with_spin_model(SpinModel::Replay)),
+    ];
+    let matrices = [
+        ("paper", paper_example()),
+        ("randomk", gen::random_k(300, 3, 300, 42)),
+        ("chain", gen::chain(128, 1, 7)),
+    ];
+    let singles: [(&str, Solve); 13] = [
+        ("levelset", levelset::solve),
+        ("syncfree", syncfree::solve),
+        ("syncfree_csc", syncfree_csc::solve),
+        ("cusparse_like", cusparse_like::solve),
+        ("two_phase", two_phase::solve),
+        ("writing_first", writing_first::solve),
+        (
+            "writing_first_last_check",
+            writing_first::solve_with_explicit_last_check,
+        ),
+        ("writing_first_nofence", |d, l, b| {
+            writing_first::solve_with_fence_mode(d, l, b, FenceMode::NoFence)
+        }),
+        ("writing_first_flagfirst", |d, l, b| {
+            writing_first::solve_with_fence_mode(d, l, b, FenceMode::FlagFirst)
+        }),
+        ("naive", naive::solve),
+        ("hybrid", hybrid::solve),
+        ("hybrid_threshold", |d, l, b| {
+            hybrid::solve_with_threshold(d, l, b, 0.5)
+        }),
+        ("scheduled", scheduled::solve),
+    ];
+    let multis: [(&str, SolveMulti); 3] = [
+        ("syncfree_multi", syncfree_multi::solve_multi),
+        ("cusparse_like_multi", cusparse_like_multi::solve_multi),
+        ("writing_first_multi", writing_first_multi::solve_multi),
+    ];
+    let traced: [(&str, SolveTraced); 2] = [
+        ("writing_first_traced", writing_first::solve_traced),
+        ("syncfree_traced", syncfree::solve_traced),
+    ];
+
+    // One line per cell: outcome, heap events of the device's last launch,
+    // a digest of any profiles the launch recorded, then `extra`.
+    let cell = |out: &mut String,
+                key: String,
+                dev: &mut GpuDevice,
+                res: Result<SimSolve, SimtError>,
+                extra: String| {
+        match res {
+            Ok(s) => write!(out, "{key} ok {:?} x={:016x}", s.stats, x_hash(&s.x)),
+            Err(e) => write!(out, "{key} err {:?}", e.to_string()),
+        }
+        .unwrap();
+        write!(out, " heap_events={}", dev.last_launch_heap_events()).unwrap();
+        let profiles = dev.take_profiles();
+        if !profiles.is_empty() {
+            let text = format!("{profiles:?}");
+            write!(out, " profile={:016x}", fnv1a(text.bytes())).unwrap();
+        }
+        writeln!(out, "{extra}").unwrap();
+    };
+
+    let mut actual = String::new();
+    for (mname, l) in &matrices {
+        let n = l.n();
+        let x_true: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
+        let b = linalg::rhs_for_solution(l, &x_true);
+        let bs: Vec<f64> = (0..n * NRHS)
+            .map(|k| b[k / NRHS] * (k % NRHS + 1) as f64)
+            .collect();
+        for (cname, cfg) in &configs {
+            for (wname, solve) in &singles {
+                let mut dev = GpuDevice::new(cfg.clone());
+                let res = solve(&mut dev, l, &b);
+                let key = format!("{cname}/{mname}/{wname}");
+                cell(&mut actual, key, &mut dev, res, String::new());
+            }
+            for (wname, solve_multi) in &multis {
+                let mut dev = GpuDevice::new(cfg.clone());
+                let res = solve_multi(&mut dev, l, &bs, NRHS);
+                let key = format!("{cname}/{mname}/{wname}x{NRHS}");
+                cell(&mut actual, key, &mut dev, res, String::new());
+            }
+            for algo in Algorithm::all_live() {
+                let key = format!("{cname}/{mname}/sharded-pcie2/{}", algo.label());
+                match solve_sharded(cfg, l, &b, algo, &ShardConfig::pcie(2)) {
+                    Ok(r) => writeln!(
+                        actual,
+                        "{key} ok x={:016x} makespan={} link_messages={} per_device={:?}",
+                        x_hash(&r.x),
+                        r.makespan_cycles,
+                        r.link_messages,
+                        r.per_device
+                    ),
+                    Err(e) => writeln!(actual, "{key} err {:?}", e.to_string()),
+                }
+                .unwrap();
+            }
+        }
+        for (wname, solve_traced) in &traced {
+            let mut dev = GpuDevice::new(toy());
+            let mut tr = Trace::new();
+            let res = solve_traced(&mut dev, l, &b, &mut tr);
+            let extra = format!(" trace={:016x}", fnv1a(tr.render().bytes()));
+            cell(
+                &mut actual,
+                format!("toy/{mname}/{wname}"),
+                &mut dev,
+                res,
+                extra,
+            );
+        }
+    }
+
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_golden.actual.txt");
+    std::fs::write(&path, &actual).unwrap();
+    let want = include_str!("fixtures/engine_golden.txt");
+    for (i, (a, w)) in actual.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            a,
+            w,
+            "engine output drifted at fixture line {} (actual text: {})",
+            i + 1,
+            path.display()
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        want.lines().count(),
+        "fixture line count differs (actual text: {})",
+        path.display()
+    );
+}

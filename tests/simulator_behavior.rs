@@ -513,3 +513,32 @@ fn zero_rhs_batch_is_an_empty_success_on_every_live_algorithm() {
         );
     }
 }
+
+#[test]
+fn a_device_with_no_warp_slots_is_a_config_error() {
+    // Regression: with no SM, or no warp slot per SM, the residency fill
+    // placed no warp and the empty schedule counted as a finished launch,
+    // so solves "succeeded" with x = 0 and no instruction issued. Every
+    // live algorithm must refuse such a device with a structured error.
+    let l = gen::powerlaw(64, 2.6, 7);
+    let b = vec![1.0; l.n()];
+    let mut no_sms = DeviceConfig::toy();
+    no_sms.sm_count = 0;
+    let mut no_slots = DeviceConfig::toy();
+    no_slots.max_warps_per_sm = 0;
+    for (what, cfg) in [("sm_count = 0", no_sms), ("max_warps_per_sm = 0", no_slots)] {
+        for algo in Algorithm::all_live() {
+            match solve_simulated(&cfg, &l, &b, algo) {
+                Err(SimtError::Config(msg)) => assert!(
+                    msg.contains("warp slots"),
+                    "{what}, {}: {msg}",
+                    algo.label()
+                ),
+                other => panic!(
+                    "{what}, {}: expected a Config error, got {other:?}",
+                    algo.label()
+                ),
+            }
+        }
+    }
+}
