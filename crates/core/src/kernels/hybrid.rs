@@ -107,14 +107,15 @@ impl Task {
     }
 }
 
-/// The hybrid preprocessing: block-granularity task selection.
+/// The hybrid preprocessing: block-granularity task selection. A warp size
+/// of 0 plans one-row blocks; the launch's device shape check rejects it.
 pub fn plan_tasks(l: &LowerTriangularCsr, warp_size: usize, threshold: f64) -> Vec<Task> {
     let n = l.n();
     let row_ptr = l.csr().row_ptr();
     let mut tasks = Vec::new();
     let mut base = 0usize;
     while base < n {
-        let hi = (base + warp_size).min(n);
+        let hi = (base + warp_size.max(1)).min(n);
         let block_nnz = (row_ptr[hi] - row_ptr[base]) as f64;
         let avg = block_nnz / (hi - base) as f64;
         if avg < threshold {

@@ -1,5 +1,5 @@
-//! Algorithm 2: the classic **Level-Set SpTRSV** (Anderson & Saad [1],
-//! Saltz [35]). Preprocessing partitions components into level-sets; each
+//! Algorithm 2: the classic **Level-Set SpTRSV** (Anderson & Saad \[1\],
+//! Saltz \[35\]). Preprocessing partitions components into level-sets; each
 //! level is solved by one kernel launch with a thread per component, and the
 //! inter-level synchronization is the launch boundary itself — which is why
 //! the algorithm pays one launch overhead per level (the synchronization
@@ -206,7 +206,7 @@ pub fn launch_with_uploaded_levels(
             level_lo: lo,
             count,
         };
-        let stats = dev.launch(&kernel, count.div_ceil(ws))?;
+        let stats = dev.launch(&kernel, count.div_ceil(ws.max(1)))?;
         total.accumulate(&stats);
     }
     Ok(total)

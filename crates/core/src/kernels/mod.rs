@@ -3,15 +3,15 @@
 //! | module | paper | granularity | storage |
 //! |---|---|---|---|
 //! | [`levelset`] | Algorithm 2 (Anderson & Saad / Saltz) | thread, per-level launches | CSR + level analysis |
-//! | [`syncfree`] | Algorithm 3 (Liu et al. [20]) | one **warp** per component | CSR arrays (CSC conversion charged as preprocessing) |
+//! | [`syncfree`] | Algorithm 3 (Liu et al. \[20\]) | one **warp** per component | CSR arrays (CSC conversion charged as preprocessing) |
 //! | [`syncfree_csc`] | Liu et al.'s original CSC scatter formulation | one warp per **column**, atomics | CSC + in-degree analysis |
 //! | [`naive`] | §3.3 straw man | one thread per component, bare busy-wait | CSR |
 //! | [`two_phase`] | Algorithm 4 — Two-Phase CapelliniSpTRSV | one **thread** per component | CSR |
 //! | [`writing_first`] | Algorithm 5 — Writing-First CapelliniSpTRSV | one **thread** per component | CSR |
-//! | [`writing_first_multi`] | the multiple-right-hand-sides extension (Liu et al. [21]) | thread, k accumulators | CSR |
+//! | [`writing_first_multi`] | the multiple-right-hand-sides extension (Liu et al. \[21\]) | thread, k accumulators | CSR |
 //! | [`cusparse_like`] | cuSPARSE black-box stand-in (§2.4) | warp | CSR + analysis |
 //! | [`cusparse_like_multi`] | its `csrsm2` (SpTRSM) analogue | warp, k accumulators | CSR + analysis |
-//! | [`syncfree_multi`] | SyncFree over k right-hand sides (Liu et al. [21]) | warp, k accumulators | CSR |
+//! | [`syncfree_multi`] | SyncFree over k right-hand sides (Liu et al. \[21\]) | warp, k accumulators | CSR |
 //! | [`hybrid`] | §4.4 warp/thread fusion (future work) | mixed | CSR + row-block analysis |
 //! | [`scheduled`] | level-coarsened work units (arXiv 2503.05408) | one warp per unit, per-unit flags | CSR + coarsened schedule |
 //!

@@ -208,7 +208,7 @@ pub fn launch(
     m: DeviceCsr,
     sb: SolveBuffers,
 ) -> Result<LaunchStats, SimtError> {
-    let n_warps = m.n.div_ceil(dev.config().warp_size);
+    let n_warps = m.n.div_ceil(dev.config().warp_size.max(1));
     dev.launch(&NaiveThreadKernel::new(m, sb), n_warps)
 }
 

@@ -1,5 +1,5 @@
 //! Algorithm 3: the **warp-level synchronization-free SpTRSV** of Liu et
-//! al. [20] — the state-of-the-art baseline the paper compares against.
+//! al. \[20\] — the state-of-the-art baseline the paper compares against.
 //!
 //! One warp per component: lanes stride over the row's nonzeros
 //! (`j = rowPtr[i] + lane, step WARP_SIZE`), busy-wait on each dependency's

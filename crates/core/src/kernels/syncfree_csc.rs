@@ -1,5 +1,5 @@
 //! The *original* CSC-formulated synchronization-free SpTRSV of Liu et
-//! al. [20] (EuroPar'16), as opposed to Algorithm 3's row/CSR presentation:
+//! al. \[20\] (EuroPar'16), as opposed to Algorithm 3's row/CSR presentation:
 //! one warp per **column**, scatter-style.
 //!
 //! For a lower-triangular CSC matrix (diagonal first in each column):

@@ -13,8 +13,8 @@
 //! unchanged — so the batched solution is bit-identical to `k` looped
 //! solves.
 //!
-//! Layout: `X` and `B` are row-major `n×k` (`x[i*k + r]`), matching
-//! `capellini_sparse::rhs::RhsBlock`.
+//! Layout: `X` and `B` are row-major `n×k` (`x[i*k + r]`), i.e.
+//! [`crate::buffers::RhsLayout::RowMajor`].
 
 use capellini_simt::{Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, WarpKernel, PC_EXIT};
 use capellini_sparse::LowerTriangularCsr;

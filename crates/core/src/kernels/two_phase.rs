@@ -323,7 +323,7 @@ pub fn launch(
     sb: SolveBuffers,
 ) -> Result<LaunchStats, SimtError> {
     let ws = dev.config().warp_size;
-    let n_warps = m.n.div_ceil(ws);
+    let n_warps = m.n.div_ceil(ws.max(1));
     dev.launch(&TwoPhaseKernel::new(m, sb, ws), n_warps)
 }
 

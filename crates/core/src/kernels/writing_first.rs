@@ -334,9 +334,11 @@ impl WarpKernel for WritingFirstKernel {
     }
 }
 
-/// Number of warps needed for one thread per row.
+/// Number of warps needed for one thread per row. A warp size of 0 counts
+/// as 1, so the launch's device shape check reports it instead of a
+/// division by zero.
 pub fn warps_for(n: usize, warp_size: usize) -> usize {
-    n.div_ceil(warp_size)
+    n.div_ceil(warp_size.max(1))
 }
 
 /// Runs Writing-First CapelliniSpTRSV on the device (buffers pre-uploaded).

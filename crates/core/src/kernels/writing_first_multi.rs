@@ -1,4 +1,4 @@
-//! Multiple right-hand sides: the extension direction of Liu et al. [21]
+//! Multiple right-hand sides: the extension direction of Liu et al. \[21\]
 //! ("fast synchronization-free algorithms for parallel sparse triangular
 //! solves with multiple right-hand sides"), applied to Writing-First
 //! CapelliniSpTRSV.
@@ -244,7 +244,7 @@ pub fn launch_multi(
         flags: mb.flags,
         layout: mb.layout,
     };
-    let n_warps = m.n.div_ceil(dev.config().warp_size);
+    let n_warps = super::writing_first::warps_for(m.n, dev.config().warp_size);
     dev.launch(&kernel, n_warps)
 }
 

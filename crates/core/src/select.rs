@@ -12,7 +12,7 @@ use capellini_sparse::{MatrixStats, ScheduleStats};
 pub enum Algorithm {
     /// Algorithm 2: level-sets with one launch per level.
     LevelSet,
-    /// Algorithm 3: warp-level synchronization-free (Liu et al. [20]).
+    /// Algorithm 3: warp-level synchronization-free (Liu et al. \[20\]).
     SyncFree,
     /// Liu et al.'s original CSC scatter formulation (warp per column,
     /// atomics + in-degree countdown).
@@ -220,12 +220,12 @@ pub struct CostAwareChoice {
 ///
 /// The win model is deliberately transparent (DESIGN.md §14): coarsening
 /// shortens the synchronization critical path from `n_levels` rounds to
-/// [`ScheduleStats::depth`] rounds, each worth [`ROUND_SYNC_CYCLES`]; the
+/// [`ScheduleStats::depth`] rounds, each worth `ROUND_SYNC_CYCLES`; the
 /// per-row fence/flag/poll traffic eliminated off the critical path
 /// ([`ScheduleStats::saved_syncs`]) is credited at one issue slot per saved
 /// operation, spread across the machine's width. Against those wins it
 /// charges the serialization cost of sequential units on fat-row matrices
-/// ([`SEQ_DEP_CYCLES`] per off-diagonal beyond [`SEQ_FREE_DEPS`]): a dense
+/// (`SEQ_DEP_CYCLES` per off-diagonal beyond `SEQ_FREE_DEPS`): a dense
 /// band coarsens beautifully on paper but resolves every dependency on one
 /// lane, and the rule must not recommend that. When a finite cache is
 /// armed, coarsened units walk contiguous rows, so the value/index streams

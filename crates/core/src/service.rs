@@ -5,7 +5,7 @@
 //! module turns it into a serving layer for many concurrent callers:
 //!
 //! * **Sharded, LRU-bounded session registry.** Sessions are keyed by the
-//!   matrix content fingerprint ([`capellini_sparse::fingerprint`]) and
+//!   matrix content fingerprint ([`capellini_sparse::fingerprint`](fn@capellini_sparse::fingerprint)) and
 //!   spread over [`ServiceConfig::shards`] independently-locked shards.
 //!   Each shard retains at most [`ServiceConfig::sessions_per_shard`]
 //!   sessions in LRU order; evicting an entry retires its worker, which

@@ -9,7 +9,7 @@
 //! the *same* `L` hundreds of times, so analysis cost amortizes to nothing
 //! while per-solve cost is what matters. The session keeps:
 //!
-//! * the matrix fingerprint ([`capellini_sparse::fingerprint`]) identifying
+//! * the matrix fingerprint ([`capellini_sparse::fingerprint`](fn@capellini_sparse::fingerprint)) identifying
 //!   what the cached analysis belongs to,
 //! * the host-side analysis products (statistics, level sets, in-degrees),
 //! * the device-resident analysis products (CSR arrays, level order, the

@@ -26,7 +26,7 @@
 //!
 //! * thread-per-row kernels (Writing-First, Two-Phase, Naive) and
 //!   warp-per-row kernels (SyncFree, cuSPARSE-like) run behind a
-//!   [`ShardView`] that offsets global thread ids by the shard base and
+//!   `ShardView` that offsets global thread ids by the shard base and
 //!   exits out-of-shard lanes at launch;
 //! * Hybrid filters the *global* task plan down to the shard's rows (blocks
 //!   never span warp-aligned cuts, so per-row granularity is preserved);
@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 
 use capellini_simt::{
     merge_deadlock, DeviceConfig, Effect, ExtEvent, ExtOp, GpuDevice, LaneMem, LaunchStats, Link,
-    LinkConfig, Pc, PubRecord, SimtError, WarpKernel,
+    LinkConfig, Pc, SimtError, WarpKernel,
 };
 use capellini_sparse::{
     GhostShard, LevelSets, LowerTriangularCsr, RowPartition, Schedule, ScheduleParams,
@@ -243,7 +243,7 @@ type PubMap = BTreeMap<u32, (u64, f64)>;
 /// and its covering completion flag were DRAM-visible on the producer. The
 /// flag index is algorithm-specific (`flag_of` maps a global row to it).
 fn export_readiness(
-    recs: &[PubRecord],
+    recs: &[ExtEvent],
     x_raw: u32,
     flags_raw: u32,
     exports: &[u32],

@@ -55,7 +55,7 @@ impl HostCostModel {
         (analysis + sort + arrays) / 1e6
     }
 
-    /// Preprocessing time of the warp-level SyncFree algorithm [20]: CSR→CSC
+    /// Preprocessing time of the warp-level SyncFree algorithm \[20\]: CSR→CSC
     /// transposition plus the `get_value` flag array.
     pub fn syncfree_preprocessing_ms(&self, n: usize, nnz: usize) -> f64 {
         let convert = nnz as f64 * self.ns_per_nnz_convert + n as f64 * self.ns_per_row;

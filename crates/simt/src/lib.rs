@@ -65,9 +65,9 @@ pub use engine::GpuDevice;
 pub use error::{SimtError, WarpSnapshot};
 pub use host::HostCostModel;
 pub use kernel::{Effect, Pc, WarpKernel, PC_EXIT};
-pub use mem::{BufF64, BufFlag, BufU32, ExtEvent, ExtOp, LaneMem, PubRecord, SECTOR_BYTES};
+pub use mem::{BufF64, BufFlag, BufU32, ExtEvent, ExtOp, LaneMem, SECTOR_BYTES};
 pub use metrics::LaunchStats;
-pub use multidev::{merge_deadlock, DeviceOutcome, Link, LinkConfig, MAX_DEVICES};
+pub use multidev::{merge_deadlock, Link, LinkConfig, MAX_DEVICES};
 pub use profile::{PhaseCount, Profile, StallBucket, StallReason, WarpSpan, N_STALL_REASONS};
 pub use trace::{Trace, TraceEvent};
 

@@ -51,7 +51,8 @@ impl BufFlag {
     }
 }
 
-/// Operation payload of a cross-device [`ExtEvent`] / [`PubRecord`].
+/// The payload of every write to simulated memory: a warp store or atomic,
+/// a buffered store as it drains, and a link-delivered boundary write.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExtOp {
     /// Overwrite an `f64` word (a finished boundary `x` value).
@@ -66,37 +67,24 @@ pub enum ExtOp {
     SubU32(u32),
 }
 
-/// A link/host-injected memory operation applied to a running launch at a
-/// fixed tick (see `GpuDevice::launch_with_events`). The multi-device
-/// coordinator turns a producer's [`PubRecord`]s into consumer `ExtEvent`s
-/// by pushing them through the inter-device link model.
+/// One write to one word at a fixed tick. The publication watch
+/// ([`DeviceMemory::set_watch`]) captures a producer's writes as
+/// `ExtEvent`s, and `GpuDevice::launch_with_events` applies link-delivered
+/// ones on a consumer; the multi-device coordinator turns the first into
+/// the second by pushing them through the inter-device link model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtEvent {
-    /// Engine tick (cycles × schedulers per SM) at which the operation
-    /// becomes visible on the consumer device.
+    /// Engine tick (cycles × schedulers per SM) at which the write becomes
+    /// visible (reaches DRAM) on the device it happens on. Under the
+    /// relaxed model a captured store is visible at its drain, fence or
+    /// atomic-sync tick, not at execution, so cross-device consumers never
+    /// observe a value earlier than an on-device consumer could have.
     pub tick: u64,
-    /// Raw buffer id on the *consumer* device ([`BufF64::raw`] etc.).
+    /// Raw buffer id on that device ([`BufF64::raw`] etc.).
     pub buf: u32,
     /// Element index within the buffer.
     pub idx: u32,
-    /// The operation to apply.
-    pub op: ExtOp,
-}
-
-/// One captured publication ([`DeviceMemory::set_watch`]): a store to a
-/// watched buffer became globally visible (reached DRAM) at `tick`. Under
-/// the relaxed model that is the drain/fence/atomic-sync tick, not the
-/// execution tick, so cross-device consumers never observe a value earlier
-/// than an on-device consumer could have.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PubRecord {
-    /// Raw buffer id on the producing device.
-    pub buf: u32,
-    /// Element index within the buffer.
-    pub idx: u32,
-    /// Visibility tick on the producing device's timeline.
-    pub tick: u64,
-    /// What was published (atomics record the delta, not the total).
+    /// The write (atomics carry the delta, not the total).
     pub op: ExtOp,
 }
 
@@ -104,7 +92,7 @@ pub struct PubRecord {
 /// far. Armed by the multi-device coordinator on producer devices.
 struct WatchState {
     bufs: Vec<u32>,
-    records: Vec<PubRecord>,
+    records: Vec<ExtEvent>,
 }
 
 /// Records a DRAM-visible write to a watched buffer. Free function so call
@@ -113,21 +101,13 @@ struct WatchState {
 fn watch_note(watch: &mut Option<WatchState>, buf: u32, idx: usize, tick: u64, op: ExtOp) {
     if let Some(w) = watch {
         if w.bufs.contains(&buf) {
-            w.records.push(PubRecord {
+            w.records.push(ExtEvent {
+                tick,
                 buf,
                 idx: idx as u32,
-                tick,
                 op,
             });
         }
-    }
-}
-
-/// The [`ExtOp`] equivalent of draining a buffered store.
-fn drain_op(val: PendingVal) -> ExtOp {
-    match val {
-        PendingVal::F64(v) => ExtOp::StoreF64(v),
-        PendingVal::Flag(f) => ExtOp::StoreFlag(f != 0),
     }
 }
 
@@ -159,6 +139,21 @@ impl Buffer {
             read_touched: vec![0; words],
             write_touched: vec![0; words],
         }
+    }
+}
+
+/// Writes `op` into word `idx` of buffer `buf`: the one place a launch
+/// changes a buffer's contents (warp stores and atomics, store-buffer
+/// drains and link events all end here). Panics if the op does not match
+/// the buffer's element type.
+#[inline]
+fn apply(bufs: &mut [Buffer], buf: u32, idx: usize, op: ExtOp) {
+    match (&mut bufs[buf as usize].data, op) {
+        (BufData::F64(v), ExtOp::StoreF64(x)) => v[idx] = x,
+        (BufData::F64(v), ExtOp::AddF64(x)) => v[idx] += x,
+        (BufData::Flag(v), ExtOp::StoreFlag(x)) => v[idx] = x as u8,
+        (BufData::U32(v), ExtOp::SubU32(x)) => v[idx] = v[idx].wrapping_sub(x),
+        _ => panic!("write type mismatch on buffer {buf}"),
     }
 }
 
@@ -199,17 +194,10 @@ struct PendingStore {
     owner: u32,
     buf: u32,
     idx: usize,
-    val: PendingVal,
+    /// A `StoreF64` or `StoreFlag`: the simulator has no plain `u32` store.
+    op: ExtOp,
     /// Tick at which the store drains on its own.
     due: u64,
-}
-
-/// Value payload of a buffered store (the simulator has no plain `u32`
-/// store instruction, so two variants suffice).
-#[derive(Debug, Clone, Copy)]
-enum PendingVal {
-    F64(f64),
-    Flag(u8),
 }
 
 /// Bookkeeping for one global word with unpublished stores: who last stored
@@ -221,7 +209,7 @@ struct WordMeta {
     warp: u32,
     epoch: u64,
     undrained: u32,
-    last_val: PendingVal,
+    last_op: ExtOp,
     /// Earliest autonomous-drain deadline among this word's undrained
     /// stores. Maintained as a lower bound only (drains do not re-raise
     /// it), which is safe for its single use: scheduling a *no-later-than*
@@ -343,14 +331,49 @@ impl RelaxedState {
     fn fence_epoch(&self, owner: u32) -> u64 {
         self.fence_epochs.get(&owner).copied().unwrap_or(0)
     }
-}
 
-/// Writes a buffered store through to the backing buffer.
-fn apply_store(bufs: &mut [Buffer], ps: &PendingStore) {
-    match (&mut bufs[ps.buf as usize].data, ps.val) {
-        (BufData::F64(v), PendingVal::F64(x)) => v[ps.idx] = x,
-        (BufData::Flag(v), PendingVal::Flag(x)) => v[ps.idx] = x,
-        _ => panic!("buffered store type mismatch on buffer {}", ps.buf),
+    /// Retires one buffered store at `tick`: writes it through, publishes
+    /// it to the watch, and drops it from its owner's and its word's
+    /// undrained counts. Every drain ends here; the caller decides which
+    /// stores drain, at which tick, and whether the drain wakes anyone.
+    fn retire(
+        &mut self,
+        ps: &PendingStore,
+        tick: u64,
+        bufs: &mut [Buffer],
+        watch: &mut Option<WatchState>,
+    ) {
+        apply(bufs, ps.buf, ps.idx, ps.op);
+        watch_note(watch, ps.buf, ps.idx, tick, ps.op);
+        self.drained_stores = self.drained_stores.saturating_add(1);
+        *self.owner_counts.get_mut(&ps.owner).expect("owner count") -= 1;
+        if let Some(m) = self.words.get_mut(&(ps.buf, ps.idx)) {
+            m.undrained = m.undrained.saturating_sub(1);
+        }
+    }
+
+    /// Retires, in program order, every buffered store `tick_of` gives a
+    /// drain tick, and recomputes `min_due` over the stores left.
+    fn drain(
+        &mut self,
+        bufs: &mut [Buffer],
+        watch: &mut Option<WatchState>,
+        mut tick_of: impl FnMut(&PendingStore) -> Option<u64>,
+    ) {
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut min_due = u64::MAX;
+        pending.retain(|ps| match tick_of(ps) {
+            Some(tick) => {
+                self.retire(ps, tick, bufs, watch);
+                false
+            }
+            None => {
+                min_due = min_due.min(ps.due);
+                true
+            }
+        });
+        self.pending = pending;
+        self.min_due = min_due;
     }
 }
 
@@ -547,6 +570,7 @@ impl DeviceMemory {
     }
 
     /// Host read-back of an `f64` buffer.
+    #[inline]
     pub fn read_f64(&self, h: BufF64) -> &[f64] {
         match &self.bufs[h.0 as usize].data {
             BufData::F64(v) => v,
@@ -555,6 +579,7 @@ impl DeviceMemory {
     }
 
     /// Host read-back of a `u32` buffer.
+    #[inline]
     pub fn read_u32(&self, h: BufU32) -> &[u32] {
         match &self.bufs[h.0 as usize].data {
             BufData::U32(v) => v,
@@ -563,6 +588,7 @@ impl DeviceMemory {
     }
 
     /// Host read-back of a flag buffer.
+    #[inline]
     pub fn read_flags(&self, h: BufFlag) -> &[u8] {
         match &self.bufs[h.0 as usize].data {
             BufData::Flag(v) => v,
@@ -633,9 +659,10 @@ impl DeviceMemory {
 
     /// Arms the publication watch on the given raw buffer ids: every write
     /// that reaches DRAM (SC stores immediately; relaxed stores when they
-    /// drain; atomics at the RMW) in a watched buffer is captured as a
-    /// [`PubRecord`] with its visibility tick. Used by the multi-device
-    /// coordinator to observe a producer shard's boundary publications.
+    /// drain; atomics at the RMW) in a watched buffer is captured as an
+    /// [`ExtEvent`] with its visibility tick. Link events are not captured.
+    /// Used by the multi-device coordinator to observe a producer shard's
+    /// boundary publications.
     pub fn set_watch(&mut self, bufs: &[u32]) {
         self.watch = Some(WatchState {
             bufs: bufs.to_vec(),
@@ -646,7 +673,7 @@ impl DeviceMemory {
     /// Disarms the watch and returns everything captured since
     /// [`DeviceMemory::set_watch`], in capture order (visibility ticks are
     /// non-decreasing per word but not globally sorted).
-    pub fn take_watch(&mut self) -> Vec<PubRecord> {
+    pub fn take_watch(&mut self) -> Vec<ExtEvent> {
         self.watch.take().map_or_else(Vec::new, |w| w.records)
     }
 
@@ -660,18 +687,12 @@ impl DeviceMemory {
     pub(crate) fn ext_apply(&mut self, ev: &ExtEvent) {
         let idx = ev.idx as usize;
         self.atomic_sync(ev.buf, idx, ev.tick);
+        apply(&mut self.bufs, ev.buf, idx, ev.op);
         let byte_off = match ev.op {
             ExtOp::StoreF64(_) | ExtOp::AddF64(_) => idx * 8,
             ExtOp::SubU32(_) => idx * 4,
             ExtOp::StoreFlag(_) => idx,
         };
-        match (&mut self.bufs[ev.buf as usize].data, ev.op) {
-            (BufData::F64(v), ExtOp::StoreF64(x)) => v[idx] = x,
-            (BufData::F64(v), ExtOp::AddF64(x)) => v[idx] += x,
-            (BufData::Flag(v), ExtOp::StoreFlag(x)) => v[idx] = x as u8,
-            (BufData::U32(v), ExtOp::SubU32(x)) => v[idx] = v[idx].wrapping_sub(x),
-            _ => panic!("external event type mismatch on buffer {}", ev.buf),
-        }
         self.cache_invalidate(RawAccess {
             buf: ev.buf,
             sector: (byte_off as u32) / SECTOR_BYTES,
@@ -679,13 +700,6 @@ impl DeviceMemory {
             bypass: true,
         });
         wake_waiters(&mut self.spin, ev.buf, idx, ev.tick, 0);
-    }
-
-    fn f64s(&self, h: BufF64) -> &Vec<f64> {
-        match &self.bufs[h.0 as usize].data {
-            BufData::F64(v) => v,
-            _ => panic!("buffer {} is not f64", h.0),
-        }
     }
 
     /// Marks a sector touched; returns true if this is the first touch
@@ -739,31 +753,16 @@ impl DeviceMemory {
         self.relaxed = Some(RelaxedState::new(drain_ticks, racecheck));
     }
 
-    /// Drains every store due at or before `now`, in program order.
+    /// Drains every store due at or before `now`, in program order, each
+    /// at its own due tick. Wakes nobody: a warp parked on the word was
+    /// woken when the store executed and re-parked with its due tick.
     pub(crate) fn drain_due(&mut self, now: u64) {
         let Some(rs) = &mut self.relaxed else { return };
-        if now < rs.min_due {
-            return;
+        if now >= rs.min_due {
+            rs.drain(&mut self.bufs, &mut self.watch, |ps| {
+                (ps.due <= now).then_some(ps.due)
+            });
         }
-        let bufs = &mut self.bufs;
-        let watch = &mut self.watch;
-        let mut min_due = u64::MAX;
-        rs.pending.retain(|ps| {
-            if ps.due <= now {
-                apply_store(bufs, ps);
-                watch_note(watch, ps.buf, ps.idx, ps.due, drain_op(ps.val));
-                rs.drained_stores = rs.drained_stores.saturating_add(1);
-                *rs.owner_counts.get_mut(&ps.owner).expect("owner count") -= 1;
-                if let Some(m) = rs.words.get_mut(&(ps.buf, ps.idx)) {
-                    m.undrained = m.undrained.saturating_sub(1);
-                }
-                false
-            } else {
-                min_due = min_due.min(ps.due);
-                true
-            }
-        });
-        rs.min_due = min_due;
     }
 
     /// `__threadfence` by `owner` (executed by `warp` at tick `now`):
@@ -772,27 +771,13 @@ impl DeviceMemory {
     /// woken with the fence's visibility key.
     pub(crate) fn fence_drain(&mut self, owner: u32, warp: u32, now: u64) {
         let Some(rs) = &mut self.relaxed else { return };
-        let bufs = &mut self.bufs;
         let spin = &mut self.spin;
-        let watch = &mut self.watch;
-        let mut min_due = u64::MAX;
-        rs.pending.retain(|ps| {
-            if ps.owner == owner {
-                apply_store(bufs, ps);
-                watch_note(watch, ps.buf, ps.idx, now, drain_op(ps.val));
-                rs.drained_stores = rs.drained_stores.saturating_add(1);
-                if let Some(m) = rs.words.get_mut(&(ps.buf, ps.idx)) {
-                    m.undrained = m.undrained.saturating_sub(1);
-                }
+        rs.drain(&mut self.bufs, &mut self.watch, |ps| {
+            (ps.owner == owner).then(|| {
                 wake_waiters(spin, ps.buf, ps.idx, now, warp.saturating_add(1));
-                false
-            } else {
-                min_due = min_due.min(ps.due);
-                true
-            }
+                now
+            })
         });
-        rs.min_due = min_due;
-        rs.owner_counts.insert(owner, 0);
         let epoch = rs.next_seq;
         rs.fence_epochs.insert(owner, epoch);
         // Published words need no further tracking.
@@ -800,19 +785,15 @@ impl DeviceMemory {
             .retain(|_, m| !(m.owner == owner && m.epoch < epoch));
     }
 
-    /// End-of-launch flush: drains everything (the kernel-boundary sync of
-    /// CUDA's launch semantics), clears the racecheck maps, and returns the
+    /// End-of-launch flush: drains everything at `now` (the kernel-boundary
+    /// sync of CUDA's launch semantics) and returns the
     /// `(stale_reads, drained_stores)` counters. Disarms the model, so host
     /// read-backs always see the drained state.
     pub(crate) fn finish_relaxed(&mut self, now: u64) -> (u64, u64) {
         let Some(mut rs) = self.relaxed.take() else {
             return (0, 0);
         };
-        for ps in &rs.pending {
-            apply_store(&mut self.bufs, ps);
-            watch_note(&mut self.watch, ps.buf, ps.idx, now, drain_op(ps.val));
-            rs.drained_stores = rs.drained_stores.saturating_add(1);
-        }
+        rs.drain(&mut self.bufs, &mut self.watch, |_| Some(now));
         (rs.stale_reads, rs.drained_stores)
     }
 
@@ -876,19 +857,9 @@ impl DeviceMemory {
     }
 
     /// Buffers a store by `owner`/`warp` instead of writing DRAM.
-    fn relaxed_store(
-        &mut self,
-        owner: u32,
-        warp: u32,
-        buf: u32,
-        idx: usize,
-        val: PendingVal,
-        now: u64,
-    ) {
+    fn relaxed_store(&mut self, owner: u32, warp: u32, buf: u32, idx: usize, op: ExtOp, now: u64) {
         let rs = self.relaxed.as_mut().expect("relaxed model armed");
-        let count = rs.owner_counts.entry(owner).or_insert(0);
-        let mut evicted = None;
-        if *count >= STORE_BUFFER_CAP {
+        if *rs.owner_counts.entry(owner).or_insert(0) >= STORE_BUFFER_CAP {
             // Capacity eviction: force-drain the owner's oldest store.
             // The value reaches DRAM but is NOT published (no fence ran).
             let pos = rs
@@ -897,15 +868,8 @@ impl DeviceMemory {
                 .position(|ps| ps.owner == owner)
                 .expect("owner count says an entry exists");
             let ps = rs.pending.remove(pos);
-            apply_store(&mut self.bufs, &ps);
-            watch_note(&mut self.watch, ps.buf, ps.idx, now, drain_op(ps.val));
-            rs.drained_stores = rs.drained_stores.saturating_add(1);
-            if let Some(m) = rs.words.get_mut(&(ps.buf, ps.idx)) {
-                m.undrained = m.undrained.saturating_sub(1);
-            }
-            let count = rs.owner_counts.get_mut(&owner).expect("owner count");
-            *count -= 1;
-            evicted = Some((ps.buf, ps.idx));
+            rs.retire(&ps, now, &mut self.bufs, &mut self.watch);
+            wake_waiters(&mut self.spin, ps.buf, ps.idx, now, warp.saturating_add(1));
         }
         let seq = rs.next_seq;
         rs.next_seq += 1;
@@ -914,39 +878,29 @@ impl DeviceMemory {
             owner,
             buf,
             idx,
-            val,
+            op,
             due,
         });
         *rs.owner_counts.entry(owner).or_insert(0) += 1;
         rs.min_due = rs.min_due.min(due);
-        match rs.words.entry((buf, idx)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let m = e.get_mut();
-                m.owner = owner;
-                m.warp = warp;
-                m.epoch = seq;
-                m.earliest_due = if m.undrained == 0 {
-                    due
-                } else {
-                    m.earliest_due.min(due)
-                };
-                m.undrained += 1;
-                m.last_val = val;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(WordMeta {
-                    owner,
-                    warp,
-                    epoch: seq,
-                    undrained: 1,
-                    last_val: val,
-                    earliest_due: due,
-                });
-            }
+        let m = rs.words.entry((buf, idx)).or_insert(WordMeta {
+            owner,
+            warp,
+            epoch: seq,
+            undrained: 0,
+            last_op: op,
+            earliest_due: due,
+        });
+        if m.undrained > 0 {
+            m.earliest_due = m.earliest_due.min(due);
+        } else {
+            m.earliest_due = due;
         }
-        if let Some((ebuf, eidx)) = evicted {
-            wake_waiters(&mut self.spin, ebuf, eidx, now, warp.saturating_add(1));
-        }
+        m.owner = owner;
+        m.warp = warp;
+        m.epoch = seq;
+        m.undrained += 1;
+        m.last_op = op;
         // Wake warps parked on this word as soon as the store *executes*,
         // not when it drains: a co-owner forwards the value immediately,
         // and anyone else re-polls, fails, and re-parks — at which point
@@ -969,14 +923,14 @@ impl DeviceMemory {
         buf: u32,
         idx: usize,
         sync: bool,
-    ) -> Option<PendingVal> {
+    ) -> Option<ExtOp> {
         let rs = self.relaxed.as_mut()?;
         let m = rs.words.get(&(buf, idx))?;
         if m.owner == owner {
             // Store-to-load forwarding: the newest value this owner stored
             // to the word (whether still buffered or already drained — by
             // per-word FIFO it is also what DRAM holds once drained).
-            return Some(m.last_val);
+            return Some(m.last_op);
         }
         if !sync {
             if m.undrained > 0 {
@@ -996,26 +950,15 @@ impl DeviceMemory {
     }
 
     /// Atomics synchronize the word they touch: all pending stores to it
-    /// (any owner) drain first, in program order, and the word is published
-    /// — an atomic RMW at the L2 is ordering-safe by construction.
+    /// (any owner) drain first, in program order, at the atomic's tick and
+    /// without waking anyone (the write that follows wakes), and the word is
+    /// published — an atomic RMW at the L2 is ordering-safe by
+    /// construction. Link events sync their word the same way.
     fn atomic_sync(&mut self, buf: u32, idx: usize, now: u64) {
         let Some(rs) = &mut self.relaxed else { return };
-        let bufs = &mut self.bufs;
-        let watch = &mut self.watch;
-        let mut min_due = u64::MAX;
-        rs.pending.retain(|ps| {
-            if ps.buf == buf && ps.idx == idx {
-                apply_store(bufs, ps);
-                watch_note(watch, ps.buf, ps.idx, now, drain_op(ps.val));
-                rs.drained_stores = rs.drained_stores.saturating_add(1);
-                *rs.owner_counts.get_mut(&ps.owner).expect("owner count") -= 1;
-                false
-            } else {
-                min_due = min_due.min(ps.due);
-                true
-            }
+        rs.drain(&mut self.bufs, &mut self.watch, |ps| {
+            (ps.buf == buf && ps.idx == idx).then_some(now)
         });
-        rs.min_due = min_due;
         rs.words.remove(&(buf, idx));
     }
 
@@ -1097,49 +1040,69 @@ impl<'a> LaneMem<'a> {
         });
     }
 
+    /// The setup every warp load shares: records the access, notes the
+    /// word in a captured spin iteration's read set and, under the relaxed
+    /// model, returns the reader's own forwarded store or does the
+    /// stale-read and race accounting. Sync loads (flag and counter polls)
+    /// bypass the cache model and are exempt from that accounting.
+    // Runs once per lane per memory instruction, like `store` and `commit`;
+    // the three are forced inline because an out-of-line `commit` measured
+    // 3–5% slower on thread-level solves.
+    #[inline(always)]
+    fn load(&mut self, buf: u32, idx: usize, byte_off: usize, sync: bool) -> Option<ExtOp> {
+        self.record(buf, byte_off, AccessKind::Load, sync);
+        self.note_read(buf, idx);
+        if self.dev.relaxed.is_some() {
+            self.dev
+                .relaxed_peek(self.owner, self.warp, self.pc, buf, idx, sync)
+        } else {
+            None
+        }
+    }
+
+    /// A plain store: buffered under the relaxed model, committed at once
+    /// otherwise.
+    // See `load` on inlining.
+    #[inline(always)]
+    fn store(&mut self, buf: u32, idx: usize, op: ExtOp) {
+        if self.dev.relaxed.is_some() {
+            self.dev
+                .relaxed_store(self.owner, self.warp, buf, idx, op, self.now);
+        } else {
+            self.commit(buf, idx, op);
+        }
+    }
+
+    /// Makes a write visible now: applies it, publishes it to the watch and
+    /// wakes warps parked on the word with `(now, warp + 1)`.
+    // See `load` on inlining.
+    #[inline(always)]
+    fn commit(&mut self, buf: u32, idx: usize, op: ExtOp) {
+        apply(&mut self.dev.bufs, buf, idx, op);
+        watch_note(&mut self.dev.watch, buf, idx, self.now, op);
+        wake_waiters(
+            &mut self.dev.spin,
+            buf,
+            idx,
+            self.now,
+            self.warp.saturating_add(1),
+        );
+    }
+
     /// Global load of an `f64`.
     #[inline]
     pub fn load_f64(&mut self, h: BufF64, idx: usize) -> f64 {
-        self.record(h.0, idx * 8, AccessKind::Load, false);
-        self.note_read(h.0, idx);
-        if self.dev.relaxed.is_some() {
-            if let Some(PendingVal::F64(v)) = self
-                .dev
-                .relaxed_peek(self.owner, self.warp, self.pc, h.0, idx, false)
-            {
-                return v;
-            }
+        match self.load(h.0, idx, idx * 8, false) {
+            Some(ExtOp::StoreF64(v)) => v,
+            _ => self.dev.read_f64(h)[idx],
         }
-        self.dev.f64s(h)[idx]
     }
 
     /// Global store of an `f64`.
     #[inline]
     pub fn store_f64(&mut self, h: BufF64, idx: usize, v: f64) {
         self.record(h.0, idx * 8, AccessKind::Store, false);
-        if self.dev.relaxed.is_some() {
-            self.dev.relaxed_store(
-                self.owner,
-                self.warp,
-                h.0,
-                idx,
-                PendingVal::F64(v),
-                self.now,
-            );
-            return;
-        }
-        match &mut self.dev.bufs[h.0 as usize].data {
-            BufData::F64(vec) => vec[idx] = v,
-            _ => panic!("buffer {} is not f64", h.0),
-        }
-        watch_note(&mut self.dev.watch, h.0, idx, self.now, ExtOp::StoreF64(v));
-        wake_waiters(
-            &mut self.dev.spin,
-            h.0,
-            idx,
-            self.now,
-            self.warp.saturating_add(1),
-        );
+        self.store(h.0, idx, ExtOp::StoreF64(v));
     }
 
     /// Global load of a `u32` (data load: racechecked under the relaxed
@@ -1151,20 +1114,9 @@ impl<'a> LaneMem<'a> {
 
     #[inline]
     fn load_u32_inner(&mut self, h: BufU32, idx: usize, sync: bool) -> u32 {
-        self.record(h.0, idx * 4, AccessKind::Load, sync);
-        self.note_read(h.0, idx);
-        if self.dev.relaxed.is_some() {
-            // No u32 store instruction exists, so forwarding never hits;
-            // this only performs the stale/race accounting.
-            let fwd = self
-                .dev
-                .relaxed_peek(self.owner, self.warp, self.pc, h.0, idx, sync);
-            debug_assert!(fwd.is_none(), "u32 words are never store-buffered");
-        }
-        match &self.dev.bufs[h.0 as usize].data {
-            BufData::U32(v) => v[idx],
-            _ => panic!("buffer {} is not u32", h.0),
-        }
+        let fwd = self.load(h.0, idx, idx * 4, sync);
+        debug_assert!(fwd.is_none(), "u32 words are never store-buffered");
+        self.dev.read_u32(h)[idx]
     }
 
     /// Volatile load of a completion flag (the spin-loop poll). Flag loads
@@ -1173,19 +1125,9 @@ impl<'a> LaneMem<'a> {
     /// flag state (another warp's buffered `store_flag` is invisible).
     #[inline]
     pub fn load_flag(&mut self, h: BufFlag, idx: usize) -> bool {
-        self.record(h.0, idx, AccessKind::Load, true);
-        self.note_read(h.0, idx);
-        if self.dev.relaxed.is_some() {
-            if let Some(PendingVal::Flag(v)) = self
-                .dev
-                .relaxed_peek(self.owner, self.warp, self.pc, h.0, idx, true)
-            {
-                return v != 0;
-            }
-        }
-        match &self.dev.bufs[h.0 as usize].data {
-            BufData::Flag(v) => v[idx] != 0,
-            _ => panic!("buffer {} is not flags", h.0),
+        match self.load(h.0, idx, idx, true) {
+            Some(ExtOp::StoreFlag(v)) => v,
+            _ => self.dev.read_flags(h)[idx] != 0,
         }
     }
 
@@ -1207,29 +1149,7 @@ impl<'a> LaneMem<'a> {
     #[inline]
     pub fn store_flag(&mut self, h: BufFlag, idx: usize, v: bool) {
         self.record(h.0, idx, AccessKind::Store, true);
-        if self.dev.relaxed.is_some() {
-            self.dev.relaxed_store(
-                self.owner,
-                self.warp,
-                h.0,
-                idx,
-                PendingVal::Flag(v as u8),
-                self.now,
-            );
-            return;
-        }
-        match &mut self.dev.bufs[h.0 as usize].data {
-            BufData::Flag(vec) => vec[idx] = v as u8,
-            _ => panic!("buffer {} is not flags", h.0),
-        }
-        watch_note(&mut self.dev.watch, h.0, idx, self.now, ExtOp::StoreFlag(v));
-        wake_waiters(
-            &mut self.dev.spin,
-            h.0,
-            idx,
-            self.now,
-            self.warp.saturating_add(1),
-        );
+        self.store(h.0, idx, ExtOp::StoreFlag(v));
     }
 
     /// Volatile poll of a `u32` counter against zero, counting non-zero
@@ -1246,29 +1166,13 @@ impl<'a> LaneMem<'a> {
     }
 
     /// Atomic `fetch_add` on an `f64` (the scatter update of CSC-based
-    /// SyncFree [20]); returns the previous value.
+    /// SyncFree \[20\]); returns the previous value.
     #[inline]
     pub fn atomic_add_f64(&mut self, h: BufF64, idx: usize, v: f64) -> f64 {
         self.record(h.0, idx * 8, AccessKind::Atomic, true);
-        if self.dev.relaxed.is_some() {
-            self.dev.atomic_sync(h.0, idx, self.now);
-        }
-        let old = match &mut self.dev.bufs[h.0 as usize].data {
-            BufData::F64(vec) => {
-                let old = vec[idx];
-                vec[idx] = old + v;
-                old
-            }
-            _ => panic!("buffer {} is not f64", h.0),
-        };
-        watch_note(&mut self.dev.watch, h.0, idx, self.now, ExtOp::AddF64(v));
-        wake_waiters(
-            &mut self.dev.spin,
-            h.0,
-            idx,
-            self.now,
-            self.warp.saturating_add(1),
-        );
+        self.dev.atomic_sync(h.0, idx, self.now);
+        let old = self.dev.read_f64(h)[idx];
+        self.commit(h.0, idx, ExtOp::AddF64(v));
         old
     }
 
@@ -1277,25 +1181,9 @@ impl<'a> LaneMem<'a> {
     #[inline]
     pub fn atomic_sub_u32(&mut self, h: BufU32, idx: usize, v: u32) -> u32 {
         self.record(h.0, idx * 4, AccessKind::Atomic, true);
-        if self.dev.relaxed.is_some() {
-            self.dev.atomic_sync(h.0, idx, self.now);
-        }
-        let old = match &mut self.dev.bufs[h.0 as usize].data {
-            BufData::U32(vec) => {
-                let old = vec[idx];
-                vec[idx] = old.wrapping_sub(v);
-                old
-            }
-            _ => panic!("buffer {} is not u32", h.0),
-        };
-        watch_note(&mut self.dev.watch, h.0, idx, self.now, ExtOp::SubU32(v));
-        wake_waiters(
-            &mut self.dev.spin,
-            h.0,
-            idx,
-            self.now,
-            self.warp.saturating_add(1),
-        );
+        self.dev.atomic_sync(h.0, idx, self.now);
+        let old = self.dev.read_u32(h)[idx];
+        self.commit(h.0, idx, ExtOp::SubU32(v));
         old
     }
 
@@ -1732,6 +1620,170 @@ mod tests {
         let (_, drained) = dev.finish_relaxed(u64::MAX);
         assert_eq!(drained, 1);
         assert_eq!(dev.read_f64(f), &[0.0, 9.0]);
+    }
+
+    /// Watch records as `(tick, buf, idx, op)`, and queued wakes.
+    type Writes = (Vec<(u64, u32, u32, ExtOp)>, Vec<SpinWake>);
+
+    /// Takes the watch records (field by field) and the queued wakes, then
+    /// re-arms the watch on the same buffers.
+    fn take_writes(dev: &mut DeviceMemory, watched: &[u32]) -> Writes {
+        let recs = dev
+            .take_watch()
+            .iter()
+            .map(|r| (r.tick, r.buf, r.idx, r.op))
+            .collect();
+        dev.set_watch(watched);
+        let mut wakes = Vec::new();
+        dev.take_spin_wakes(&mut wakes);
+        (recs, wakes)
+    }
+
+    /// The write contract: which tick each kind of write is published at in
+    /// the watch, and which scheduler key it wakes a parked warp with.
+    #[test]
+    fn each_write_kind_publishes_and_wakes_by_its_own_rule() {
+        use ExtOp::{AddF64, StoreF64, StoreFlag, SubU32};
+        let mut dev = DeviceMemory::new();
+        let x = dev.alloc_f64(&[0.0; 16]);
+        let g = dev.alloc_flags(4);
+        let c = dev.alloc_u32(&[5, 5]);
+        let y = dev.alloc_f64(&[0.0; 2]);
+        let (xr, gr, cr, yr) = (x.raw(), g.raw(), c.raw(), y.raw());
+        let watched = [xr, gr, cr];
+        dev.set_watch(&watched);
+        // Warp 9 parks on every word of every buffer, the unwatched one too.
+        let words: Vec<(u32, u32)> = [(xr, 16), (gr, 4), (cr, 2), (yr, 2)]
+            .iter()
+            .flat_map(|&(b, n)| (0..n).map(move |i| (b, i)))
+            .collect();
+        assert_eq!(dev.spin_park(9, &words), None);
+        let (mut acc, mut sops, mut polls) = (Vec::new(), 0, 0u32);
+        let mut shared = [0.0f64; 0];
+        macro_rules! lane {
+            ($warp:expr, $now:expr) => {
+                lane_mem_as(
+                    &mut dev,
+                    &mut shared,
+                    &mut acc,
+                    &mut sops,
+                    &mut polls,
+                    $warp,
+                    $now,
+                )
+            };
+        }
+
+        // SC writes publish at execution and wake with (now, warp + 1).
+        lane!(1, 10).store_f64(x, 0, 1.5);
+        lane!(2, 11).store_flag(g, 0, true);
+        assert_eq!(lane!(3, 12).atomic_add_f64(x, 1, 0.25), 0.0);
+        assert_eq!(lane!(4, 13).atomic_sub_u32(c, 0, 2), 5);
+        lane!(5, 14).store_f64(y, 0, 7.0);
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (
+                vec![
+                    (10, xr, 0, StoreF64(1.5)),
+                    (11, gr, 0, StoreFlag(true)),
+                    (12, xr, 1, AddF64(0.25)),
+                    (13, cr, 0, SubU32(2)),
+                ],
+                vec![(9, 10, 2), (9, 11, 3), (9, 12, 4), (9, 13, 5), (9, 14, 6)],
+            )
+        );
+
+        // A relaxed store publishes nothing but wakes at execution; its
+        // delay drain publishes at the due tick and wakes nobody.
+        dev.set_relaxed(100, false);
+        lane!(1, 20).store_f64(x, 2, 2.5);
+        assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![(9, 20, 2)]));
+        let due = 20 + 100 + drain_skew(xr, 2, 100);
+        dev.drain_due(due - 1);
+        assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![]));
+        dev.drain_due(due + 5);
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (vec![(due, xr, 2, StoreF64(2.5))], vec![])
+        );
+
+        // A fence publishes the owner's stores in program order at the
+        // fence tick and wakes with (now, warp + 1).
+        lane!(2, 200).store_f64(x, 3, 3.5);
+        lane!(2, 201).store_flag(g, 1, true);
+        dev.fence_drain(2, 2, 205);
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (
+                vec![(205, xr, 3, StoreF64(3.5)), (205, gr, 1, StoreFlag(true))],
+                vec![(9, 200, 3), (9, 201, 3), (9, 205, 3), (9, 205, 3)],
+            )
+        );
+
+        // A capacity eviction publishes the oldest store at the evicting
+        // store's tick and wakes with (now, warp + 1), like the new store.
+        for i in 0..=STORE_BUFFER_CAP {
+            lane!(3, 300 + i as u64).store_f64(x, 4 + i, 4.0 + i as f64);
+        }
+        let cap = STORE_BUFFER_CAP as u64;
+        let mut wakes: Vec<SpinWake> = (0..cap).map(|i| (9, 300 + i, 4)).collect();
+        wakes.extend([(9, 300 + cap, 4), (9, 300 + cap, 4)]);
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (vec![(300 + cap, xr, 4, StoreF64(4.0))], wakes)
+        );
+
+        // An atomic on a buffered word first drains it at the atomic's tick
+        // (no wake), then commits like any SC write.
+        lane!(4, 400).store_f64(x, 13, 13.5);
+        assert_eq!(lane!(5, 405).atomic_add_f64(x, 13, 0.5), 13.5);
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (
+                vec![(405, xr, 13, StoreF64(13.5)), (405, xr, 13, AddF64(0.5))],
+                vec![(9, 400, 5), (9, 405, 6)],
+            )
+        );
+
+        // A link event syncs the word like an atomic, is not published
+        // itself, and wakes with (tick, 0).
+        lane!(6, 500).store_f64(x, 14, 14.5);
+        dev.ext_apply(&ExtEvent {
+            tick: 505,
+            buf: xr,
+            idx: 14,
+            op: StoreF64(-1.0),
+        });
+        assert_eq!(
+            take_writes(&mut dev, &watched),
+            (
+                vec![(505, xr, 14, StoreF64(14.5))],
+                vec![(9, 500, 7), (9, 505, 0)],
+            )
+        );
+
+        // The launch-end flush publishes what is left, in program order, at
+        // the flush tick and wakes nobody; the unwatched store is silent.
+        lane!(7, 510).store_f64(y, 1, 8.0);
+        assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![(9, 510, 8)]));
+        let (stale, drained) = dev.finish_relaxed(600);
+        assert_eq!((stale, drained), (0, 15));
+        let flushed: Vec<_> = (5..=12).map(|i| (600, xr, i, StoreF64(i as f64))).collect();
+        assert_eq!(take_writes(&mut dev, &watched), (flushed, vec![]));
+
+        // A link event outside the relaxed model: unpublished, (tick, 0).
+        dev.ext_apply(&ExtEvent {
+            tick: 700,
+            buf: cr,
+            idx: 1,
+            op: SubU32(1),
+        });
+        assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![(9, 700, 0)]));
+        assert_eq!(dev.read_f64(x)[..4], [1.5, 0.25, 2.5, 3.5]);
+        assert_eq!(dev.read_f64(x)[12..], [12.0, 14.0, -1.0, 0.0]);
+        assert_eq!(dev.read_flags(g), &[1, 1, 0, 0]);
+        assert_eq!(dev.read_u32(c), &[3, 4]);
+        assert_eq!(dev.read_f64(y), &[7.0, 8.0]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! exactly by running them in shard order:
 //!
 //! 1. A producer shard runs with a publication watch armed on its boundary
-//!    buffers ([`crate::mem::DeviceMemory::set_watch`]), capturing the tick
-//!    at which each boundary `x` value / completion flag / atomic delta
-//!    became DRAM-visible.
+//!    buffers ([`crate::mem::DeviceMemory::set_watch`]), capturing each
+//!    boundary `x` value / completion flag / atomic delta as a
+//!    [`crate::ExtEvent`] stamped with the tick it became DRAM-visible.
 //! 2. Each captured publication a downstream shard imports is pushed
 //!    through the directed [`Link`] between the two devices, yielding its
 //!    arrival tick on the consumer (latency floor + bandwidth token
@@ -32,7 +32,6 @@
 //! the cross-device waiter graph the tests pin.
 
 use crate::error::{SimtError, WarpSnapshot};
-use crate::metrics::LaunchStats;
 
 /// Maximum number of devices a sharded solve may span.
 pub const MAX_DEVICES: usize = 8;
@@ -127,18 +126,6 @@ impl Link {
     pub fn total_bytes(&self) -> u64 {
         self.bytes
     }
-}
-
-/// Outcome of one shard's launch sequence in a multi-device solve. The
-/// coordinator keeps running downstream shards after a failure (their
-/// missing boundary inputs make the failure mode visible there too), then
-/// merges everything into one error.
-#[derive(Debug)]
-pub enum DeviceOutcome {
-    /// The shard ran to completion with these accumulated stats.
-    Done(LaunchStats),
-    /// The shard failed (deadlock, timeout, race, launch error).
-    Failed(SimtError),
 }
 
 /// Fuses per-device failures into one structured error with a cross-device

@@ -1,5 +1,5 @@
 //! Compressed sparse column (CSC) format. Liu et al.'s synchronization-free
-//! SpTRSV [20] operates on CSC; the CSR→CSC transpose is its preprocessing
+//! SpTRSV \[20\] operates on CSC; the CSR→CSC transpose is its preprocessing
 //! cost (paper §2.3 and Table 1).
 
 use crate::csr::CsrMatrix;

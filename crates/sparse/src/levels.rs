@@ -1,7 +1,7 @@
 //! Level-set analysis (paper §2.2): partition the components of `x` into
 //! levels such that every component's dependencies live in strictly earlier
 //! levels. This is the preprocessing step of the classic Level-Set SpTRSV
-//! (Anderson & Saad [1], Saltz [35]) and the source of the `n_level`
+//! (Anderson & Saad \[1\], Saltz \[35\]) and the source of the `n_level`
 //! statistic in the parallel-granularity indicator (Eq. 1).
 
 use std::cell::Cell;

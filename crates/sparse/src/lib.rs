@@ -33,7 +33,6 @@ pub mod levels;
 pub mod linalg;
 pub mod partition;
 pub mod permute;
-pub mod rhs;
 pub mod schedule;
 pub mod stats;
 pub mod triangular;
@@ -45,7 +44,6 @@ pub use error::SparseError;
 pub use fingerprint::{fingerprint, fingerprint_csr, Fingerprinter};
 pub use levels::LevelSets;
 pub use partition::{GhostShard, RowPartition};
-pub use rhs::RhsBlock;
 pub use schedule::{Schedule, ScheduleParams, ScheduleStats, UnitKind};
 pub use stats::{parallel_granularity, GranularityParams, MatrixStats};
 pub use triangular::{solve_serial_upper, LowerTriangularCsr, UpperTriangularCsr};
@@ -59,7 +57,6 @@ pub mod prelude {
     pub use crate::levels::LevelSets;
     pub use crate::linalg;
     pub use crate::permute;
-    pub use crate::rhs::RhsBlock;
     pub use crate::schedule::{Schedule, ScheduleParams, ScheduleStats, UnitKind};
     pub use crate::stats::{parallel_granularity, MatrixStats};
     pub use crate::{

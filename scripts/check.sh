@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy benches + examples (deny warnings)"
 cargo clippy --workspace --benches --examples -- -D warnings
 
+# Broken intra-doc links (a dangling link to a removed item, a paper
+# citation parsed as a link, a public doc linking a private item) fail here.
+echo "==> rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

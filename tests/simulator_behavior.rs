@@ -514,31 +514,80 @@ fn zero_rhs_batch_is_an_empty_success_on_every_live_algorithm() {
     }
 }
 
+/// Runs `f` on a thread of its own and fails if it does not answer within
+/// `secs` seconds, so a hang fails the test instead of stalling the suite.
+/// A panic inside `f` is re-raised here with its own message.
+fn within_secs<T: Send + 'static>(
+    secs: u64,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+    });
+    let answer = rx
+        .recv_timeout(std::time::Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what}: no answer within {secs} s"));
+    worker.join().expect("the worker catches its own panic");
+    answer.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 #[test]
 fn a_device_with_no_warp_slots_is_a_config_error() {
     // Regression: with no SM, or no warp slot per SM, the residency fill
     // placed no warp and the empty schedule counted as a finished launch,
-    // so solves "succeeded" with x = 0 and no instruction issued. Every
-    // live algorithm must refuse such a device with a structured error.
+    // so solves "succeeded" with x = 0 and no instruction issued. A warp
+    // size of 0 divided by zero in the warp-count helpers, and Hybrid's
+    // task planner never advanced. Every live algorithm, and the naive
+    // kernel wrapper, must refuse such a device with a structured error.
     let l = gen::powerlaw(64, 2.6, 7);
     let b = vec![1.0; l.n()];
     let mut no_sms = DeviceConfig::toy();
     no_sms.sm_count = 0;
     let mut no_slots = DeviceConfig::toy();
     no_slots.max_warps_per_sm = 0;
-    for (what, cfg) in [("sm_count = 0", no_sms), ("max_warps_per_sm = 0", no_slots)] {
+    let mut no_lanes = DeviceConfig::toy();
+    no_lanes.warp_size = 0;
+    let mut too_wide = DeviceConfig::toy();
+    too_wide.warp_size = 65;
+    let cases = [
+        ("sm_count = 0", no_sms, "no warp slots"),
+        ("max_warps_per_sm = 0", no_slots, "no warp slots"),
+        (
+            "warp_size = 0",
+            no_lanes,
+            "warp size must be 1 to 64 lanes (got 0)",
+        ),
+        (
+            "warp_size = 65",
+            too_wide,
+            "warp size must be 1 to 64 lanes (got 65)",
+        ),
+    ];
+    for (what, cfg, expected) in cases {
+        let check = |what: &str, got: Result<(), SimtError>| match got {
+            Err(SimtError::Config(msg)) => assert!(msg.contains(expected), "{what}: {msg}"),
+            other => panic!("{what}: expected a Config error, got {other:?}"),
+        };
         for algo in Algorithm::all_live() {
-            match solve_simulated(&cfg, &l, &b, algo) {
-                Err(SimtError::Config(msg)) => assert!(
-                    msg.contains("warp slots"),
-                    "{what}, {}: {msg}",
-                    algo.label()
-                ),
-                other => panic!(
-                    "{what}, {}: expected a Config error, got {other:?}",
-                    algo.label()
-                ),
-            }
+            let what = format!("{what}, {}", algo.label());
+            let (cfg, l, b) = (cfg.clone(), l.clone(), b.clone());
+            check(
+                &what,
+                within_secs(60, &what, move || {
+                    solve_simulated(&cfg, &l, &b, algo).map(|_| ())
+                }),
+            );
         }
+        let what = format!("{what}, naive");
+        let (l, b) = (l.clone(), b.clone());
+        check(
+            &what,
+            within_secs(60, &what, move || {
+                let mut dev = capellini_sptrsv::simt::GpuDevice::new(cfg);
+                naive::solve(&mut dev, &l, &b).map(|_| ())
+            }),
+        );
     }
 }
