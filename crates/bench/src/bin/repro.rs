@@ -1,28 +1,28 @@
 //! `repro` — regenerates the paper's tables and figures.
 //!
 //! ```text
-//! repro <experiment> [--scale small|medium|full] [--limit N] [--threads N]
+//! repro <experiment>... [--scale small|medium|full] [--limit N] [--threads N]
 //! experiments: table1 table2 table3 table4 table5 table6
 //!              fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8
-//!              ablation batch csc hybrid deadlock racecheck profile
-//!              sweep-timing shard-scaling locality schedule serve-load all
+//!              ablation csc hybrid deadlock racecheck profile
+//!              shard-scaling locality schedule all
 //! ```
+//!
+//! Every name and `--` token is checked before anything runs: an unknown
+//! one is a usage error (exit 2), so a misspelled experiment cannot "pass"
+//! having run nothing.
 //!
 //! Sweep results are cached as CSV under `results/` (override with
 //! `CAPELLINI_RESULTS_DIR`), so re-running a table reuses the expensive run.
 //!
 //! `--threads N` (or `CAPELLINI_THREADS=N`) runs sweeps on N worker
 //! threads; the cached CSVs are byte-identical to a serial sweep, only the
-//! wall-clock changes. `sweep-timing` measures that speedup and writes
-//! `results/sweep_timing.json`. `shard-scaling` runs the sharded
+//! wall-clock changes. `shard-scaling` runs the sharded
 //! multi-device solve at 1..8 simulated devices over both interconnect
 //! classes (verifying bit-exactness against the single-device oracle) and
 //! writes `results/shard_scaling.json`. `locality` arms the finite L1/L2 cache
 //! model and trades row orderings (RCM-like, level-coalesced) and multi-RHS
-//! tilings against hit rates, writing `results/locality.json`. `serve-load`
-//! drives the multi-tenant
-//! serving layer with an open-loop load generator and writes
-//! `results/serve_load.json`.
+//! tilings against hit rates, writing `results/locality.json`.
 
 use std::fs;
 use std::time::Instant;
@@ -30,6 +30,33 @@ use std::time::Instant;
 use capellini_bench::experiments as exp;
 use capellini_bench::runner::{self, results_dir};
 use capellini_sparse::dataset::Scale;
+
+/// Every experiment name `repro` accepts, besides `all`.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablation",
+    "csc",
+    "hybrid",
+    "deadlock",
+    "racecheck",
+    "profile",
+    "shard-scaling",
+    "locality",
+    "schedule",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,14 +97,26 @@ fn main() {
                     });
                 runner::set_default_threads(threads);
             }
-            other => which.push(other.to_string()),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag}");
+                std::process::exit(2);
+            }
+            name => which.push(name.to_string()),
         }
         i += 1;
     }
     if which.is_empty() {
         eprintln!(
-            "usage: repro <table1|table2|table3|table4|table5|table6|fig1|..|fig8|ablation|batch|hybrid|deadlock|racecheck|profile|sweep-timing|shard-scaling|locality|schedule|serve-load|all> [--scale small|medium|full] [--limit N] [--threads N]"
+            "usage: repro <experiment>... [--scale small|medium|full] [--limit N] [--threads N]\nexperiments: {} all",
+            EXPERIMENTS.join(" ")
         );
+        std::process::exit(2);
+    }
+    if let Some(bad) = which
+        .iter()
+        .find(|w| *w != "all" && !EXPERIMENTS.contains(&w.as_str()))
+    {
+        eprintln!("unknown experiment: {bad}");
         std::process::exit(2);
     }
     if which.iter().any(|w| w == "all") {
@@ -96,7 +135,6 @@ fn main() {
             "ablation",
             "hybrid",
             "csc",
-            "batch",
             "table4",
             "table5",
             "fig4",
@@ -155,21 +193,15 @@ fn main() {
                 exp::fig8(suite.as_ref().unwrap())
             }
             "ablation" => exp::ablation(scale),
-            "batch" => exp::batch(scale),
             "csc" => exp::csc(scale),
             "hybrid" => exp::hybrid(scale),
-            "sweep-timing" => exp::sweep_timing(scale, limit),
             "shard-scaling" => exp::shard_scaling(scale, limit),
             "locality" => exp::locality(scale),
             "schedule" => exp::schedule(scale),
-            "serve-load" => exp::serve_load(scale),
             "deadlock" => exp::deadlock(),
             "racecheck" => exp::racecheck(),
             "profile" => exp::profile(scale),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                continue;
-            }
+            other => unreachable!("{other} was checked against EXPERIMENTS"),
         };
         println!("{text}");
         println!("==> {w} done in {:.1?}\n", t0.elapsed());

@@ -1008,212 +1008,6 @@ of {} cycles):
     )
 }
 
-// ------------------------------------------------ Amortized batched runs
-
-/// Supplementary: amortized batched solving. For each evaluation-trio
-/// algorithm, compares the wall-clock of (a) `k` cold single-RHS
-/// [`solve_simulated`] calls — a fresh device, upload, and analysis per
-/// solve, (b) `k` warm single-RHS solves on a cached
-/// [`capellini_core::SolverSession`], and (c) one warm batched
-/// `solve_multi` covering all `k` right-hand sides, asserting along the way
-/// that the batched block carries exactly the bits of the cold solves.
-/// Writes `results/batch.json` with every timing and speedup.
-pub fn batch(scale: Scale) -> String {
-    batch_over(&[dataset::wiki_talk_like(scale), dataset::cant_like(scale)])
-}
-
-/// [`batch`] over an explicit entry list (the unit tests substitute tiny
-/// matrices so the timing harness stays fast in debug builds).
-pub fn batch_over(entries: &[DatasetEntry]) -> String {
-    use crate::runner::results_dir;
-    use capellini_core::SolverSession;
-    use std::time::Instant;
-
-    const NRHS: usize = 8;
-    const ROUNDS: usize = 2;
-    let cfg = pascal();
-    let mut t = TextTable::new(&[
-        "matrix",
-        "algorithm",
-        "cold x8 (s)",
-        "warm x8 (s)",
-        "batched (s)",
-        "warm speedup",
-        "batched speedup",
-    ]);
-    let mut cases_json = String::new();
-    let mut best: f64 = 0.0;
-    for e in entries {
-        let l = e.build();
-        let n = l.n();
-        let mut bs = vec![0.0; n * NRHS];
-        let mut cols: Vec<Vec<f64>> = Vec::new();
-        for r in 0..NRHS {
-            let b: Vec<f64> = (0..n)
-                .map(|i| ((i * (2 * r + 3) + 5 * r + 1) % 23) as f64 - 11.0)
-                .collect();
-            for i in 0..n {
-                bs[i * NRHS + r] = b[i];
-            }
-            cols.push(b);
-        }
-        for algo in Algorithm::evaluation_trio() {
-            // (a) Cold: every right-hand side pays analysis, upload, and
-            // device construction again.
-            let t0 = Instant::now();
-            let mut cold = Vec::new();
-            for b in &cols {
-                cold.push(solve_simulated(&cfg, &l, b, algo).expect("cold solve"));
-            }
-            let cold_s = t0.elapsed().as_secs_f64();
-
-            // (b) Warm single solves on one session; the first solve builds
-            // the grid plan, so it is excluded from the steady-state timing.
-            let mut session = SolverSession::with_algorithm(&cfg, l.clone(), algo);
-            session.solve(&cols[0]).expect("warm-up solve");
-            let t1 = Instant::now();
-            for _ in 0..ROUNDS {
-                for b in &cols {
-                    session.solve(b).expect("warm solve");
-                }
-            }
-            let warm_s = t1.elapsed().as_secs_f64() / ROUNDS as f64;
-
-            // (c) Warm batched: one launch covers all k right-hand sides.
-            session
-                .solve_multi(&bs, NRHS)
-                .expect("warm-up batched solve");
-            let t2 = Instant::now();
-            let mut multi = None;
-            for _ in 0..ROUNDS {
-                multi = Some(session.solve_multi(&bs, NRHS).expect("batched solve"));
-            }
-            let batched_s = t2.elapsed().as_secs_f64() / ROUNDS as f64;
-            let multi = multi.expect("at least one batched round ran");
-
-            // The amortized paths must not trade away correctness: the
-            // batched block carries exactly the bits of the cold solves.
-            for (r, c) in cold.iter().enumerate() {
-                for i in 0..n {
-                    assert_eq!(
-                        multi.x[i * NRHS + r].to_bits(),
-                        c.x[i].to_bits(),
-                        "{}/{}: batched rhs {r} row {i} != cold solve",
-                        e.name,
-                        algo.label()
-                    );
-                }
-            }
-
-            let warm_speedup = safe_div(cold_s, warm_s);
-            let batched_speedup = safe_div(cold_s, batched_s);
-            best = best.max(batched_speedup);
-            t.row(vec![
-                e.name.clone(),
-                algo.label().to_string(),
-                fnum(cold_s, 3),
-                fnum(warm_s, 3),
-                fnum(batched_s, 3),
-                format!("{warm_speedup:.2}x"),
-                format!("{batched_speedup:.2}x"),
-            ]);
-            if !cases_json.is_empty() {
-                cases_json.push_str(",\n");
-            }
-            cases_json.push_str(&format!(
-                "    {{\n      \"matrix\": \"{}\",\n      \"algo\": \"{}\",\n      \"analysis_ms\": {:.6},\n      \"cold_single_s\": {cold_s:.6},\n      \"session_single_s\": {warm_s:.6},\n      \"session_batched_s\": {batched_s:.6},\n      \"speedup_session_single\": {warm_speedup:.3},\n      \"speedup_session_batched\": {batched_speedup:.3},\n      \"identical\": true\n    }}",
-                e.name,
-                algo.label(),
-                session.analysis_ms(),
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"nrhs\": {NRHS},\n  \"rounds\": {ROUNDS},\n  \"platform\": \"{}\",\n  \"cases\": [\n{cases_json}\n  ],\n  \"best_batched_speedup\": {best:.3},\n  \"identical\": true\n}}\n",
-        cfg.name
-    );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("batch.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("[batch] could not write {}: {e}", path.display());
-    }
-    format!(
-        "Amortized batched solving: cached SolverSession + multi-RHS kernels\n({NRHS} right-hand sides, Pascal-like platform; every batched block verified\nbit-identical to the {NRHS} cold single-RHS solves)\n\n{}\nbest batched speedup over cold single-RHS: {best:.2}x\n",
-        t.render()
-    )
-}
-
-// ------------------------------------------------- Parallel sweep timing
-
-/// Supplementary: wall-clock of the evaluation sweep run serially vs on the
-/// worker-pool runner, verifying the two produce identical cells. Writes
-/// `results/sweep_timing.json` with `{serial_s, parallel_s, threads,
-/// speedup}`. `limit` truncates the suite (0 = all of it).
-pub fn sweep_timing(scale: Scale, limit: usize) -> String {
-    use crate::runner::{results_dir, threads_from_env, Runner};
-    use std::time::Instant;
-
-    let all = dataset::suite(scale);
-    let take = if limit == 0 { all.len() } else { limit };
-    let entries: Vec<&DatasetEntry> = all.iter().take(take).collect();
-    let algos = Algorithm::evaluation_trio();
-    let plats = platforms();
-    // Use the configured thread count; if none was configured, pick
-    // something sensible for the demonstration.
-    let mut threads = threads_from_env();
-    if threads < 2 {
-        threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8);
-    }
-
-    eprintln!(
-        "[sweep-timing] serial pass over {} matrices...",
-        entries.len()
-    );
-    let t0 = Instant::now();
-    let serial = Runner {
-        threads: 1,
-        results_dir: results_dir(),
-    }
-    .sweep("sweep-timing(serial)", &entries, &algos, &plats);
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    eprintln!("[sweep-timing] parallel pass with {threads} threads...");
-    let t1 = Instant::now();
-    let parallel =
-        Runner::with_threads(threads).sweep("sweep-timing(parallel)", &entries, &algos, &plats);
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    assert_eq!(
-        serial, parallel,
-        "parallel sweep must reproduce the serial cells exactly"
-    );
-    let speedup = serial_s / parallel_s;
-
-    let json = format!(
-        "{{\n  \"serial_s\": {serial_s:.3},\n  \"parallel_s\": {parallel_s:.3},\n  \"threads\": {threads},\n  \"speedup\": {speedup:.3},\n  \"matrices\": {},\n  \"cells\": {},\n  \"identical\": true\n}}\n",
-        entries.len(),
-        serial.len(),
-    );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("sweep_timing.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("[sweep-timing] could not write {}: {e}", path.display());
-    }
-
-    format!(
-        "Parallel evaluation sweep: wall-clock comparison ({} matrices x {} algorithms x {} platforms)\n\n  serial:   {serial_s:>8.2} s\n  {threads} threads: {parallel_s:>7.2} s\n  speedup:  {speedup:>8.2}x\n  results:  identical ({} cells, bitwise)\n",
-        entries.len(),
-        algos.len(),
-        plats.len(),
-        serial.len(),
-    )
-}
-
 // ------------------------------------- Sharded multi-device scaling
 
 /// ROADMAP item 4: strong and weak scaling of the sharded multi-device
@@ -1699,303 +1493,6 @@ pub fn schedule(scale: Scale) -> String {
     )
 }
 
-// ------------------------------------------------- Serving load generator
-
-/// One (scenario, configuration) cell of the serving load study.
-struct ServeRun {
-    wall_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    solves_per_s: f64,
-    mean_batch: f64,
-    largest_batch: usize,
-    launches: u64,
-}
-
-/// One request of the generated open-loop workload: which matrix, which
-/// tenant, when it arrives (offset from the scenario epoch), and its rhs.
-struct ServeRequest {
-    matrix: usize,
-    tenant: usize,
-    offset: std::time::Duration,
-    b: Vec<f64>,
-}
-
-/// Fires `reqs` at the service open-loop (one thread per request, each
-/// sleeping until its scheduled arrival), checks every response bit-for-bit
-/// against `expected`, and folds latencies + per-response batch sizes into a
-/// [`ServeRun`]. Returns the run plus the number of bit mismatches (must be
-/// zero; the caller asserts so the failure message can name the cell).
-fn run_serve_scenario(
-    service: &capellini_core::SolverService,
-    handles: &[capellini_core::MatrixHandle],
-    reqs: &[ServeRequest],
-    expected: &[Vec<f64>],
-) -> (ServeRun, usize) {
-    use std::sync::Mutex;
-    use std::time::Instant;
-
-    let samples: Mutex<Vec<(f64, usize)>> = Mutex::new(Vec::with_capacity(reqs.len()));
-    let mismatches = Mutex::new(0usize);
-    let epoch = Instant::now();
-    std::thread::scope(|scope| {
-        for (r, req) in reqs.iter().enumerate() {
-            let samples = &samples;
-            let mismatches = &mismatches;
-            scope.spawn(move || {
-                let elapsed = epoch.elapsed();
-                if req.offset > elapsed {
-                    std::thread::sleep(req.offset - elapsed);
-                }
-                let t0 = Instant::now();
-                let resp = service
-                    .solve(
-                        &format!("tenant-{}", req.tenant),
-                        &handles[req.matrix],
-                        &req.b,
-                    )
-                    .expect("load generator stays under the queue depth bound");
-                let lat_ms = t0.elapsed().as_secs_f64() * 1e3;
-                let want = &expected[r];
-                let identical = resp.x.len() == want.len()
-                    && resp
-                        .x
-                        .iter()
-                        .zip(want)
-                        .all(|(a, e)| a.to_bits() == e.to_bits());
-                if !identical {
-                    *mismatches.lock().unwrap() += 1;
-                }
-                samples.lock().unwrap().push((lat_ms, resp.batch_size));
-            });
-        }
-    });
-    let wall_s = epoch.elapsed().as_secs_f64();
-
-    let samples = samples.into_inner().unwrap();
-    let mut lats: Vec<f64> = samples.iter().map(|&(l, _)| l).collect();
-    lats.sort_by(f64::total_cmp);
-    let percentile = |q: f64| -> f64 {
-        if lats.is_empty() {
-            return 0.0;
-        }
-        lats[((lats.len() - 1) as f64 * q).round() as usize]
-    };
-    // Each response reports the size of the launch that carried it, so a
-    // k-wide launch contributes k samples; summing 1/k recovers the launch
-    // count without resetting service metrics between phases.
-    let launches: f64 = samples.iter().map(|&(_, k)| 1.0 / k as f64).sum();
-    let run = ServeRun {
-        wall_s,
-        p50_ms: percentile(0.50),
-        p99_ms: percentile(0.99),
-        solves_per_s: safe_div(samples.len() as f64, wall_s),
-        mean_batch: safe_div(samples.len() as f64, launches),
-        largest_batch: samples.iter().map(|&(_, k)| k).max().unwrap_or(1),
-        launches: launches.round() as u64,
-    };
-    (run, mismatches.into_inner().unwrap())
-}
-
-/// Supplementary: the multi-tenant serving layer under open-loop load. A
-/// seeded workload (arrival schedule, matrix choice, tenant assignment,
-/// right-hand sides) drives [`capellini_core::SolverService`] in two
-/// scenarios — a saturating burst and paced exponential arrivals — each
-/// under a coalescing configuration and the `window = 0` uncoalesced
-/// baseline. Every response is verified bit-identical to fresh serial
-/// [`capellini_core::SolverSession`] solves before any number is reported.
-/// Writes `results/serve_load.json` with p50/p99 latency, solves/sec, and
-/// batch statistics per cell.
-pub fn serve_load(scale: Scale) -> String {
-    let entries: Vec<DatasetEntry> = dataset::suite(scale).into_iter().take(3).collect();
-    serve_load_over(&entries, 64, 6, true)
-}
-
-/// [`serve_load`] over an explicit population (tests and the `--quick`
-/// smoke substitute tiny matrices). `require_speedup` additionally asserts
-/// the acceptance bar — coalesced burst throughput strictly above the
-/// uncoalesced baseline — which only makes sense at realistic sizes.
-pub fn serve_load_over(
-    entries: &[DatasetEntry],
-    requests: usize,
-    tenants: usize,
-    require_speedup: bool,
-) -> String {
-    use crate::runner::results_dir;
-    use capellini_core::{MatrixHandle, ServiceConfig, SolverService, SolverSession};
-    use rand::{Rng, SeedableRng};
-    use std::time::Duration;
-
-    let cfg = pascal();
-    let handles: Vec<MatrixHandle> = entries
-        .iter()
-        .map(|e| MatrixHandle::new(e.build()))
-        .collect();
-
-    // The workload is fully seed-derived: matrix choice is hot-skewed (60%
-    // of arrivals hit matrix 0 so batches can form on it), tenants are
-    // uniform, and the rhs is a deterministic function of (matrix, request).
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5e57e);
-    let mut reqs: Vec<ServeRequest> = Vec::with_capacity(requests);
-    for r in 0..requests {
-        let matrix = if rng.gen_bool(0.6) {
-            0
-        } else {
-            rng.gen_range(0..handles.len())
-        };
-        let n = handles[matrix].matrix().n();
-        let b: Vec<f64> = (0..n)
-            .map(|i| ((i * (2 * matrix + 3) + 7 * r + 1) % 29) as f64 - 14.0)
-            .collect();
-        reqs.push(ServeRequest {
-            matrix,
-            tenant: rng.gen_range(0..tenants),
-            offset: Duration::ZERO,
-            b,
-        });
-    }
-    // Paced arrivals: exponential interarrival gaps (mean 3 ms) derived from
-    // the same seeded stream, accumulated into absolute offsets.
-    let mut paced_offsets: Vec<Duration> = Vec::with_capacity(requests);
-    let mut clock_s = 0.0f64;
-    for _ in 0..requests {
-        let u: f64 = rng.gen();
-        clock_s += -(1.0 - u).ln() * 3.0e-3;
-        paced_offsets.push(Duration::from_secs_f64(clock_s));
-    }
-
-    // Reference bits: a fresh serial session per matrix, one rhs at a time.
-    let mut expected: Vec<Vec<f64>> = vec![Vec::new(); requests];
-    for (mi, handle) in handles.iter().enumerate() {
-        let mut session = SolverSession::new(&cfg, handle.matrix().clone());
-        for (r, req) in reqs.iter().enumerate() {
-            if req.matrix == mi {
-                expected[r] = session.solve(&req.b).expect("reference solve").x;
-            }
-        }
-    }
-
-    let coalesced_cfg = || {
-        ServiceConfig::new(cfg.clone())
-            .with_coalesce_window(Duration::from_millis(3))
-            .with_max_batch(8)
-    };
-    let uncoalesced_cfg = || ServiceConfig::new(cfg.clone()).with_coalesce_window(Duration::ZERO);
-
-    let mut t = TextTable::new(&[
-        "scenario",
-        "config",
-        "wall (s)",
-        "p50 (ms)",
-        "p99 (ms)",
-        "solves/s",
-        "mean batch",
-        "largest",
-    ]);
-    let mut scen_json = String::new();
-    let mut burst_ratio = 0.0f64;
-    let mut burst_mean_batch = 0.0f64;
-    for (scen, paced) in [("burst", false), ("paced", true)] {
-        if paced {
-            for (req, off) in reqs.iter_mut().zip(&paced_offsets) {
-                req.offset = *off;
-            }
-        }
-        let mut cell_json = String::new();
-        let mut cells: Vec<ServeRun> = Vec::new();
-        for (config, svc_cfg) in [
-            ("coalesced", coalesced_cfg()),
-            ("uncoalesced", uncoalesced_cfg()),
-        ] {
-            let service = SolverService::new(svc_cfg);
-            let (run, mismatches) = run_serve_scenario(&service, &handles, &reqs, &expected);
-            assert_eq!(
-                mismatches, 0,
-                "{scen}/{config}: service responses must be bit-identical to serial sessions"
-            );
-            let m = service.metrics();
-            assert_eq!(m.rejects, 0, "{scen}/{config}: depth bound must not reject");
-            let tenant_solves: u64 = service
-                .all_tenant_metrics()
-                .iter()
-                .map(|(_, tm)| tm.solves)
-                .sum();
-            assert_eq!(
-                tenant_solves as usize,
-                reqs.len(),
-                "{scen}/{config}: per-tenant accounting must cover every request"
-            );
-            t.row(vec![
-                scen.to_string(),
-                config.to_string(),
-                fnum(run.wall_s, 3),
-                fnum(run.p50_ms, 2),
-                fnum(run.p99_ms, 2),
-                fnum(run.solves_per_s, 1),
-                format!("{:.2}", run.mean_batch),
-                run.largest_batch.to_string(),
-            ]);
-            if !cell_json.is_empty() {
-                cell_json.push_str(",\n");
-            }
-            cell_json.push_str(&format!(
-                "        \"{config}\": {{\n          \"wall_s\": {:.4},\n          \"p50_ms\": {:.3},\n          \"p99_ms\": {:.3},\n          \"solves_per_s\": {:.2},\n          \"mean_batch\": {:.3},\n          \"largest_batch\": {},\n          \"launches\": {}\n        }}",
-                run.wall_s,
-                run.p50_ms,
-                run.p99_ms,
-                run.solves_per_s,
-                run.mean_batch,
-                run.largest_batch,
-                run.launches,
-            ));
-            cells.push(run);
-        }
-        let ratio = safe_div(cells[0].solves_per_s, cells[1].solves_per_s);
-        if scen == "burst" {
-            burst_ratio = ratio;
-            burst_mean_batch = cells[0].mean_batch;
-        }
-        if !scen_json.is_empty() {
-            scen_json.push_str(",\n");
-        }
-        scen_json.push_str(&format!(
-            "    {{\n      \"scenario\": \"{scen}\",\n      \"configs\": {{\n{cell_json}\n      }},\n      \"throughput_ratio\": {ratio:.3},\n      \"identical\": true\n    }}"
-        ));
-    }
-
-    // Acceptance: the saturating burst must actually coalesce, and (at
-    // realistic sizes) coalescing must buy throughput over the window-0
-    // baseline.
-    assert!(
-        burst_mean_batch > 1.0,
-        "the saturating burst must coalesce (mean batch {burst_mean_batch:.2})"
-    );
-    if require_speedup {
-        assert!(
-            burst_ratio > 1.0,
-            "coalesced burst throughput must beat the uncoalesced baseline (ratio {burst_ratio:.2})"
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"requests\": {requests},\n  \"tenants\": {tenants},\n  \"matrices\": {},\n  \"platform\": \"{}\",\n  \"coalesce_window_ms\": 3,\n  \"max_batch\": 8,\n  \"scenarios\": [\n{scen_json}\n  ],\n  \"burst_throughput_ratio\": {burst_ratio:.3},\n  \"burst_mean_batch\": {burst_mean_batch:.3},\n  \"identical\": true\n}}\n",
-        handles.len(),
-        cfg.name
-    );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join("serve_load.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("[serve-load] could not write {}: {e}", path.display());
-    }
-
-    format!(
-        "Multi-tenant serving under open-loop load ({requests} requests, {tenants} tenants,\n{} matrices, Pascal-like platform; every response verified bit-identical to\nfresh serial SolverSession solves)\n\n{}\nburst mean coalesced batch: {burst_mean_batch:.2} rhs/launch\nburst throughput, coalesced vs uncoalesced: {burst_ratio:.2}x\n",
-        handles.len(),
-        t.render()
-    )
-}
-
 // ---------------------------------------------------------------- Deadlock
 
 /// §3.3 Challenge 1: the naive thread-level busy-wait deadlocks under
@@ -2314,62 +1811,6 @@ mod tests {
                 assert!(json.contains("\"ph\":\"C\""));
             }
         }
-        std::env::remove_var("CAPELLINI_RESULTS_DIR");
-    }
-
-    #[test]
-    fn batch_verifies_bit_identity_and_records_json() {
-        let _guard = isolated_results_dir("batch");
-        let s = batch_over(&[DatasetEntry {
-            name: "tiny-graph".into(),
-            spec: GenSpec::PowerLaw {
-                n: 400,
-                avg_deg: 2.6,
-            },
-            seed: 2394,
-        }]);
-        assert!(s.contains("bit-identical"), "{s}");
-        assert!(s.contains("best batched speedup"), "{s}");
-        let json =
-            std::fs::read_to_string(crate::runner::results_dir().join("batch.json")).unwrap();
-        assert!(json.contains("\"nrhs\": 8"), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
-        assert!(json.contains("\"speedup_session_batched\""), "{json}");
-        std::env::remove_var("CAPELLINI_RESULTS_DIR");
-    }
-
-    #[test]
-    fn serve_load_verifies_bit_identity_and_records_json() {
-        let _guard = isolated_results_dir("serve-load");
-        let s = serve_load_over(
-            &[
-                DatasetEntry {
-                    name: "tiny-graph".into(),
-                    spec: GenSpec::PowerLaw {
-                        n: 400,
-                        avg_deg: 2.6,
-                    },
-                    seed: 2395,
-                },
-                DatasetEntry {
-                    name: "tiny-band".into(),
-                    spec: GenSpec::DenseBand { n: 220, band: 12 },
-                    seed: 2396,
-                },
-            ],
-            24,
-            4,
-            false,
-        );
-        assert!(s.contains("bit-identical"), "{s}");
-        assert!(s.contains("burst mean coalesced batch"), "{s}");
-        let json =
-            std::fs::read_to_string(crate::runner::results_dir().join("serve_load.json")).unwrap();
-        assert!(json.contains("\"requests\": 24"), "{json}");
-        assert!(json.contains("\"scenario\": \"burst\""), "{json}");
-        assert!(json.contains("\"scenario\": \"paced\""), "{json}");
-        assert!(json.contains("\"identical\": true"), "{json}");
-        assert!(json.contains("\"burst_throughput_ratio\""), "{json}");
         std::env::remove_var("CAPELLINI_RESULTS_DIR");
     }
 

@@ -1,8 +1,9 @@
 //! # capellini-bench
 //!
 //! The evaluation harness: regenerates every table and figure of the paper
-//! (see DESIGN.md §3 for the experiment index). The `repro` binary drives
-//! the experiments; Criterion benchmarks live under `benches/`.
+//! plus the simulated supplementary studies (see DESIGN.md §3 for the
+//! experiment index). The `repro` binary drives the experiments. Host
+//! wall-clock is measured by `perfbench/`, not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -192,7 +192,7 @@ pub fn set_default_threads(threads: usize) {
 
 /// Resolves the sweep thread count: `CAPELLINI_THREADS` env var, then
 /// [`set_default_threads`], then 1 (serial).
-pub fn threads_from_env() -> usize {
+fn threads_from_env() -> usize {
     std::env::var("CAPELLINI_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -221,14 +221,6 @@ impl Runner {
     pub fn from_env() -> Self {
         Runner {
             threads: threads_from_env(),
-            results_dir: results_dir(),
-        }
-    }
-
-    /// A runner with an explicit thread count and the env results dir.
-    pub fn with_threads(threads: usize) -> Self {
-        Runner {
-            threads: threads.max(1),
             results_dir: results_dir(),
         }
     }

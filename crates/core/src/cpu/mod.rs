@@ -1,6 +1,6 @@
 //! Native multithreaded CPU solvers — the real-hardware counterparts of the
-//! GPU kernels, used by the Criterion benchmarks (`cpu_solvers`) and as an
-//! independent correctness oracle. The thread-level busy-wait solver is the
+//! GPU kernels, used by `Solver::solve_cpu` and as an independent
+//! correctness oracle. The thread-level busy-wait solver is the
 //! CPU analog of CapelliniSpTRSV: self-scheduled rows, release/acquire
 //! completion flags, no barriers.
 

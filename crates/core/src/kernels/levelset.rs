@@ -11,6 +11,7 @@ use capellini_simt::{
 use capellini_sparse::{LevelSets, LowerTriangularCsr};
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
+use crate::kernels::writing_first::warps_for;
 use crate::kernels::{run_on_fresh_device, SimSolve};
 
 const P_LD_ORDER: Pc = 0;
@@ -206,7 +207,7 @@ pub fn launch_with_uploaded_levels(
             level_lo: lo,
             count,
         };
-        let stats = dev.launch(&kernel, count.div_ceil(ws.max(1)))?;
+        let stats = dev.launch(&kernel, warps_for(count, ws))?;
         total.accumulate(&stats);
     }
     Ok(total)

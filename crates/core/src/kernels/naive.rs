@@ -17,6 +17,7 @@ use capellini_simt::{Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, War
 use capellini_sparse::LowerTriangularCsr;
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
+use crate::kernels::writing_first::warps_for;
 use crate::kernels::{run_on_fresh_device, SimSolve};
 
 const P_LD_BEGIN: Pc = 0;
@@ -208,7 +209,7 @@ pub fn launch(
     m: DeviceCsr,
     sb: SolveBuffers,
 ) -> Result<LaunchStats, SimtError> {
-    let n_warps = m.n.div_ceil(dev.config().warp_size.max(1));
+    let n_warps = warps_for(m.n, dev.config().warp_size);
     dev.launch(&NaiveThreadKernel::new(m, sb), n_warps)
 }
 

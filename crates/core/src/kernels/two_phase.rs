@@ -13,6 +13,7 @@ use capellini_simt::{Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, War
 use capellini_sparse::LowerTriangularCsr;
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
+use crate::kernels::writing_first::warps_for;
 use crate::kernels::{run_on_fresh_device, SimSolve};
 
 const P_LD_BEGIN: Pc = 0;
@@ -323,7 +324,7 @@ pub fn launch(
     sb: SolveBuffers,
 ) -> Result<LaunchStats, SimtError> {
     let ws = dev.config().warp_size;
-    let n_warps = m.n.div_ceil(ws.max(1));
+    let n_warps = warps_for(m.n, ws);
     dev.launch(&TwoPhaseKernel::new(m, sb, ws), n_warps)
 }
 

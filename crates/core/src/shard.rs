@@ -68,7 +68,7 @@ use crate::kernels::scheduled::{DeviceSchedule, ScheduledKernel};
 use crate::kernels::syncfree::SyncFreeKernel;
 use crate::kernels::syncfree_csc::{self, SyncFreeCscKernel};
 use crate::kernels::two_phase::TwoPhaseKernel;
-use crate::kernels::writing_first::WritingFirstKernel;
+use crate::kernels::writing_first::{warps_for, WritingFirstKernel};
 use crate::select::Algorithm;
 
 /// Payload bytes per boundary message: the 8-byte value plus the row index
@@ -448,17 +448,17 @@ fn solve_row_kernels(
         let res = match algorithm {
             Algorithm::CapelliniWritingFirst => dev.launch_with_events(
                 &ShardView::new(WritingFirstKernel::new(m, sb), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
+                warps_for((r1 - r0) as usize, ws),
                 &events,
             ),
             Algorithm::CapelliniTwoPhase => dev.launch_with_events(
                 &ShardView::new(TwoPhaseKernel::new(m, sb, ws), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
+                warps_for((r1 - r0) as usize, ws),
                 &events,
             ),
             Algorithm::NaiveThread => dev.launch_with_events(
                 &ShardView::new(NaiveThreadKernel::new(m, sb), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
+                warps_for((r1 - r0) as usize, ws),
                 &events,
             ),
             Algorithm::SyncFree => dev.launch_with_events(
@@ -718,7 +718,7 @@ fn solve_levelset(
                 continue;
             }
             let kernel = LevelSolveKernel::new(m, sb.b, sb.x, order, lo, count);
-            match dev.launch(&kernel, count.div_ceil(ws)) {
+            match dev.launch(&kernel, warps_for(count, ws)) {
                 Ok(stats) => {
                     lvl_cycles[lvl][d] = stats.cycles;
                     total.accumulate(&stats);

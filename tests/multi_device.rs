@@ -14,7 +14,7 @@ use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::{SimtError, MAX_DEVICES};
 use capellini_sptrsv::sparse::{gen, paper_example};
 
-const DEVICE_COUNTS: [usize; 2] = [2, 3];
+const DEVICE_COUNTS: [usize; 3] = [1, 2, 3];
 
 fn base_cfg() -> DeviceConfig {
     DeviceConfig::pascal_like().scaled_down(4)
@@ -22,13 +22,15 @@ fn base_cfg() -> DeviceConfig {
 
 /// Matrices whose dependency structure crosses any contiguous row cut: a
 /// serial chain (every boundary row imports), a random DAG, a banded
-/// matrix (bursts of boundary traffic), and the paper's 8×8 example.
+/// matrix (bursts of boundary traffic), and the paper's 8×8 example; plus
+/// a diagonal matrix, whose cuts import nothing.
 fn matrices() -> Vec<(&'static str, LowerTriangularCsr)> {
     vec![
         ("paper8", paper_example()),
         ("chain192", gen::chain(192, 1, 3)),
         ("randomk", gen::random_k(400, 4, 200, 11)),
         ("banded", gen::banded(300, 5, 0.6, 7)),
+        ("diagonal200", gen::diagonal(200)),
     ]
 }
 
@@ -39,7 +41,8 @@ fn rhs(l: &LowerTriangularCsr) -> Vec<f64> {
 
 /// Compares a sharded solve against the single-device oracle for one
 /// (algorithm, matrix, config) cell at every device count. CSR-ordered
-/// kernels must match bit-for-bit; the CSC kernel to 1e-10.
+/// kernels must match bit-for-bit; the CSC kernel to 1e-10. The links
+/// carry messages exactly when some shard imports a row.
 fn diff_one(algo: Algorithm, mname: &str, l: &LowerTriangularCsr, cfg: &DeviceConfig) {
     let b = rhs(l);
     let oracle = solve_simulated(cfg, l, &b, algo)
@@ -48,6 +51,14 @@ fn diff_one(algo: Algorithm, mname: &str, l: &LowerTriangularCsr, cfg: &DeviceCo
         let report = solve_sharded(cfg, l, &b, algo, &ShardConfig::pcie(nd))
             .unwrap_or_else(|e| panic!("{} sharded x{nd} on {mname}: {e}", algo.label()));
         assert_eq!(report.partition.devices(), nd);
+        let imports = (0..nd).any(|d| !report.partition.imports(d).is_empty());
+        assert_eq!(
+            report.link_messages > 0,
+            imports,
+            "{} x{nd} on {mname}: {} link messages, rows imported: {imports}",
+            algo.label(),
+            report.link_messages
+        );
         if algo == Algorithm::SyncFreeCsc {
             linalg::assert_solutions_close(&report.x, &oracle.x, 1e-10);
         } else {

@@ -131,6 +131,27 @@ fn writing_first_beats_two_phase() {
 }
 
 #[test]
+fn scheduled_beats_syncfree_on_a_deep_chain() {
+    // The scheduled kernel's reason to exist: on a deep serial chain,
+    // coarsened work units cut simulated cycles against SyncFree's
+    // warp-per-row spinning. With one off-diagonal per row SyncFree's tree
+    // reduction collapses to CSR order, so the two agree bit-for-bit.
+    let l = gen::chain(600, 1, 70);
+    let b: Vec<f64> = (0..l.n()).map(|i| (i % 13) as f64 - 6.0).collect();
+    let cfg = scaled(DeviceConfig::pascal_like());
+    let sched = solve_simulated(&cfg, &l, &b, Algorithm::Scheduled).unwrap();
+    let sf = solve_simulated(&cfg, &l, &b, Algorithm::SyncFree).unwrap();
+    assert!(
+        sched.stats.cycles < sf.stats.cycles,
+        "scheduled {} cycles vs syncfree {}",
+        sched.stats.cycles,
+        sf.stats.cycles
+    );
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&sched.x), bits(&sf.x));
+}
+
+#[test]
 fn preprocessing_ordering_is_stable_across_matrices() {
     // Table 1 / Table 2: none < low < low(x2) < high, for every matrix.
     let cfg = scaled(DeviceConfig::volta_like());
@@ -538,9 +559,11 @@ fn a_device_with_no_warp_slots_is_a_config_error() {
     // Regression: with no SM, or no warp slot per SM, the residency fill
     // placed no warp and the empty schedule counted as a finished launch,
     // so solves "succeeded" with x = 0 and no instruction issued. A warp
-    // size of 0 divided by zero in the warp-count helpers, and Hybrid's
-    // task planner never advanced. Every live algorithm, and the naive
-    // kernel wrapper, must refuse such a device with a structured error.
+    // size of 0 divided by zero in the warp-count helpers (the sharded
+    // launches too), and Hybrid's task planner never advanced. Every live
+    // algorithm, and the naive kernel wrapper, must refuse such a device
+    // with a structured error; so must every sharded entry point, for the
+    // live algorithms and Naive.
     let l = gen::powerlaw(64, 2.6, 7);
     let b = vec![1.0; l.n()];
     let mut no_sms = DeviceConfig::toy();
@@ -580,6 +603,19 @@ fn a_device_with_no_warp_slots_is_a_config_error() {
                 }),
             );
         }
+        for algo in Algorithm::all_live()
+            .into_iter()
+            .chain([Algorithm::NaiveThread])
+        {
+            for (entry, solve) in sharded_entry_points() {
+                let what = format!("{what}, {}, {entry}", algo.label());
+                let (cfg, l, b) = (cfg.clone(), l.clone(), b.clone());
+                check(
+                    &what,
+                    within_secs(60, &what, move || solve(&cfg, &l, &b, algo)),
+                );
+            }
+        }
         let what = format!("{what}, naive");
         let (l, b) = (l.clone(), b.clone());
         check(
@@ -590,4 +626,21 @@ fn a_device_with_no_warp_slots_is_a_config_error() {
             }),
         );
     }
+}
+
+type ShardedEntry =
+    fn(&DeviceConfig, &LowerTriangularCsr, &[f64], Algorithm) -> Result<(), SimtError>;
+
+/// The two sharded solve entry points, each at `pcie(2)`.
+fn sharded_entry_points() -> [(&'static str, ShardedEntry); 2] {
+    [
+        ("solve_sharded", |cfg, l, b, algo| {
+            solve_sharded(cfg, l, b, algo, &ShardConfig::pcie(2)).map(|_| ())
+        }),
+        ("SolverSession::solve_sharded", |cfg, l, b, algo| {
+            SolverSession::with_algorithm(cfg, l.clone(), algo)
+                .solve_sharded(b, &ShardConfig::pcie(2))
+                .map(|_| ())
+        }),
+    ]
 }
