@@ -27,7 +27,7 @@ use crate::kernel::{Pc, WarpKernel, PC_EXIT};
 use crate::mem::{
     AccessKind, CacheHit, DeviceMemory, ExtEvent, LaneMem, RawAccess, SpinRec, SECTOR_BYTES,
 };
-use crate::metrics::{sat_add, LaunchStats};
+use crate::metrics::{sat_add, EngineCounters, LaunchStats};
 use crate::profile::{Profile, Profiler, StallReason};
 use crate::trace::{Trace, TraceEvent};
 
@@ -194,9 +194,8 @@ struct Launch {
 
     // Scheduling.
     queue: Queue,
-    /// Heap events popped, superseded ones included (see
-    /// [`GpuDevice::last_launch_heap_events`]).
-    heap_events: u64,
+    /// Host-work counters (see [`GpuDevice::last_launch_counters`]).
+    counters: EngineCounters,
     /// Resident warps per SM.
     resident: Vec<usize>,
     /// Per SM: the first tick its issue slot is free...
@@ -220,7 +219,6 @@ struct Launch {
     // Spin fast-forwarding (see `SpinFf`).
     spin: Vec<SpinState>,
     n_parked: usize,
-    sm_parked: Vec<Vec<u32>>,
     /// Per-SM min-heap of `(next_tick, warp)` keys for parked warps, so
     /// `ff_advance` selects its next virtual visit in O(log parked) instead
     /// of rescanning the SM's parked list. Keys go stale when a warp
@@ -232,10 +230,12 @@ struct Launch {
     /// issue cursor, sorted by warp id (the replay heap's same-tick tie
     /// order). See [`SpinFf::ready`].
     sm_ready: Vec<Vec<u32>>,
-    /// Reusable buffers for `ff_mw_batch`'s planning passes, so the
-    /// (usually bailing) attempt never allocates on the advance hot path.
-    mw_plans: Vec<MwPlan>,
-    mw_res: Vec<u64>,
+    /// Per-SM parked crowds and their plans (see [`Crowd`]).
+    crowds: Vec<Crowd>,
+    /// Retired spin boxes, reused by the next capture. The boxes are the
+    /// point: a `SpinState` holds one, so reusing it saves the allocation.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<SpinFf>>,
     wakes: Vec<(u32, u64, u32)>,
 
     // Per-instruction scratch.
@@ -428,7 +428,10 @@ struct SigStep {
     wait: StallReason,
 }
 
-/// A captured (or capture-in-progress) pure spin loop of one warp.
+/// A captured (or capture-in-progress) pure spin loop of one warp. Boxes
+/// are recycled through [`Launch::spare`], so a warm solve parks without
+/// allocating.
+#[derive(Default)]
 struct SpinFf {
     sm: usize,
     anchor_pc: Pc,
@@ -446,7 +449,9 @@ struct SpinFf {
     idx: usize,
     /// ...and the earliest tick it can issue at (pre-displacement). For a
     /// warp on its SM's ready row (`ready`) this value is allowed to go
-    /// stale below the SM cursor; readers must use [`eff_next`].
+    /// stale below the SM cursor; for a member of its SM's crowd plan it
+    /// is the cursor at which the warp joined the plan. Readers must use
+    /// [`cursor`].
     next_tick: u64,
     /// On the SM's ready row: `next_tick` fell at or below the SM's issue
     /// cursor, so the warp issues as soon as a slot frees, in warp-id
@@ -457,17 +462,20 @@ struct SpinFf {
     kick: Option<u64>,
 }
 
-/// The tick the warp's virtual cursor can really issue at: its stored
-/// projection, except that a ready-row warp is gated by the SM issue
-/// cursor `free` (= `sm_next_free[p.sm]`), which its stored value may
-/// trail. Projections (wake kicks, conversion) must use this, never raw
-/// `next_tick`, or a kick can land in the scheduler's past.
+/// Parked warp `wid`'s virtual cursor `(idx, tick)`: computed from its
+/// SM's crowd plan when there is one, else its stored cursor, where a
+/// ready-row warp is gated by the SM issue cursor `free`
+/// (= `sm_next_free[p.sm]`), which its stored tick may trail. Projections
+/// (wake kicks, unparking) must use this, never raw `next_tick`, or a kick
+/// can land in the scheduler's past.
 #[inline]
-fn eff_next(p: &SpinFf, free: u64) -> u64 {
-    if p.ready {
-        p.next_tick.max(free)
+fn cursor(p: &SpinFf, wid: u32, crowd: &Crowd, free: u64) -> (usize, u64) {
+    if crowd.active() {
+        crowd.cursor_of(wid)
+    } else if p.ready {
+        (p.idx, p.next_tick.max(free))
     } else {
-        p.next_tick
+        (p.idx, p.next_tick)
     }
 }
 
@@ -483,14 +491,44 @@ impl SpinFf {
             }
         }
     }
+
+    /// Starts a capture at an all-lanes-failed pure poll, in this box's
+    /// allocations.
+    fn start(&mut self, sm: usize, pc: Pc, mask: u64, out: &StepOutcome, polled: &[(u32, u32)]) {
+        self.sm = sm;
+        self.anchor_pc = pc;
+        self.mask = mask;
+        self.lanes = mask.count_ones() as u64;
+        self.sig.clear();
+        self.sig.push(SigStep {
+            pc,
+            cost: out.cost_ticks,
+            l2_hits: out.l2_hits,
+            flops: out.flops,
+            poll_fails: polled.len() as u32,
+            issue: out.issue,
+            wait: out.wait,
+        });
+        self.period = 0;
+        self.watch.clear();
+        for &wd in polled {
+            if !self.watch.contains(&wd) {
+                self.watch.push(wd);
+            }
+        }
+        self.idx = 0;
+        self.next_tick = 0;
+        self.ready = false;
+        self.kick = None;
+    }
 }
 
 /// Consecutive all-lanes-failed anchor visits required before a capture
-/// starts. Starting a capture allocates (`Box<SpinFf>` plus its vectors),
-/// which is pure overhead for the short spins that dominate shallow DAGs —
-/// most polls there succeed within a couple of iterations, long before the
-/// warp could park. Arming costs long spins `ARM_VISITS - 1` extra replayed
-/// iterations, which is noise against the thousands they skip.
+/// starts. Capturing is pure overhead for the short spins that dominate
+/// shallow DAGs — most polls there succeed within a couple of iterations,
+/// long before the warp could park. Arming costs long spins
+/// `ARM_VISITS - 1` extra replayed iterations, which is noise against the
+/// thousands they skip.
 const ARM_VISITS: u8 = 3;
 
 /// Per-warp spin fast-forward state.
@@ -498,7 +536,7 @@ enum SpinState {
     /// Not in a recognized spin loop.
     Idle,
     /// Counting consecutive all-lanes-failed visits to one anchor poll;
-    /// allocation-free until the streak reaches [`ARM_VISITS`].
+    /// holds no box until the streak reaches [`ARM_VISITS`].
     Arming { anchor_pc: Pc, mask: u64, fails: u8 },
     /// An all-lanes-failed pure poll was seen; recording one iteration.
     Capturing(Box<SpinFf>),
@@ -509,53 +547,22 @@ enum SpinState {
     Waking(Box<SpinFf>),
 }
 
-/// Starts a capture at an all-lanes-failed pure poll.
-fn new_capture(
-    sm: usize,
-    pc: Pc,
-    mask: u64,
-    out: &StepOutcome,
-    polled: &[(u32, u32)],
-) -> Box<SpinFf> {
-    let mut watch: Vec<(u32, u32)> = Vec::with_capacity(polled.len());
-    for &wd in polled {
-        if !watch.contains(&wd) {
-            watch.push(wd);
-        }
-    }
-    Box::new(SpinFf {
-        sm,
-        anchor_pc: pc,
-        mask,
-        lanes: mask.count_ones() as u64,
-        sig: vec![SigStep {
-            pc,
-            cost: out.cost_ticks,
-            l2_hits: out.l2_hits,
-            flops: out.flops,
-            poll_fails: polled.len() as u32,
-            issue: out.issue,
-            wait: out.wait,
-        }],
-        period: 0,
-        watch,
-        idx: 0,
-        next_tick: 0,
-        ready: false,
-        kick: None,
-    })
-}
-
 /// Issue tick of the parked warp's next anchor-poll visit at or after the
 /// scheduler key `(tick, min_warp)` — the first poll that can observe a
-/// write which executes at that key. `next_tick` is the caller's effective
-/// cursor tick ([`eff_next`]). Future displacement can only push the poll
-/// later; the conversion path re-kicks in that case.
-fn poll_at_or_after(p: &SpinFf, next_tick: u64, tick: u64, min_warp: u32, wid: u32) -> u64 {
-    let base = if p.idx == 0 {
+/// write which executes at that key. `(idx, next_tick)` is the warp's
+/// [`cursor`]. Future displacement can only push the poll later; the
+/// conversion path re-kicks in that case.
+fn poll_at_or_after(
+    p: &SpinFf,
+    (idx, next_tick): (usize, u64),
+    tick: u64,
+    min_warp: u32,
+    wid: u32,
+) -> u64 {
+    let base = if idx == 0 {
         next_tick
     } else {
-        let suffix: u64 = p.sig[p.idx..].iter().map(|s| s.cost).sum();
+        let suffix: u64 = p.sig[idx..].iter().map(|s| s.cost).sum();
         next_tick + suffix
     };
     let mut u = if base >= tick {
@@ -571,19 +578,150 @@ fn poll_at_or_after(p: &SpinFf, next_tick: u64, tick: u64, min_warp: u32, wid: u
     u
 }
 
-/// One warp's share of a [`Launch::ff_mw_batch`] window, planned before anything
-/// mutates so any bail leaves the advance state untouched.
-struct MwPlan {
-    wid: u32,
-    steps: u64,
-    flops: u64,
-    l2: u64,
-    polls: u64,
-    threads: u64,
-    u_last: u64,
+/// One slot of a crowd plan: signature step `idx` of parked warp `wid`,
+/// issuing `off` ticks after the plan's period base and completing at
+/// `end`, with that step's accounting.
+#[derive(Clone, Copy)]
+struct PlanSlot {
+    off: u64,
     end: u64,
-    new_tick: u64,
-    new_idx: usize,
+    flops: u64,
+    wid: u32,
+    idx: u32,
+    lanes: u32,
+    l2_hits: u32,
+    poll_fails: u32,
+}
+
+/// One SM's parked warps and, when they qualify, their persistent crowd
+/// plan: every parked warp of the SM, spinning with one shared period on
+/// pairwise-disjoint slots (DESIGN.md §9). Below the next real scheduler
+/// key such a crowd is displacement-free, so an advance walks the plan's
+/// calendar with arithmetic only, and a member's cursor is computed from
+/// the plan only when something reads it.
+#[derive(Default)]
+struct Crowd {
+    /// The SM's parked warps.
+    parked: Vec<u32>,
+    period: u64,
+    /// One period of slots, sorted by `off` (distinct, below `period`);
+    /// empty when the SM has no plan.
+    cal: Vec<PlanSlot>,
+    /// Threads, flops, L2 hits and failed polls of one period.
+    totals: [u64; 4],
+    /// Cursor: the next slot is `cal[at]`, at tick `base + cal[at].off`;
+    /// slots before `at` come one period later.
+    at: usize,
+    base: u64,
+    /// Without a plan: the crowd was displaced (a dissolve, or an attempt
+    /// that failed on a pending displacement or a shared slot), so it is
+    /// tried again when its ready row drains, once `visits` has reached
+    /// [`RETRY_VISITS`] per parked warp. Unequal periods clear it until the
+    /// parked set changes.
+    retry: bool,
+    /// Per-visit virtual issues since the last attempt.
+    visits: usize,
+}
+
+impl Crowd {
+    fn active(&self) -> bool {
+        !self.cal.is_empty()
+    }
+
+    /// Tick of slot `i` as seen from the cursor.
+    fn tick(&self, i: usize) -> u64 {
+        self.base + self.cal[i].off + if i < self.at { self.period } else { 0 }
+    }
+
+    /// Tick of the next slot, if the SM has a plan.
+    fn next_tick(&self) -> Option<u64> {
+        self.cal.get(self.at).map(|sl| self.base + sl.off)
+    }
+
+    /// Member `wid`'s cursor: its first slot at or after the plan cursor.
+    fn cursor_of(&self, wid: u32) -> (usize, u64) {
+        (self.at..self.cal.len())
+            .chain(0..self.at)
+            .find(|&i| self.cal[i].wid == wid)
+            .map(|i| (self.cal[i].idx as usize, self.tick(i)))
+            .expect("plan member has a slot")
+    }
+
+    /// Adds the threads, flops, L2 hits and failed polls of `slots` to
+    /// `sums`, and returns their latest completion offset.
+    fn account(slots: &[PlanSlot], sums: &mut [u64; 4]) -> u64 {
+        let mut end = 0;
+        for sl in slots {
+            sums[0] += sl.lanes as u64;
+            sums[1] += sl.flops;
+            sums[2] += sl.l2_hits as u64;
+            sums[3] += sl.poll_fails as u64;
+            end = end.max(sl.end);
+        }
+        end
+    }
+
+    /// Latest completion offset over `slots`.
+    fn end_max(slots: &[PlanSlot]) -> u64 {
+        slots.iter().map(|sl| sl.end).max().unwrap_or(0)
+    }
+
+    /// Re-expresses the calendar from tick `free` (the SM issue cursor,
+    /// past every walked slot and at or before the next): it is rotated to
+    /// start at the cursor.
+    fn rebase(&mut self, free: u64) {
+        for i in 0..self.cal.len() {
+            let t = self.tick(i) - free;
+            let sl = &mut self.cal[i];
+            (sl.end, sl.off) = (sl.end - sl.off + t, t);
+        }
+        self.cal.rotate_left(self.at);
+        self.at = 0;
+        self.base = free;
+    }
+
+    /// Recomputes `totals` after the calendar changed.
+    fn sum(&mut self) {
+        self.totals = [0; 4];
+        Crowd::account(&self.cal, &mut self.totals);
+    }
+}
+
+/// Per-visit virtual issues per parked warp a displaced crowd makes before
+/// it is tried for a plan again. Replay displaces colliding slots apart, so
+/// a displaced crowd heals into one that qualifies; but where real issues
+/// keep landing on its slots, most attempts fail, and each costs a pass
+/// over the crowd and a sort. Waiting for this much per-visit work bounds
+/// that cost by the work a plan would save. Measured on warm solves: 2 and
+/// 8 gave chain-like SyncFree 9.7 and 11.8 ms, nlpkkt160-like cuSPARSE-like
+/// 55.2 and 54.3 ms; 4 gave 10.3 and 52.8 ms (retrying at every drain:
+/// nlpkkt160-like 82 ms; never: chain-like 92 ms).
+const RETRY_VISITS: usize = 4;
+
+/// Parked warp `wid`'s plan slots for one period from its stored cursor,
+/// as offsets from a plan base `free`. The caller checked that the cursor
+/// is at or past `free`; the warp's last issue is before `free`, so every
+/// slot lands within one period.
+fn plan_slots(p: &SpinFf, wid: u32, free: u64) -> impl Iterator<Item = PlanSlot> + '_ {
+    let len = p.sig.len();
+    let mut u = p.next_tick;
+    (0..len).map(move |j| {
+        let i = (p.idx + j) % len;
+        let st = &p.sig[i];
+        let off = u - free;
+        debug_assert!(off < p.period, "slot beyond one period");
+        u += st.cost;
+        PlanSlot {
+            off,
+            end: off + st.cost,
+            flops: st.flops,
+            wid,
+            idx: i as u32,
+            lanes: p.lanes as u32,
+            l2_hits: st.l2_hits,
+            poll_fails: st.poll_fails,
+        }
+    })
 }
 
 /// Adds `n` reconstructed warp instructions (`threads` thread instructions
@@ -628,7 +766,7 @@ impl Launch {
         self.queue.heap.clear();
         self.queue.seq.clear();
         self.queue.seq.resize(n_warps, 0);
-        self.heap_events = 0;
+        self.counters = EngineCounters::default();
         self.resident.clear();
         self.resident.resize(sm_count, 0);
         self.sm_next_free.clear();
@@ -645,19 +783,27 @@ impl Launch {
         self.last_progress = 0;
         self.end_tick = 0;
 
-        self.spin.clear();
+        // Spin boxes outlive their launch, up to one per warp slot.
+        for st in self.spin.drain(..) {
+            if let SpinState::Capturing(b) | SpinState::Parked(b) | SpinState::Waking(b) = st {
+                self.spare.push(b);
+            }
+        }
+        self.spare.truncate(sm_count * cfg.max_warps_per_sm);
         self.n_parked = 0;
-        self.sm_parked.iter_mut().for_each(Vec::clear);
         self.sm_visit.iter_mut().for_each(BinaryHeap::clear);
         self.sm_ready.iter_mut().for_each(Vec::clear);
+        self.crowds.iter_mut().for_each(|cr| {
+            cr.parked.clear();
+            cr.cal.clear();
+            cr.retry = false;
+        });
         if self.ff_on {
             self.spin.resize_with(n_warps, || SpinState::Idle);
-            self.sm_parked.resize(sm_count, Vec::new());
             self.sm_visit.resize_with(sm_count, BinaryHeap::new);
             self.sm_ready.resize(sm_count, Vec::new());
+            self.crowds.resize_with(sm_count, Crowd::default);
         }
-        self.mw_plans.clear();
-        self.mw_res.clear();
         self.spin_rec.reads.clear();
         self.spin_rec.record_reads = false;
     }
@@ -691,181 +837,210 @@ impl Launch {
         }
     }
 
-    /// Attempts to advance *all* parked warps of SM `s` below `bound_tick`
-    /// in one closed form. This is the crowd analogue of the single-warp
-    /// batch in [`Launch::ff_advance`]: that batch dies whenever another
-    /// parked warp's visit is near (the runner-up horizon), which on a
-    /// crowded SM is every iteration, so the advance degenerates to one heap
-    /// round-trip per virtual instruction. But if every parked warp spins
-    /// with the *same* period and their issue slots are pairwise disjoint
-    /// modulo it, the whole window is displacement-free — each visit lands
-    /// exactly at its projected slot, no slot is contested — and two facts
-    /// make the merged schedule computable without interleaving: each
-    /// warp's slots are an arithmetic progression of its own signature, and
-    /// the stall gaps of the *merged* issue sequence still telescope (for
-    /// issues at `u_1 < … < u_n` after an issue at `L`, the gaps sum to
-    /// `(u_n − L) − n` no matter which warp owns which slot). Residue
-    /// disjointness is not a lucky accident: a slot collision makes replay
-    /// displace the higher-id warp by one slot, permanently shifting its
-    /// phase, so colliding crowds self-heal into disjointness and stay
-    /// there. Transients (a pending displacement, unequal periods, a
-    /// collision) bail to the caller's per-visit path before anything is
-    /// mutated. `dl` is the deadlock window in force.
-    ///
-    /// Returns true if any virtual instruction was accounted.
-    fn ff_mw_batch(&mut self, s: usize, bound_tick: u64, dl: u64) -> bool {
-        // Hang thresholds cap the window exactly like the per-visit path: the
-        // first visit at or past a threshold is left for that path to turn
-        // into the error at the same tick replay would report.
-        let lim = bound_tick.min(self.ticks.hang_limit(self.last_progress, dl));
-        let (spin, parked, visit) = (
-            &mut self.spin[..],
-            &self.sm_parked[s][..],
-            &mut self.sm_visit[s],
-        );
-        let (plans, res) = (&mut self.mw_plans, &mut self.mw_res);
-        let free = self.sm_next_free[s];
-        if lim <= free {
-            return false;
+    /// Walks SM `s`'s crowd plan over every slot below the scheduler key
+    /// `bound`: whole periods by multiplication, then the rest of one
+    /// period, counted by binary search and summed in one pass. A slot at
+    /// the bound's tick issues first when its warp id is lower, as the heap
+    /// orders same-tick events. Below `bound` the SM is the crowd's alone
+    /// and no slot is contested,
+    /// so every visit lands on its slot and the stall gaps of the merged
+    /// issues telescope: for issues at `u_1 < … < u_n` after an issue at
+    /// `L`, they sum to `(u_n − L) − n`. The first slot at or past
+    /// `hang_limit` is the hang, at the tick replay reports it; `dl` is the
+    /// deadlock window in force.
+    fn walk_plan(
+        &mut self,
+        s: usize,
+        bound: (u64, u32),
+        hang_limit: u64,
+        dl: u64,
+    ) -> Result<(), Hang> {
+        let cr = &mut self.crowds[s];
+        let (bt, bw) = bound;
+        let lim = bt.min(hang_limit);
+        let (n, period, at) = (cr.cal.len(), cr.period, cr.at);
+        let (mut walked, mut sums, mut end, mut u_last) = (0u64, [0u64; 4], 0u64, 0u64);
+        // Whole periods from the cursor: the j-th ends at `l0 + j * period`.
+        let l0 = cr.tick((at + n - 1) % n);
+        if lim > l0 {
+            let k = (lim - 1 - l0) / period + 1;
+            walked = k * n as u64;
+            sums = cr.totals.map(|v| v * k);
+            let wrapped = match at {
+                0 => 0,
+                _ => period + Crowd::end_max(&cr.cal[..at]),
+            };
+            end = cr.base + (k - 1) * period + Crowd::end_max(&cr.cal[at..]).max(wrapped);
+            u_last = l0 + (k - 1) * period;
+            cr.base += k * period;
         }
-        // Cheap qualifying pass: the crowd form needs at least two parked
-        // warps, one shared period, and no pending displacement (a stored
-        // projection below the cursor; ready-row staleness is exactly that).
-        // Bailing here costs a few field reads per parked warp.
-        let mut period = 0u64;
-        let mut m = 0usize;
-        for &wid in parked {
+        // The rest: slots below `lim`, plus the bound's tick if it is ours.
+        let mut c = match lim.checked_sub(cr.base) {
+            Some(room) => cr.cal[at..].partition_point(|sl| sl.off < room),
+            None => 0,
+        };
+        if at + c == n {
+            if let Some(room) = lim.checked_sub(cr.base + period) {
+                c += cr.cal[..at].partition_point(|sl| sl.off < room);
+            }
+        }
+        if c < n {
+            let (u, w) = (cr.tick((at + c) % n), cr.cal[(at + c) % n].wid);
+            if u == bt && u < hang_limit && w < bw {
+                c += 1;
+            }
+        }
+        if c > 0 {
+            u_last = cr.tick((at + c - 1) % n);
+            let (a, b) = ((at + c).min(n), (at + c).saturating_sub(n));
+            end = end.max(cr.base + Crowd::account(&cr.cal[at..a], &mut sums));
+            if b > 0 {
+                end = end.max(cr.base + period + Crowd::account(&cr.cal[..b], &mut sums));
+            }
+        }
+        if at + c >= n {
+            cr.base += period;
+        }
+        cr.at = (at + c) % n;
+        walked += c as u64;
+        if walked > 0 {
+            let [threads, flops, l2, polls] = sums;
+            add_virtual(&mut self.stats, walked, threads, flops, l2, polls);
+            self.counters.virtual_crowd += walked;
+            self.stats.stall_ticks = self
+                .stats
+                .stall_ticks
+                .saturating_add((u_last - self.sm_last_issue[s]).saturating_sub(walked));
+            self.sm_last_issue[s] = u_last;
+            self.sm_next_free[s] = u_last + 1;
+            self.end_tick = self.end_tick.max(end);
+        }
+        let next = (cr.base + cr.cal[cr.at].off, cr.cal[cr.at].wid);
+        if next < bound {
+            return Err(self
+                .ticks
+                .hang_at(next.0, self.last_progress, dl)
+                .expect("an unwalked slot below the bound is past a hang limit"));
+        }
+        Ok(())
+    }
+
+    /// Tries to plan SM `s`'s parked crowd from its per-visit state (see
+    /// [`Crowd::retry`] for when). It qualifies when the ready row is empty
+    /// and every parked warp spins with one shared period, its cursor at or
+    /// past the SM cursor, on slots no other warp uses.
+    fn try_plan(&mut self, s: usize) {
+        let (cr, free) = (&mut self.crowds[s], self.sm_next_free[s]);
+        cr.cal.clear();
+        (cr.retry, cr.visits) = (self.batch_ok, 0);
+        if !self.batch_ok || !self.sm_ready[s].is_empty() {
+            return;
+        }
+        for (i, &wid) in cr.parked.iter().enumerate() {
+            let SpinState::Parked(p) = &self.spin[wid as usize] else {
+                unreachable!("listed warp is parked");
+            };
+            if i == 0 {
+                cr.period = p.period;
+            }
+            if p.period != cr.period || p.next_tick < free {
+                cr.retry = p.period == cr.period;
+                cr.cal.clear();
+                return;
+            }
+            cr.cal.extend(plan_slots(p, wid, free));
+        }
+        cr.cal.sort_unstable_by_key(|sl| sl.off);
+        if cr.cal.windows(2).any(|w| w[0].off == w[1].off) {
+            // Replay resolves a shared slot by displacing the higher warp.
+            cr.cal.clear();
+            return;
+        }
+        if cr.active() {
+            cr.sum();
+            (cr.at, cr.base) = (0, free);
+            self.sm_visit[s].clear();
+            self.counters.plans_built += 1;
+            #[cfg(debug_assertions)]
+            self.check_sm(s);
+        }
+    }
+
+    /// Dissolves SM `s`'s plan back into per-visit state: every member's
+    /// cursor is written from the plan and re-enters the visit heap, and
+    /// the displaced crowd is due a retry.
+    fn dissolve(&mut self, s: usize) {
+        let (cr, spin) = (&mut self.crowds[s], &mut self.spin);
+        // Backwards from the cursor, each member's last write is its first
+        // slot at or after it.
+        for i in (cr.at..cr.cal.len()).chain(0..cr.at).rev() {
+            let SpinState::Parked(p) = &mut spin[cr.cal[i].wid as usize] else {
+                unreachable!("plan member is parked");
+            };
+            (p.idx, p.next_tick) = (cr.cal[i].idx as usize, cr.tick(i));
+        }
+        for &wid in &cr.parked {
             let SpinState::Parked(p) = &spin[wid as usize] else {
-                continue;
+                unreachable!("listed warp is parked");
             };
-            m += 1;
-            if p.next_tick < free {
-                return false;
-            }
-            if period == 0 {
-                period = p.period;
-            } else if p.period != period {
-                return false;
-            }
+            self.sm_visit[s].push(Reverse((p.next_tick, wid)));
         }
-        if m < 2 || period == 0 {
-            return false;
+        cr.cal.clear();
+        (cr.retry, cr.visits) = (true, 0);
+        self.counters.plans_dissolved += 1;
+        #[cfg(debug_assertions)]
+        self.check_sm(s);
+    }
+
+    /// Warp `wid` has just parked on SM `s`: it joins the SM's plan when its
+    /// period matches and its slots are free, and otherwise the crowd goes
+    /// per-visit.
+    fn crowd_joined(&mut self, s: usize, wid: u32) {
+        let SpinState::Parked(p) = &self.spin[wid as usize] else {
+            unreachable!("joining warp is parked");
+        };
+        let (cr, free) = (&mut self.crowds[s], self.sm_next_free[s]);
+        if !cr.active() {
+            self.sm_visit[s].push(Reverse((p.next_tick, wid)));
+            self.try_plan(s);
+            return;
         }
-        // A window shorter than one iteration holds a handful of visits at
-        // most; planning costs more than letting the per-visit path run them.
-        if lim - free < period {
-            return false;
-        }
-        plans.clear();
-        res.clear();
-        for &wid in parked {
-            let SpinState::Parked(p) = &spin[wid as usize] else {
-                continue;
-            };
-            let l = p.sig.len();
-            let v = p.next_tick;
-            // Cycle aggregates, slot residues, and the relative offsets of the
-            // last issue (`off_last`) and latest completion (`moff`) per cycle.
-            let (mut off, mut cyc_fl, mut cyc_l2, mut cyc_pf) = (0u64, 0u64, 0u64, 0u64);
-            let mut moff = 0u64;
-            for i in 0..l {
-                let st = &p.sig[(p.idx + i) % l];
-                res.push((v + off) % period);
-                moff = moff.max(off + st.cost);
-                cyc_fl += st.flops;
-                cyc_l2 += st.l2_hits as u64;
-                cyc_pf += st.poll_fails as u64;
-                off += st.cost;
-            }
-            if off != period {
-                return false;
-            }
-            let off_last = period - p.sig[(p.idx + l - 1) % l].cost;
-            // Whole cycles strictly below the window, then the partial tail.
-            let q = if lim > v.saturating_add(off_last) {
-                (lim - 1 - off_last - v) / period + 1
-            } else {
-                0
-            };
-            let mut steps = q * l as u64;
-            let mut fl = cyc_fl * q;
-            let mut l2 = cyc_l2 * q;
-            let mut pf = cyc_pf * q;
-            let (mut u_last, mut end) = if q > 0 {
-                (v + (q - 1) * period + off_last, v + (q - 1) * period + moff)
-            } else {
-                (0, 0)
-            };
-            let mut slot = v + q * period;
-            let mut i = p.idx;
-            let mut cnt = 0;
-            while slot < lim && cnt < l {
-                let st = &p.sig[i];
-                u_last = slot;
-                end = end.max(slot + st.cost);
-                steps += 1;
-                fl += st.flops;
-                l2 += st.l2_hits as u64;
-                pf += st.poll_fails as u64;
-                slot += st.cost;
-                i = (i + 1) % l;
-                cnt += 1;
-            }
-            if slot < lim {
-                // Zero-cost signature steps; replay it rather than loop.
-                return false;
-            }
-            plans.push(MwPlan {
-                wid,
-                steps,
-                flops: fl,
-                l2,
-                polls: pf,
-                threads: steps * p.lanes,
-                u_last,
-                end,
-                new_tick: slot,
-                new_idx: i,
+        cr.rebase(free);
+        // It issued its anchor poll at `free - 1`, so its cursor is at or
+        // past `free`.
+        let fits = p.period == cr.period
+            && plan_slots(p, wid, free).all(|sl| {
+                let pos = cr.cal.partition_point(|x| x.off < sl.off);
+                let vacant = cr.cal.get(pos).is_none_or(|x| x.off != sl.off);
+                if vacant {
+                    cr.cal.insert(pos, sl);
+                }
+                vacant
             });
+        if fits {
+            cr.sum();
+            #[cfg(debug_assertions)]
+            self.check_sm(s);
+        } else {
+            let period = p.period == cr.period;
+            self.dissolve(s);
+            self.crowds[s].retry = period;
         }
-        res.sort_unstable();
-        if res.windows(2).any(|w| w[0] == w[1]) {
-            return false;
+    }
+
+    /// Warp `wid` has just unparked from SM `s`: it leaves the SM's plan,
+    /// or the per-visit crowd it leaves behind is tried for one.
+    fn crowd_left(&mut self, s: usize, wid: u32) {
+        let cr = &mut self.crowds[s];
+        if !cr.active() {
+            self.try_plan(s);
+            return;
         }
-        let n: u64 = plans.iter().map(|pl| pl.steps).sum();
-        if n == 0 {
-            return false;
-        }
-        let mut u_last = 0u64;
-        for pl in plans.iter() {
-            if pl.steps == 0 {
-                continue;
-            }
-            u_last = u_last.max(pl.u_last);
-            self.end_tick = self.end_tick.max(pl.end);
-            add_virtual(
-                &mut self.stats,
-                pl.steps,
-                pl.threads,
-                pl.flops,
-                pl.l2,
-                pl.polls,
-            );
-            let SpinState::Parked(p) = &mut spin[pl.wid as usize] else {
-                unreachable!("planned warp is parked");
-            };
-            p.next_tick = pl.new_tick;
-            p.idx = pl.new_idx;
-            p.leave_ready(&mut self.sm_ready, pl.wid);
-            visit.push(Reverse((pl.new_tick, pl.wid)));
-        }
-        self.stats.stall_ticks = self
-            .stats
-            .stall_ticks
-            .saturating_add((u_last - self.sm_last_issue[s]).saturating_sub(n));
-        self.sm_last_issue[s] = u_last;
-        self.sm_next_free[s] = u_last + 1;
-        true
+        cr.rebase(self.sm_next_free[s]);
+        cr.cal.retain(|sl| sl.wid != wid);
+        cr.sum();
+        #[cfg(debug_assertions)]
+        self.check_sm(s);
     }
 
     /// Advances parked warps' virtual execution up to (excluding) the
@@ -873,12 +1048,10 @@ impl Launch {
     /// replayed spin iterations would have generated. `sm_filter` restricts
     /// the advance to one SM (valid whenever no global ordering is observed:
     /// all reconstructed quantities commute across SMs); traced launches pass
-    /// `None` so `TraceEvent`s come out in schedule order. When `batch_ok`
-    /// (neither profiling nor tracing wants per-instruction events), whole
-    /// iterations are accounted in closed form: the stall gaps of consecutive
-    /// issues telescope — for issues at `u_1 < … < u_n` on one SM following an
-    /// issue at `L`, the gaps sum to `(u_n − L) − n`. `dl` is the deadlock
-    /// window in force; a virtual issue past a hang threshold is the hang.
+    /// `None` so `TraceEvent`s come out in schedule order. An SM with a crowd
+    /// plan walks it; otherwise its parked warps are visited one by one.
+    /// `dl` is the deadlock window in force; a virtual issue past a hang
+    /// threshold is the hang.
     fn ff_advance<K: WarpKernel>(
         &mut self,
         kernel: &K,
@@ -887,30 +1060,44 @@ impl Launch {
         bound: (u64, u32),
         dl: u64,
     ) -> Result<(), Hang> {
+        loop {
+            if let Some(s) = sm_filter {
+                if self.crowds[s].active() {
+                    let hang_limit = self.ticks.hang_limit(self.last_progress, dl);
+                    return self.walk_plan(s, bound, hang_limit, dl);
+                }
+            }
+            match self.ff_visits(kernel, trace, sm_filter, bound, dl)? {
+                Some(s) => self.try_plan(s),
+                None => return Ok(()),
+            }
+        }
+    }
+
+    /// The per-visit path of [`Launch::ff_advance`]: one virtual
+    /// instruction per visit, in `(tick, warp)` order, mirroring the real
+    /// issue path. Returns `Some(s)` when SM `s`'s crowd is due a retry.
+    fn ff_visits<K: WarpKernel>(
+        &mut self,
+        kernel: &K,
+        trace: &mut Option<&mut Trace>,
+        sm_filter: Option<usize>,
+        bound: (u64, u32),
+        dl: u64,
+    ) -> Result<Option<usize>, Hang> {
         // A visit-heap key is live iff the warp is still parked and the key
         // matches its current projection (`next_tick` is strictly increasing
         // per warp, so every superseded key compares stale).
         fn live(spin: &[SpinState], tk: u64, w: u32) -> bool {
             matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk)
         }
-        // Try the whole-crowd closed form once per advance; transients fall
-        // back to the per-visit loop below and re-qualify on the next call.
-        if self.batch_ok {
-            if let Some(s) = sm_filter {
-                if self.sm_parked[s].len() >= 2 {
-                    self.ff_mw_batch(s, bound.0, dl);
-                }
-            }
-        }
-        let hang_limit = self.ticks.hang_limit(self.last_progress, dl);
-        let (spin, sm_parked) = (&mut self.spin[..], &self.sm_parked[..]);
+        let (spin, crowds) = (&mut self.spin[..], &mut self.crowds[..]);
         let (sm_visit, sm_ready) = (&mut self.sm_visit[..], &mut self.sm_ready[..]);
         let (sm_next_free, sm_last_issue) =
             (&mut self.sm_next_free[..], &mut self.sm_last_issue[..]);
         loop {
-            // Lex-least (next_tick, warp) among candidate parked warps, plus
-            // the runner-up tick (the batching horizon).
-            let (u0, wid, runner_up) = match sm_filter {
+            // Lex-least (next_tick, warp) among candidate parked warps.
+            let (u0, wid) = match sm_filter {
                 Some(s) => {
                     // Single-SM advance. Visit keys due at or below the SM
                     // issue cursor move onto the ready row, where the crowd
@@ -935,73 +1122,45 @@ impl Launch {
                         p.ready = true;
                         if let Err(pos) = r.binary_search(&w) {
                             r.insert(pos, w);
+                            self.counters.ready_inserts += 1;
                         }
                     }
                     // A ready-row warp issues at the cursor; every remaining
                     // visit key is strictly later, so the row front (lowest
-                    // warp id) wins whenever the row is non-empty. Another
-                    // ready warp caps the batching horizon at the pick itself
-                    // (it issues in the very next slot); otherwise the next
-                    // timed visit does. A timed pick consumes its key — the
-                    // advance below pushes the successor.
+                    // warp id) wins whenever the row is non-empty. A timed
+                    // pick consumes its key — the issue below pushes the
+                    // successor.
                     if let Some(&w0) = r.first() {
                         if (free, w0) >= bound {
-                            return Ok(());
+                            return Ok(None);
                         }
-                        let runner_up = if r.len() > 1 {
-                            free
-                        } else {
-                            h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
-                        };
-                        (free, w0, runner_up)
+                        (free, w0)
                     } else if let Some(&Reverse((tk0, w0))) = h.peek() {
                         if (tk0, w0) >= bound {
-                            return Ok(());
+                            return Ok(None);
                         }
                         h.pop();
-                        while let Some(&Reverse((tk, w))) = h.peek() {
-                            if live(spin, tk, w) {
-                                break;
-                            }
-                            h.pop();
-                        }
-                        let runner_up = h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
-                        (tk0, w0, runner_up)
+                        (tk0, w0)
                     } else {
-                        return Ok(());
+                        return Ok(None);
                     }
                 }
                 None => {
                     // Global (traced) advance: scan every SM's parked list so
                     // events come out in schedule order. The candidate's stale
                     // key stays in its visit heap and is dropped lazily.
-                    let mut pick: Option<(u64, u32)> = None;
-                    let mut runner_up = u64::MAX;
-                    for lst in sm_parked {
-                        for &wid in lst {
-                            if let SpinState::Parked(p) = &spin[wid as usize] {
-                                let p_next = p.next_tick;
-                                match pick {
-                                    None => pick = Some((p_next, wid)),
-                                    Some(cur) => {
-                                        if (p_next, wid) < cur {
-                                            runner_up = runner_up.min(cur.0);
-                                            pick = Some((p_next, wid));
-                                        } else {
-                                            runner_up = runner_up.min(p_next);
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                    let pick = crowds
+                        .iter()
+                        .flat_map(|cr| &cr.parked)
+                        .filter_map(|&wid| match &spin[wid as usize] {
+                            SpinState::Parked(p) => Some((p.next_tick, wid)),
+                            _ => None,
+                        })
+                        .min();
+                    match pick {
+                        Some(key) if key < bound => key,
+                        _ => return Ok(None),
                     }
-                    let Some((u0, wid)) = pick else {
-                        return Ok(());
-                    };
-                    if (u0, wid) >= bound {
-                        return Ok(());
-                    }
-                    (u0, wid, runner_up)
                 }
             };
             let SpinState::Parked(p) = &mut spin[wid as usize] else {
@@ -1020,40 +1179,9 @@ impl Launch {
             }
             // Committed to issuing: a ready-row warp leaves the row (the
             // successor visit key re-enters through the heap).
+            let drained = p.ready && sm_ready[sm].len() == 1;
             p.leave_ready(sm_ready, wid);
-            let len = p.sig.len();
-            if self.batch_ok {
-                // Closed form: as many whole iterations as fit strictly below
-                // the horizon. Below `bound` this SM is exclusively ours (the
-                // heap has no earlier event), so the telescoped stall formula
-                // applies verbatim.
-                let last_i = (p.idx + len - 1) % len;
-                let off_last = p.period - p.sig[last_i].cost;
-                let lim = bound.0.min(runner_up).min(hang_limit);
-                if lim > u0.saturating_add(off_last) {
-                    let k = (lim - 1 - off_last - u0) / p.period + 1;
-                    let n = k * len as u64;
-                    let u_last = u0 + (k - 1) * p.period + off_last;
-                    let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
-                    for st in &p.sig {
-                        fl += st.flops;
-                        l2 += st.l2_hits as u64;
-                        pf += st.poll_fails as u64;
-                    }
-                    add_virtual(&mut self.stats, n, n * p.lanes, fl * k, l2 * k, pf * k);
-                    self.stats.stall_ticks = self
-                        .stats
-                        .stall_ticks
-                        .saturating_add((u_last - sm_last_issue[sm]).saturating_sub(n));
-                    sm_last_issue[sm] = u_last;
-                    sm_next_free[sm] = u_last + 1;
-                    self.end_tick = self.end_tick.max(u_last + p.sig[last_i].cost);
-                    p.next_tick = u0 + k * p.period;
-                    sm_visit[sm].push(Reverse((p.next_tick, wid)));
-                    continue;
-                }
-            }
-            // One virtual instruction, mirroring the real issue path.
+            self.counters.virtual_single += 1;
             let st = p.sig[p.idx];
             let gap = u0.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
             self.stats.stall_ticks = self.stats.stall_ticks.saturating_add(gap);
@@ -1092,9 +1220,14 @@ impl Launch {
                     mask: p.mask,
                 });
             }
-            p.idx = (p.idx + 1) % len;
+            p.idx = (p.idx + 1) % p.sig.len();
             p.next_tick = t_done;
             sm_visit[sm].push(Reverse((t_done, wid)));
+            let cr = &mut crowds[sm];
+            cr.visits += 1;
+            if drained && cr.retry && cr.visits >= RETRY_VISITS * cr.parked.len() {
+                return Ok(Some(sm));
+            }
         }
     }
 
@@ -1132,8 +1265,8 @@ impl Launch {
             // schedule order, so it fails in replay too.
             self.ff_advance(kernel, trace, Some(sm), bound, dl)?;
             if let SpinState::Parked(p) = &mut self.spin[wid as usize] {
-                let eff = eff_next(p, self.sm_next_free[sm]);
-                let kt = poll_at_or_after(p, eff, tick, min_warp, wid);
+                let cur = cursor(p, wid, &self.crowds[sm], self.sm_next_free[sm]);
+                let kt = poll_at_or_after(p, cur, tick, min_warp, wid);
                 if p.kick.is_none_or(|old| kt < old) {
                     p.kick = Some(kt);
                     self.queue.push(kt, wid);
@@ -1152,24 +1285,28 @@ impl Launch {
     /// re-kicked there.
     fn take_kick(&mut self, wid: u32, t: u64) -> Option<Pc> {
         let slot = &mut self.spin[wid as usize];
-        let SpinState::Parked(mut p) = std::mem::replace(slot, SpinState::Idle) else {
+        let SpinState::Parked(p) = slot else {
             unreachable!("kicked warp is parked")
         };
         let sm = p.sm;
-        let eff = eff_next(&p, self.sm_next_free[sm]);
-        if p.idx == 0 && eff == t {
+        let cur = cursor(p, wid, &self.crowds[sm], self.sm_next_free[sm]);
+        if cur == (0, t) {
             let anchor = p.anchor_pc;
-            self.sm_parked[sm].retain(|&x| x != wid);
             p.leave_ready(&mut self.sm_ready, wid);
-            self.n_parked -= 1;
             p.kick = None;
+            let SpinState::Parked(p) = std::mem::replace(slot, SpinState::Idle) else {
+                unreachable!("kicked warp is parked")
+            };
             *slot = SpinState::Waking(p);
+            self.crowds[sm].parked.retain(|&x| x != wid);
+            self.n_parked -= 1;
+            self.crowd_left(sm, wid);
             Some(anchor)
         } else {
-            let kt = poll_at_or_after(&p, eff, 0, 0, wid);
+            let kt = poll_at_or_after(p, cur, 0, 0, wid);
             p.kick = Some(kt);
-            *slot = SpinState::Parked(p);
             self.queue.push(kt, wid);
+            self.counters.rekicks += 1;
             None
         }
     }
@@ -1197,16 +1334,24 @@ impl Launch {
         let is_poll = !rec.polled.is_empty() || rec.polled_ok > 0;
         let anchor_ok =
             !rec.polled.is_empty() && rec.polled_ok == 0 && out.pure && kernel.spin_pure(pc);
+        let spare = &mut self.spare;
         let slot = &mut self.spin[wid as usize];
-        if let SpinState::Waking(old) = slot {
+        let mut state = std::mem::replace(slot, SpinState::Idle);
+        if let SpinState::Waking(old) = state {
             // The woken warp just re-executed its poll for real; drop the
             // stale watch registration (re-parking below re-registers a
             // freshly captured set, so changed read-set values are
             // re-observed).
             mem.spin_unpark(wid, &old.watch);
-            *slot = SpinState::Idle;
+            spare.push(old);
+            state = SpinState::Idle;
         }
-        match std::mem::replace(slot, SpinState::Idle) {
+        let start_capture = |spare: &mut Vec<Box<SpinFf>>| {
+            let mut c = spare.pop().unwrap_or_default();
+            c.start(sm, pc, mask, out, &rec.polled);
+            SpinState::Capturing(c)
+        };
+        match state {
             SpinState::Idle => {
                 if anchor_ok {
                     *slot = SpinState::Arming {
@@ -1224,8 +1369,7 @@ impl Launch {
                 if anchor_ok {
                     if pc == anchor_pc && mask == armed {
                         if fails + 1 >= ARM_VISITS {
-                            *slot =
-                                SpinState::Capturing(new_capture(sm, pc, mask, out, &rec.polled));
+                            *slot = start_capture(spare);
                         } else {
                             *slot = SpinState::Arming {
                                 anchor_pc,
@@ -1275,24 +1419,27 @@ impl Launch {
                             // A buffered store to a watched word drains no
                             // later than `due`; schedule the corresponding
                             // no-later-than wake.
-                            let kt = poll_at_or_after(&c, c.next_tick, due, 0, wid);
+                            let kt = poll_at_or_after(&c, (c.idx, c.next_tick), due, 0, wid);
                             c.kick = Some(kt);
                             self.queue.push(kt, wid);
                         }
-                        self.sm_parked[sm].push(wid);
-                        self.sm_visit[sm].push(Reverse((c.next_tick, wid)));
-                        self.n_parked += 1;
                         *slot = SpinState::Parked(c);
+                        self.crowds[sm].parked.push(wid);
+                        self.n_parked += 1;
+                        self.counters.parks += 1;
+                        self.crowd_joined(sm, wid);
                         return true;
-                    } else if anchor_ok {
+                    }
+                    rec.reads.clear();
+                    if anchor_ok {
                         // A different all-fail pure poll: restart the
                         // capture from this new anchor.
-                        rec.reads.clear();
-                        *slot = SpinState::Capturing(new_capture(sm, pc, mask, out, &rec.polled));
+                        c.start(sm, pc, mask, out, &rec.polled);
+                        *slot = SpinState::Capturing(c);
                     } else {
                         // The poll (partially) succeeded or went impure:
                         // the loop is making progress.
-                        rec.reads.clear();
+                        spare.push(c);
                     }
                 } else if out.pure && mask == c.mask && c.sig.len() < MAX_SIG {
                     c.sig.push(SigStep {
@@ -1307,6 +1454,7 @@ impl Launch {
                     *slot = SpinState::Capturing(c);
                 } else {
                     rec.reads.clear();
+                    spare.push(c);
                 }
             }
             SpinState::Parked(_) | SpinState::Waking(_) => {
@@ -1315,6 +1463,106 @@ impl Launch {
         }
         false
     }
+
+    /// Debug builds: SM `s`'s parked warps are each in exactly one place —
+    /// its crowd plan, its ready row, or one live visit-heap key — and a
+    /// plan member's computed cursor is at or past the SM cursor, on the
+    /// lattice its signature lays out from the cursor it joined with.
+    #[cfg(debug_assertions)]
+    fn check_sm(&self, s: usize) {
+        let (cr, free, heap) = (&self.crowds[s], self.sm_next_free[s], &self.sm_visit[s]);
+        let parked = |wid: u32| match &self.spin[wid as usize] {
+            SpinState::Parked(p) if p.sm == s => p,
+            _ => panic!("warp {wid} is listed as parked on SM {s} but is not"),
+        };
+        if cr.active() {
+            assert!(
+                self.sm_ready[s].is_empty() && heap.is_empty(),
+                "SM {s}: a planned crowd also has per-visit entries"
+            );
+            let mut slots = 0;
+            for &wid in &cr.parked {
+                let p = parked(wid);
+                let (idx, tick) = cr.cursor_of(wid);
+                assert!(
+                    tick >= free,
+                    "SM {s}: warp {wid}'s planned cursor {tick} is behind the SM cursor {free}"
+                );
+                let len = p.sig.len();
+                let steps: u64 = (0..(idx + len - p.idx) % len)
+                    .map(|j| p.sig[(p.idx + j) % len].cost)
+                    .sum();
+                let lap = tick.checked_sub(p.next_tick + steps);
+                assert!(
+                    !p.ready && lap.is_some_and(|d| d % cr.period == 0),
+                    "SM {s}: warp {wid}'s planned cursor ({idx}, {tick}) is off the lattice \
+                     of its cursor ({}, {})",
+                    p.idx,
+                    p.next_tick
+                );
+                slots += len;
+            }
+            assert!(
+                slots == cr.cal.len()
+                    && cr.cal.windows(2).all(|w| w[0].off < w[1].off)
+                    && cr.cal.last().is_some_and(|sl| sl.off < cr.period),
+                "SM {s}: the calendar is not one period of its members' disjoint slots"
+            );
+        } else {
+            // Without allocating, so that host work is the same in every
+            // build: each waiting warp has a live key, and there are no more
+            // live keys than waiting warps.
+            let live = |&(tk, w): &(u64, u32)| matches!(&self.spin[w as usize], SpinState::Parked(p) if p.next_tick == tk);
+            let mut waiting = 0;
+            for &wid in &cr.parked {
+                let p = parked(wid);
+                let on_row = self.sm_ready[s].binary_search(&wid).is_ok();
+                let keyed = heap
+                    .iter()
+                    .any(|&Reverse((tk, w))| w == wid && tk == p.next_tick);
+                assert!(
+                    on_row == p.ready && on_row != keyed,
+                    "SM {s}: parked warp {wid} is on the ready row: {on_row}, keyed: {keyed}"
+                );
+                waiting += keyed as usize;
+            }
+            assert_eq!(
+                heap.iter().filter(|k| live(&k.0)).count(),
+                waiting,
+                "SM {s}: a parked warp has two live visit keys"
+            );
+        }
+        let c = &self.counters;
+        assert_eq!(
+            c.issues + c.virtual_single + c.virtual_crowd,
+            self.stats.warp_instructions,
+            "issues and virtual issues do not sum to the warp instructions"
+        );
+    }
+
+    /// Debug builds: the invariants of a launch that completed, under
+    /// either spin model.
+    #[cfg(debug_assertions)]
+    fn check_end(&self, mem: &DeviceMemory) {
+        assert_eq!(self.n_parked, 0, "a completed launch left warps parked");
+        (0..self.crowds.len()).for_each(|s| self.check_sm(s));
+        let c = &self.counters;
+        assert_eq!(
+            c.issues + c.busy_rekeys + c.superseded + c.rekicks,
+            c.heap_events,
+            "the heap-pop split does not sum to the heap events"
+        );
+        assert_eq!(
+            c.issues + c.virtual_single + c.virtual_crowd,
+            self.stats.warp_instructions,
+            "issues and virtual issues do not sum to the warp instructions"
+        );
+        assert!(
+            mem.store_buffers_empty(),
+            "stores still buffered at launch end"
+        );
+    }
+
     /// Issues one instruction of warp `wid` at tick `t`: executes its
     /// active lanes, charges memory, fence or ALU timing, and resolves
     /// control flow on the reconvergence stack.
@@ -1646,11 +1894,17 @@ impl GpuDevice {
 
     /// Scheduler heap events processed by the most recent launch — the
     /// event count [`crate::SpinModel::FastForward`] minimizes (identical
-    /// stats, far fewer events on spin-heavy kernels). Diagnostic only;
-    /// deliberately not part of [`LaunchStats`] so Replay and FastForward
-    /// stats stay directly comparable.
+    /// stats, far fewer events on spin-heavy kernels). The
+    /// `heap_events` field of [`GpuDevice::last_launch_counters`].
     pub fn last_launch_heap_events(&self) -> u64 {
-        self.launch.heap_events
+        self.launch.counters.heap_events
+    }
+
+    /// The most recent launch's host-work counters, failed launches
+    /// included. Diagnostic only; deliberately not part of [`LaunchStats`]
+    /// so Replay and FastForward stats stay directly comparable.
+    pub fn last_launch_counters(&self) -> EngineCounters {
+        self.launch.counters
     }
 
     /// Drains and returns the profiles accumulated by profiled launches,
@@ -1745,7 +1999,7 @@ impl GpuDevice {
             for ev in events {
                 self.mem.ext_apply(ev);
             }
-            self.launch.heap_events = 0;
+            self.launch.counters = EngineCounters::default();
             return Ok(LaunchStats {
                 launches: 1,
                 cycles: cfg.launch_overhead_cycles,
@@ -1812,6 +2066,7 @@ impl GpuDevice {
             w.reset(kernel, wid, sm, ws);
             warps[wid] = Some(w);
             s.resident[sm] += 1;
+            debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
             s.queue.push(0, wid as u32);
         }
         let mut next_pending = plan.sms.len();
@@ -1876,10 +2131,11 @@ impl GpuDevice {
                 break Ok(());
             };
             let dl = window(ev_i);
-            s.heap_events += 1;
+            s.counters.heap_events += 1;
             if sq != s.queue.seq[wid as usize] {
                 // Superseded event: the warp was re-kicked or re-scheduled
                 // after this entry was pushed.
+                s.counters.superseded += 1;
                 continue;
             }
             if s.relaxed_on {
@@ -1909,6 +2165,7 @@ impl GpuDevice {
                 }
             }
             if s.sm_next_free[sm] > t {
+                s.counters.busy_rekeys += 1;
                 s.queue.push(s.sm_next_free[sm], wid);
                 continue;
             }
@@ -1916,7 +2173,15 @@ impl GpuDevice {
                 break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
             }
 
+            // A real issue on a planned slot displaces that slot's warp (a
+            // lower warp id would have issued first): the crowd leaves its
+            // plan.
+            if s.crowds.get(sm).and_then(Crowd::next_tick) == Some(t) {
+                s.dissolve(sm);
+            }
+
             // Issue accounting.
+            s.counters.issues += 1;
             sat_add(&mut s.stats.issue_ticks, 1);
             let gap = t.saturating_sub(s.sm_last_issue[sm]).saturating_sub(1);
             s.stats.stall_ticks = s.stats.stall_ticks.saturating_add(gap);
@@ -1965,6 +2230,7 @@ impl GpuDevice {
                     w.reset(kernel, next_pending, sm, ws);
                     warps[next_pending] = Some(w);
                     s.resident[sm] += 1;
+                    debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
                     s.queue.push(t + 1, next_pending as u32);
                     next_pending += 1;
                 } else if self.warp_scratch.len() < pool_cap {
@@ -2007,6 +2273,9 @@ impl GpuDevice {
         if let Some(p) = s.prof.take() {
             self.profiles.push(p.finish(end_tick));
         }
+        #[cfg(debug_assertions)]
+        s.check_end(&self.mem);
+        self.mem.spin_clear();
         let stats = s.stats;
         self.launch = launch;
         Ok(stats)

@@ -66,7 +66,7 @@ pub use error::{SimtError, WarpSnapshot};
 pub use host::HostCostModel;
 pub use kernel::{Effect, Pc, WarpKernel, PC_EXIT};
 pub use mem::{BufF64, BufFlag, BufU32, ExtEvent, ExtOp, LaneMem, SECTOR_BYTES};
-pub use metrics::LaunchStats;
+pub use metrics::{EngineCounters, LaunchStats};
 pub use multidev::{merge_deadlock, Link, LinkConfig, MAX_DEVICES};
 pub use profile::{PhaseCount, Profile, StallBucket, StallReason, WarpSpan, N_STALL_REASONS};
 pub use trace::{Trace, TraceEvent};

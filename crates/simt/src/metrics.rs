@@ -81,6 +81,43 @@ pub struct LaunchStats {
     pub sector_evictions: u64,
 }
 
+/// Host-work counters of one launch: where the engine's event loop and
+/// spin fast-forwarding spent their steps. Kept beside [`LaunchStats`] and
+/// never inside it, so Replay and FastForward stats stay directly
+/// comparable; no simulated result reads them. Read through
+/// [`crate::GpuDevice::last_launch_counters`].
+///
+/// Two identities hold. For a launch that completes, `issues`,
+/// `busy_rekeys`, `superseded` and `rekicks` sum to `heap_events`. For
+/// every launch, `issues` and the two virtual counts sum to
+/// [`LaunchStats::warp_instructions`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Scheduler heap events popped, superseded ones included.
+    pub heap_events: u64,
+    /// Pops that issued a warp instruction.
+    pub issues: u64,
+    /// Pops re-keyed because their SM's issue slot was taken.
+    pub busy_rekeys: u64,
+    /// Pops of superseded entries (re-kicked or re-scheduled warps).
+    pub superseded: u64,
+    /// Pops of a parked warp's wake kick whose anchor poll had moved later,
+    /// so the warp was kicked again.
+    pub rekicks: u64,
+    /// Parked warps' virtual warp instructions reconstructed one at a time.
+    pub virtual_single: u64,
+    /// Virtual warp instructions walked by crowd plans.
+    pub virtual_crowd: u64,
+    /// Parked warps put on an SM's ready row.
+    pub ready_inserts: u64,
+    /// Warps parked.
+    pub parks: u64,
+    /// Crowd plans built.
+    pub plans_built: u64,
+    /// Crowd plans dissolved back into per-visit state.
+    pub plans_dissolved: u64,
+}
+
 impl LaunchStats {
     /// Accumulates another launch (used by multi-launch algorithms).
     /// Saturating: a Level-Set solve accumulates thousands of launches and

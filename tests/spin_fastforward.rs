@@ -10,7 +10,7 @@ use capellini_sptrsv::core::kernels::{
 };
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
-use capellini_sptrsv::simt::{GpuDevice, ProfileMode, Trace};
+use capellini_sptrsv::simt::{EngineCounters, GpuDevice, ProfileMode, Trace};
 use capellini_sptrsv::sparse::{gen, paper_example};
 
 type Solve =
@@ -34,14 +34,38 @@ fn kernels() -> Vec<(&'static str, Solve)> {
 }
 
 /// A miniature of the evaluation dataset: the paper's 8×8 example, a
-/// serial chain (worst-case spin depth), a random DAG, and a banded
-/// matrix (mixed level widths).
+/// serial chain (worst-case spin depth), a random DAG, a banded matrix
+/// (mixed level widths), and a dense band (a steady crowd: every row waits
+/// on the 24 before it, so each SM holds parked warps sharing one spin
+/// period).
 fn matrices() -> Vec<(&'static str, LowerTriangularCsr)> {
     vec![
         ("paper8", paper_example()),
         ("chain256", gen::chain(256, 1, 7)),
         ("randomk", gen::random_k(600, 3, 600, 42)),
         ("banded", gen::banded(400, 5, 0.6, 7)),
+        ("dense_band", dense_band()),
+    ]
+}
+
+fn dense_band() -> LowerTriangularCsr {
+    gen::dense_band(200, 24, 62)
+}
+
+/// The kernels whose spin the dense band turns into crowds.
+fn crowd_kernels() -> Vec<(&'static str, Solve, Algorithm)> {
+    vec![
+        ("syncfree", syncfree::solve as Solve, Algorithm::SyncFree),
+        (
+            "cusparse_like",
+            cusparse_like::solve as Solve,
+            Algorithm::CusparseLike,
+        ),
+        (
+            "writing_first",
+            writing_first::solve as Solve,
+            Algorithm::CapelliniWritingFirst,
+        ),
     ]
 }
 
@@ -59,7 +83,23 @@ fn diff_one(name: &str, mname: &str, solve: Solve, l: &LowerTriangularCsr, cfg: 
     let (_, b) = rhs(l);
     let run = |model: SpinModel| {
         let mut dev = GpuDevice::new(cfg.clone().with_spin_model(model));
-        solve(&mut dev, l, &b).map(|o| (format!("{:?}", o.stats), o.x))
+        let out = solve(&mut dev, l, &b)?;
+        // The last launch completed: its heap pops split exactly, and a
+        // single launch's issues, real and virtual, are its instructions.
+        let c = dev.last_launch_counters();
+        assert_eq!(
+            c.issues + c.busy_rekeys + c.superseded + c.rekicks,
+            c.heap_events,
+            "{name} on {mname} under {model:?}: heap pops do not split"
+        );
+        if out.stats.launches == 1 {
+            assert_eq!(
+                c.issues + c.virtual_single + c.virtual_crowd,
+                out.stats.warp_instructions,
+                "{name} on {mname} under {model:?}: issues do not sum"
+            );
+        }
+        Ok::<_, capellini_sptrsv::simt::SimtError>((format!("{:?}", out.stats), out.x))
     };
     let replay = run(SpinModel::Replay);
     let ff = run(SpinModel::FastForward);
@@ -234,5 +274,116 @@ fn naive_intra_warp_cycle_deadlocks_immediately() {
             );
         }
         other => panic!("expected deadlock, got {other:?}"),
+    }
+}
+
+/// A cycle budget that runs out mid-solve on the dense band: FastForward
+/// reports the same timeout as Replay (its warp snapshots differ by
+/// design, DESIGN.md §9).
+#[test]
+fn crowd_timeouts_match_replay() {
+    let l = dense_band();
+    let (_, b) = rhs(&l);
+    for budget in [150_000, 200_000] {
+        for (name, solve, _) in crowd_kernels() {
+            let run = |model: SpinModel| {
+                let mut cfg = base_cfg().with_spin_model(model);
+                cfg.max_cycles = budget;
+                match solve(&mut GpuDevice::new(cfg), &l, &b) {
+                    Err(SimtError::Timeout {
+                        kernel,
+                        max_cycles,
+                        live_warps,
+                        last_progress_cycle,
+                        ..
+                    }) => (kernel, max_cycles, live_warps, last_progress_cycle),
+                    other => panic!("{name} at {budget} cycles under {model:?}: {other:?}"),
+                }
+            };
+            assert_eq!(
+                run(SpinModel::Replay),
+                run(SpinModel::FastForward),
+                "{name} at {budget} cycles: timeouts diverged"
+            );
+        }
+    }
+}
+
+/// Link events wake crowd members: a sharded dense-band solve keeps its
+/// per-device stats, makespan and solution bits.
+#[test]
+fn crowd_sharded_matches_replay() {
+    let l = dense_band();
+    let (_, b) = rhs(&l);
+    for (name, _, algo) in crowd_kernels() {
+        let run = |model: SpinModel| {
+            let cfg = base_cfg().with_spin_model(model);
+            let r = solve_sharded(&cfg, &l, &b, algo, &ShardConfig::pcie(2))
+                .unwrap_or_else(|e| panic!("{name} sharded under {model:?}: {e}"));
+            let bits: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
+            (format!("{:?}", r.per_device), r.makespan_cycles, bits)
+        };
+        assert_eq!(
+            run(SpinModel::Replay),
+            run(SpinModel::FastForward),
+            "{name} sharded: outcome diverged"
+        );
+    }
+}
+
+/// The crowd plan is what advances the dense band's parked warps: the
+/// counters are pinned, and plans walk more than the 58% of virtual issues
+/// the per-call crowd batch they replaced reached on SyncFree.
+#[test]
+fn crowd_plans_carry_the_dense_band() {
+    let l = dense_band();
+    let (_, b) = rhs(&l);
+    let pinned = [
+        (
+            "syncfree",
+            syncfree::solve as Solve,
+            EngineCounters {
+                heap_events: 53_692,
+                issues: 46_909,
+                busy_rekeys: 6_783,
+                superseded: 0,
+                rekicks: 0,
+                virtual_single: 22_971,
+                virtual_crowd: 392_005,
+                ready_inserts: 18_009,
+                parks: 4_500,
+                plans_built: 347,
+                plans_dissolved: 227,
+            },
+        ),
+        (
+            "cusparse_like",
+            cusparse_like::solve as Solve,
+            EngineCounters {
+                heap_events: 73_103,
+                issues: 62_917,
+                busy_rekeys: 10_186,
+                superseded: 0,
+                rekicks: 0,
+                virtual_single: 22_677,
+                virtual_crowd: 542_187,
+                ready_inserts: 17_866,
+                parks: 4_500,
+                plans_built: 338,
+                plans_dissolved: 218,
+            },
+        ),
+    ];
+    for (name, solve, want) in pinned {
+        let mut dev = GpuDevice::new(base_cfg());
+        solve(&mut dev, &l, &b).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let c = dev.last_launch_counters();
+        assert_eq!(c, want, "{name}: engine counters moved");
+        let virtual_issues = c.virtual_single + c.virtual_crowd;
+        assert!(
+            c.virtual_crowd * 100 > virtual_issues * 58,
+            "{name}: crowd plans walked {} of {virtual_issues} virtual issues",
+            c.virtual_crowd
+        );
     }
 }
