@@ -383,14 +383,39 @@ fn x_hash(x: &[f64]) -> u64 {
     fnv1a(x.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
+/// Compares `actual` with the committed fixture `name` line by line,
+/// failing on the first line that differs. The regenerated text is written
+/// to `CARGO_TARGET_TMPDIR/<name>.actual.txt` for diffing.
+fn assert_fixture(name: &str, actual: &str, want: &str) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+    std::fs::write(&path, actual).unwrap();
+    for (i, (a, w)) in actual.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            a,
+            w,
+            "{name} drifted at fixture line {} (actual text: {})",
+            i + 1,
+            path.display()
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        want.lines().count(),
+        "{name} line count differs (actual text: {})",
+        path.display()
+    );
+}
+
 /// Every engine-visible output, in absolute terms, under every engine
-/// model: `LaunchStats`, solution bits, the launch's heap-event count and
-/// the error text (warp snapshots included), plus profile and trace
-/// digests and sharded per-device results. Other suites compare models
-/// with each other, so a change that moved both sides alike would pass
-/// them; this one fails on the first line that differs from the fixture.
-/// The regenerated text is written to
-/// `CARGO_TARGET_TMPDIR/engine_golden.actual.txt` for diffing.
+/// model: `LaunchStats`, solution bits and the error text (warp snapshots
+/// included), plus profile and trace digests and sharded per-device
+/// results. Other suites compare models with each other, so a change that
+/// moved both sides alike would pass them; this one fails on the first
+/// line that differs from `fixtures/engine_golden.txt`. Host work is
+/// pinned apart from it, on the same keys: each single-device cell's last
+/// launch's `EngineCounters` are one line of
+/// `fixtures/engine_counters.txt`, so a change that moves only host work
+/// changes only that fixture.
 #[test]
 fn engine_outputs_match_the_golden_fixture() {
     use capellini_sptrsv::core::kernels::writing_first::FenceMode;
@@ -489,19 +514,21 @@ fn engine_outputs_match_the_golden_fixture() {
         ("syncfree_traced", syncfree::solve_traced),
     ];
 
-    // One line per cell: outcome, heap events of the device's last launch,
-    // a digest of any profiles the launch recorded, then `extra`.
-    let cell = |out: &mut String,
-                key: String,
-                dev: &mut GpuDevice,
-                res: Result<SimSolve, SimtError>,
-                extra: String| {
+    // One line per cell: outcome, a digest of any profiles the launch
+    // recorded, then `extra`; and the counters of the device's last launch
+    // on the counters fixture.
+    let mut counters = String::new();
+    let mut cell = |out: &mut String,
+                    key: String,
+                    dev: &mut GpuDevice,
+                    res: Result<SimSolve, SimtError>,
+                    extra: String| {
+        writeln!(counters, "{key} {:?}", dev.last_launch_counters()).unwrap();
         match res {
             Ok(s) => write!(out, "{key} ok {:?} x={:016x}", s.stats, x_hash(&s.x)),
             Err(e) => write!(out, "{key} err {:?}", e.to_string()),
         }
         .unwrap();
-        write!(out, " heap_events={}", dev.last_launch_heap_events()).unwrap();
         let profiles = dev.take_profiles();
         if !profiles.is_empty() {
             let text = format!("{profiles:?}");
@@ -562,22 +589,14 @@ fn engine_outputs_match_the_golden_fixture() {
         }
     }
 
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_golden.actual.txt");
-    std::fs::write(&path, &actual).unwrap();
-    let want = include_str!("fixtures/engine_golden.txt");
-    for (i, (a, w)) in actual.lines().zip(want.lines()).enumerate() {
-        assert_eq!(
-            a,
-            w,
-            "engine output drifted at fixture line {} (actual text: {})",
-            i + 1,
-            path.display()
-        );
-    }
-    assert_eq!(
-        actual.lines().count(),
-        want.lines().count(),
-        "fixture line count differs (actual text: {})",
-        path.display()
+    assert_fixture(
+        "engine_golden",
+        &actual,
+        include_str!("fixtures/engine_golden.txt"),
+    );
+    assert_fixture(
+        "engine_counters",
+        &counters,
+        include_str!("fixtures/engine_counters.txt"),
     );
 }
