@@ -70,7 +70,7 @@ pub fn gauss_seidel(
 ) -> Result<IterResult, SparseError> {
     let (lower, upper) = gauss_seidel_split(a)?;
     let n = a.n_rows();
-    assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
+    check_rhs_len(b, n)?;
     let mut x = vec![0.0f64; n];
     for it in 1..=max_iters {
         let ux = linalg::spmv(&upper, &x);
@@ -104,9 +104,13 @@ pub fn sor(
     max_iters: usize,
     threads: usize,
 ) -> Result<IterResult, SparseError> {
-    assert!(omega > 0.0 && omega < 2.0, "SOR requires 0 < omega < 2");
+    if !(omega > 0.0 && omega < 2.0) {
+        return Err(SparseError::InvalidStructure(format!(
+            "SOR requires 0 < omega < 2 (got {omega})"
+        )));
+    }
     let n = a.n_rows();
-    assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
+    check_rhs_len(b, n)?;
     // Build (D/ω + L) and (U + (1 − 1/ω)·D).
     let mut lower = capellini_sparse::CooMatrix::new(n, n);
     let mut rest = capellini_sparse::CooMatrix::new(n, n);
@@ -191,7 +195,7 @@ pub fn pcg_ssor(
     threads: usize,
 ) -> Result<IterResult, SparseError> {
     let n = a.n_rows();
-    assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
+    check_rhs_len(b, n)?;
     let m = SsorPreconditioner::new(a, threads)?;
     let mut x = vec![0.0f64; n];
     let mut r = b.to_vec();
@@ -229,6 +233,18 @@ pub fn pcg_ssor(
         residual,
         converged: false,
     })
+}
+
+/// The rhs length check of every iterative solver, worded like the one the
+/// simulated solve entry points share.
+fn check_rhs_len(b: &[f64], n: usize) -> Result<(), SparseError> {
+    if b.len() == n {
+        return Ok(());
+    }
+    Err(SparseError::InvalidStructure(format!(
+        "rhs length {} does not match matrix dimension {n}",
+        b.len()
+    )))
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -351,9 +367,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SOR requires")]
     fn sor_rejects_bad_omega() {
         let (a, b, _) = spd_system(50, 94);
-        let _ = sor(&a, &b, 2.5, 1e-8, 10, 1);
+        for omega in [2.5, 2.0, 0.0, -1.0, f64::NAN] {
+            match sor(&a, &b, omega, 1e-8, 10, 1) {
+                Err(SparseError::InvalidStructure(msg)) => {
+                    assert_eq!(msg, format!("SOR requires 0 < omega < 2 (got {omega})"))
+                }
+                other => panic!("omega {omega}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rhs_length_mismatch_is_an_error() {
+        let (a, b, _) = spd_system(50, 95);
+        let want = "rhs length 49 does not match matrix dimension 50";
+        let short = &b[..49];
+        for (name, res) in [
+            ("gauss_seidel", gauss_seidel(&a, short, 1e-8, 10, 1)),
+            ("sor", sor(&a, short, 1.2, 1e-8, 10, 1)),
+            ("pcg_ssor", pcg_ssor(&a, short, 1e-8, 10, 1)),
+        ] {
+            match res {
+                Err(SparseError::InvalidStructure(msg)) => assert_eq!(msg, want, "{name}"),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
     }
 }

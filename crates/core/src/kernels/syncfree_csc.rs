@@ -348,15 +348,6 @@ pub fn solve(
     })
 }
 
-/// The launch statistics plus solution, as a `LaunchStats` convenience.
-pub fn launch_stats_only(
-    dev: &mut GpuDevice,
-    l: &LowerTriangularCsr,
-    b: &[f64],
-) -> Result<LaunchStats, SimtError> {
-    solve(dev, l, b).map(|s| s.stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

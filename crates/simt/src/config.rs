@@ -86,14 +86,16 @@ impl ProfileMode {
 /// How the engine simulates busy-wait spin loops (the `get_value` polls of
 /// every synchronization-free SpTRSV variant).
 ///
-/// Both models produce **bit-exact** `LaunchStats`, traces, and profiles;
-/// they differ only in how many scheduler heap events it takes to get
-/// there. [`SpinModel::Replay`] re-enqueues the warp for every poll
+/// Both models produce **bit-exact** `LaunchStats`, solutions, and
+/// profiles; they differ only in how many scheduler heap events it takes to
+/// get there. [`SpinModel::Replay`] re-enqueues the warp for every poll
 /// round-trip — the reference semantics. [`SpinModel::FastForward`] (the
 /// default) parks a warp whose poll loop is declared pure
 /// ([`crate::WarpKernel::spin_pure`]) on a per-word waiter list, wakes it
 /// at the exact tick the satisfying store becomes visible, and
-/// reconstructs the skipped iterations' accounting in closed form.
+/// reconstructs the skipped iterations' accounting in closed form. A
+/// traced launch ([`crate::GpuDevice::launch_traced`]) replays under either
+/// model, so its trace is Replay's by construction.
 /// `tests/spin_fastforward.rs` pins the equivalence differentially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpinModel {

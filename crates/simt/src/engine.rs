@@ -183,13 +183,14 @@ struct Launch {
     /// The configured cycle budget (reported by a timeout).
     max_cycles: u64,
     warp_size: usize,
+    /// Spin fast-forwarding is on: `SpinModel::FastForward`, untraced.
     ff_on: bool,
     relaxed_on: bool,
     /// Relaxed model with per-SM store buffers (else per warp).
     sm_scope: bool,
     racecheck: bool,
-    /// Neither a profiler nor a trace wants per-instruction events, so
-    /// parked warps advance in closed form.
+    /// No profiler wants per-instruction events, so parked warps advance
+    /// in closed form.
     batch_ok: bool,
 
     // Scheduling.
@@ -228,7 +229,9 @@ struct Launch {
     sm_visit: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
     /// Per-SM ready row: parked warps whose visit fell at or below the SM
     /// issue cursor, sorted by warp id (the replay heap's same-tick tie
-    /// order). See [`SpinFf::ready`].
+    /// order). They issue as soon as a slot frees; keeping them out of the
+    /// visit heap displaces the crowd once instead of re-sorting it on
+    /// every slot the cursor advances past.
     sm_ready: Vec<Vec<u32>>,
     /// Per-SM parked crowds and their plans (see [`Crowd`]).
     crowds: Vec<Crowd>,
@@ -399,17 +402,18 @@ fn snapshot_warps<L>(warps: &[Option<WarpRt<L>>], spin: &[SpinState]) -> Vec<War
 }
 // --- Spin fast-forwarding (wake-on-write) --------------------------------
 //
-// Under `SpinModel::FastForward`, a warp caught in a *pure* busy-wait loop
-// (kernel-declared via `WarpKernel::spin_pure`, engine-verified per
-// iteration) is parked: it leaves the scheduler heap and its would-be poll
-// iterations are reconstructed arithmetically — same instructions, issue
-// slots, stalls, L2 hits, and profiler attribution the replayed loop would
-// have produced, at O(1) cost per *wake* instead of per iteration. Stores,
-// atomics, fences, and store-buffer drains to watched words queue wakes
-// keyed by the scheduler slot `(tick, min_warp)` at which the write has
-// executed; the parked warp re-polls at its first anchor visit at or after
-// that key. Waking early is safe (the poll fails and the warp re-parks);
-// waking late cannot happen, which is what keeps the model exact.
+// Under `SpinModel::FastForward`, in an untraced launch, a warp caught in
+// a *pure* busy-wait loop (kernel-declared via `WarpKernel::spin_pure`,
+// engine-verified per iteration) is parked: it leaves the scheduler heap
+// and its would-be poll iterations are reconstructed arithmetically — same
+// instructions, issue slots, stalls, L2 hits, and profiler attribution the
+// replayed loop would have produced, at O(1) cost per *wake* instead of per
+// iteration. Stores, atomics, fences, and store-buffer drains to watched
+// words queue wakes keyed by the scheduler slot `(tick, min_warp)` at which
+// the write has executed; the parked warp re-polls at its first anchor
+// visit at or after that key. Waking early is safe (the poll fails and the
+// warp re-parks); waking late cannot happen, which is what keeps the model
+// exact.
 
 /// Longest pure spin-loop body (in warp instructions, anchor poll
 /// included) the capture tracks; longer loops simply replay.
@@ -448,31 +452,25 @@ struct SpinFf {
     /// Virtual cursor: next `sig` index to issue...
     idx: usize,
     /// ...and the earliest tick it can issue at (pre-displacement). For a
-    /// warp on its SM's ready row (`ready`) this value is allowed to go
-    /// stale below the SM cursor; for a member of its SM's crowd plan it
-    /// is the cursor at which the warp joined the plan. Readers must use
-    /// [`cursor`].
+    /// warp on its SM's ready row this value is allowed to go stale below
+    /// the SM cursor; for a member of its SM's crowd plan it is the cursor
+    /// at which the warp joined the plan. Readers must use [`cursor`].
     next_tick: u64,
-    /// On the SM's ready row: `next_tick` fell at or below the SM's issue
-    /// cursor, so the warp issues as soon as a slot frees, in warp-id
-    /// order. Kept out of the visit heap so the crowd is displaced once,
-    /// not re-sorted on every slot the cursor advances past.
-    ready: bool,
     /// Tick of the earliest scheduled wake kick, if one is in the heap.
     kick: Option<u64>,
 }
 
 /// Parked warp `wid`'s virtual cursor `(idx, tick)`: computed from its
-/// SM's crowd plan when there is one, else its stored cursor, where a
-/// ready-row warp is gated by the SM issue cursor `free`
+/// SM's crowd plan when there is one, else its stored cursor, where a warp
+/// on the SM's ready `row` is gated by the SM issue cursor `free`
 /// (= `sm_next_free[p.sm]`), which its stored tick may trail. Projections
 /// (wake kicks, unparking) must use this, never raw `next_tick`, or a kick
 /// can land in the scheduler's past.
 #[inline]
-fn cursor(p: &SpinFf, wid: u32, crowd: &Crowd, free: u64) -> (usize, u64) {
+fn cursor(p: &SpinFf, wid: u32, crowd: &Crowd, row: &[u32], free: u64) -> (usize, u64) {
     if crowd.active() {
         crowd.cursor_of(wid)
-    } else if p.ready {
+    } else if row.binary_search(&wid).is_ok() {
         (p.idx, p.next_tick.max(free))
     } else {
         (p.idx, p.next_tick)
@@ -480,18 +478,6 @@ fn cursor(p: &SpinFf, wid: u32, crowd: &Crowd, free: u64) -> (usize, u64) {
 }
 
 impl SpinFf {
-    /// Takes warp `wid` (this warp) off its SM's ready row, if it is on it.
-    #[inline]
-    fn leave_ready(&mut self, sm_ready: &mut [Vec<u32>], wid: u32) {
-        if self.ready {
-            self.ready = false;
-            let row = &mut sm_ready[self.sm];
-            if let Ok(pos) = row.binary_search(&wid) {
-                row.remove(pos);
-            }
-        }
-    }
-
     /// Starts a capture at an all-lanes-failed pure poll, in this box's
     /// allocations.
     fn start(&mut self, sm: usize, pc: Pc, mask: u64, out: &StepOutcome, polled: &[(u32, u32)]) {
@@ -518,7 +504,6 @@ impl SpinFf {
         }
         self.idx = 0;
         self.next_tick = 0;
-        self.ready = false;
         self.kick = None;
     }
 }
@@ -738,13 +723,15 @@ fn add_virtual(stats: &mut LaunchStats, n: u64, threads: u64, flops: u64, l2: u6
 impl Launch {
     /// Starts a launch of `n_warps` warps of the kernel named `kernel` on a
     /// device configured by `cfg`: every field takes its launch-start value
-    /// and every allocation is kept.
+    /// and every allocation is kept. A `traced` launch replays every spin
+    /// poll, whatever the spin model, so its events are Replay's by
+    /// construction.
     fn reset(&mut self, cfg: &DeviceConfig, kernel: &'static str, n_warps: usize, traced: bool) {
         let sm_count = cfg.sm_count;
         self.ticks = Ticks::new(cfg);
         self.max_cycles = cfg.max_cycles;
         self.warp_size = cfg.warp_size;
-        self.ff_on = cfg.spin_model == SpinModel::FastForward;
+        self.ff_on = cfg.spin_model == SpinModel::FastForward && !traced;
         (self.relaxed_on, self.sm_scope, self.racecheck) = match cfg.memory_model {
             MemoryModel::SequentiallyConsistent => (false, false, false),
             MemoryModel::Relaxed {
@@ -761,7 +748,7 @@ impl Launch {
                 self.ticks.per_cycle,
             )),
         };
-        self.batch_ok = self.prof.is_none() && !traced;
+        self.batch_ok = self.prof.is_none();
 
         self.queue.heap.clear();
         self.queue.seq.clear();
@@ -1043,150 +1030,103 @@ impl Launch {
         self.check_sm(s);
     }
 
-    /// Advances parked warps' virtual execution up to (excluding) the
-    /// scheduler key `bound`, reproducing exactly the accounting their
-    /// replayed spin iterations would have generated. `sm_filter` restricts
-    /// the advance to one SM (valid whenever no global ordering is observed:
-    /// all reconstructed quantities commute across SMs); traced launches pass
-    /// `None` so `TraceEvent`s come out in schedule order. An SM with a crowd
-    /// plan walks it; otherwise its parked warps are visited one by one.
-    /// `dl` is the deadlock window in force; a virtual issue past a hang
-    /// threshold is the hang.
+    /// Advances SM `s`'s parked warps' virtual execution up to (excluding)
+    /// the scheduler key `bound`, reproducing exactly the accounting their
+    /// replayed spin iterations would have generated. One SM at a time is
+    /// exact: an untraced launch observes no global order, and every
+    /// reconstructed quantity commutes across SMs. An SM with a crowd plan
+    /// walks it; otherwise its parked warps are visited one by one. `dl` is
+    /// the deadlock window in force; a virtual issue past a hang threshold
+    /// is the hang.
     fn ff_advance<K: WarpKernel>(
         &mut self,
         kernel: &K,
-        trace: &mut Option<&mut Trace>,
-        sm_filter: Option<usize>,
+        s: usize,
         bound: (u64, u32),
         dl: u64,
     ) -> Result<(), Hang> {
         loop {
-            if let Some(s) = sm_filter {
-                if self.crowds[s].active() {
-                    let hang_limit = self.ticks.hang_limit(self.last_progress, dl);
-                    return self.walk_plan(s, bound, hang_limit, dl);
-                }
+            if self.crowds[s].active() {
+                let hang_limit = self.ticks.hang_limit(self.last_progress, dl);
+                return self.walk_plan(s, bound, hang_limit, dl);
             }
-            match self.ff_visits(kernel, trace, sm_filter, bound, dl)? {
-                Some(s) => self.try_plan(s),
-                None => return Ok(()),
+            if !self.ff_visits(kernel, s, bound, dl)? {
+                return Ok(());
             }
+            self.try_plan(s);
         }
     }
 
-    /// The per-visit path of [`Launch::ff_advance`]: one virtual
+    /// The per-visit path of [`Launch::ff_advance`] on SM `s`: one virtual
     /// instruction per visit, in `(tick, warp)` order, mirroring the real
-    /// issue path. Returns `Some(s)` when SM `s`'s crowd is due a retry.
+    /// issue path. Returns true when the SM's crowd is due a retry.
     fn ff_visits<K: WarpKernel>(
         &mut self,
         kernel: &K,
-        trace: &mut Option<&mut Trace>,
-        sm_filter: Option<usize>,
+        s: usize,
         bound: (u64, u32),
         dl: u64,
-    ) -> Result<Option<usize>, Hang> {
-        // A visit-heap key is live iff the warp is still parked and the key
-        // matches its current projection (`next_tick` is strictly increasing
-        // per warp, so every superseded key compares stale).
-        fn live(spin: &[SpinState], tk: u64, w: u32) -> bool {
-            matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk)
-        }
-        let (spin, crowds) = (&mut self.spin[..], &mut self.crowds[..]);
-        let (sm_visit, sm_ready) = (&mut self.sm_visit[..], &mut self.sm_ready[..]);
-        let (sm_next_free, sm_last_issue) =
-            (&mut self.sm_next_free[..], &mut self.sm_last_issue[..]);
+    ) -> Result<bool, Hang> {
+        let (spin, heap, row) = (
+            &mut self.spin[..],
+            &mut self.sm_visit[s],
+            &mut self.sm_ready[s],
+        );
         loop {
-            // Lex-least (next_tick, warp) among candidate parked warps.
-            let (u0, wid) = match sm_filter {
-                Some(s) => {
-                    // Single-SM advance. Visit keys due at or below the SM
-                    // issue cursor move onto the ready row, where the crowd
-                    // issues in warp-id order — the order the replay heap
-                    // produces for same-tick displaced entries — without being
-                    // re-keyed every slot the cursor advances past.
-                    let h = &mut sm_visit[s];
-                    let r = &mut sm_ready[s];
-                    let free = sm_next_free[s];
-                    while let Some(&Reverse((tk, w))) = h.peek() {
-                        if !live(spin, tk, w) {
-                            h.pop();
-                            continue;
-                        }
-                        if tk > free {
-                            break;
-                        }
-                        h.pop();
-                        let SpinState::Parked(p) = &mut spin[w as usize] else {
-                            unreachable!("live key is parked");
-                        };
-                        p.ready = true;
-                        if let Err(pos) = r.binary_search(&w) {
-                            r.insert(pos, w);
-                            self.counters.ready_inserts += 1;
-                        }
-                    }
-                    // A ready-row warp issues at the cursor; every remaining
-                    // visit key is strictly later, so the row front (lowest
-                    // warp id) wins whenever the row is non-empty. A timed
-                    // pick consumes its key — the issue below pushes the
-                    // successor.
-                    if let Some(&w0) = r.first() {
-                        if (free, w0) >= bound {
-                            return Ok(None);
-                        }
-                        (free, w0)
-                    } else if let Some(&Reverse((tk0, w0))) = h.peek() {
-                        if (tk0, w0) >= bound {
-                            return Ok(None);
-                        }
-                        h.pop();
-                        (tk0, w0)
-                    } else {
-                        return Ok(None);
-                    }
+            // Visit keys due at or below the SM issue cursor move onto the
+            // ready row, where the crowd issues in warp-id order — the order
+            // the replay heap produces for same-tick displaced entries —
+            // without being re-keyed every slot the cursor advances past. A
+            // key is live iff the warp is still parked and the key matches
+            // its current projection (`next_tick` is strictly increasing per
+            // warp, so every superseded key compares stale).
+            let free = self.sm_next_free[s];
+            while let Some(&Reverse((tk, w))) = heap.peek() {
+                if !matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk) {
+                    heap.pop();
+                    continue;
                 }
-                None => {
-                    // Global (traced) advance: scan every SM's parked list so
-                    // events come out in schedule order. The candidate's stale
-                    // key stays in its visit heap and is dropped lazily.
-                    let pick = crowds
-                        .iter()
-                        .flat_map(|cr| &cr.parked)
-                        .filter_map(|&wid| match &spin[wid as usize] {
-                            SpinState::Parked(p) => Some((p.next_tick, wid)),
-                            _ => None,
-                        })
-                        .min();
-                    match pick {
-                        Some(key) if key < bound => key,
-                        _ => return Ok(None),
-                    }
+                if tk > free {
+                    break;
                 }
-            };
-            let SpinState::Parked(p) = &mut spin[wid as usize] else {
-                unreachable!("candidate is parked");
-            };
-            let sm = p.sm;
-            // Same displacement rule as a popped heap event.
-            if sm_next_free[sm] > u0 {
-                p.next_tick = sm_next_free[sm];
-                sm_visit[sm].push(Reverse((p.next_tick, wid)));
-                continue;
+                heap.pop();
+                if let Err(pos) = row.binary_search(&w) {
+                    row.insert(pos, w);
+                    self.counters.ready_inserts += 1;
+                }
             }
+            // A ready-row warp issues at the cursor; every remaining visit
+            // key is strictly later, so the row front (lowest warp id) wins
+            // whenever the row is non-empty. A pick consumes its row entry
+            // or key — the issue below pushes the successor key.
+            let (u0, wid, drained) = if let Some(&w0) = row.first() {
+                if (free, w0) >= bound {
+                    return Ok(false);
+                }
+                row.remove(0);
+                (free, w0, row.is_empty())
+            } else if let Some(&Reverse((tk0, w0))) = heap.peek() {
+                if (tk0, w0) >= bound {
+                    return Ok(false);
+                }
+                heap.pop();
+                (tk0, w0, false)
+            } else {
+                return Ok(false);
+            };
             // Hang thresholds, checked at the issue tick like the real loop.
             if let Some(hang) = self.ticks.hang_at(u0, self.last_progress, dl) {
                 return Err(hang);
             }
-            // Committed to issuing: a ready-row warp leaves the row (the
-            // successor visit key re-enters through the heap).
-            let drained = p.ready && sm_ready[sm].len() == 1;
-            p.leave_ready(sm_ready, wid);
+            let SpinState::Parked(p) = &mut spin[wid as usize] else {
+                unreachable!("candidate is parked");
+            };
             self.counters.virtual_single += 1;
             let st = p.sig[p.idx];
-            let gap = u0.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
+            let gap = u0.saturating_sub(self.sm_last_issue[s]).saturating_sub(1);
             self.stats.stall_ticks = self.stats.stall_ticks.saturating_add(gap);
-            sm_last_issue[sm] = u0;
-            sm_next_free[sm] = u0 + 1;
+            self.sm_last_issue[s] = u0;
+            self.sm_next_free[s] = u0 + 1;
             add_virtual(
                 &mut self.stats,
                 1,
@@ -1199,7 +1139,7 @@ impl Launch {
             self.end_tick = self.end_tick.max(t_done);
             if let Some(pr) = self.prof.as_mut() {
                 pr.on_issue(
-                    sm,
+                    s,
                     u0,
                     gap,
                     wid as usize,
@@ -1210,23 +1150,13 @@ impl Launch {
                     t_done,
                 );
             }
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.events.push(TraceEvent {
-                    cycle: u0 / self.ticks.per_cycle,
-                    sm,
-                    warp: wid,
-                    pc: st.pc,
-                    label: kernel.pc_name(st.pc),
-                    mask: p.mask,
-                });
-            }
             p.idx = (p.idx + 1) % p.sig.len();
             p.next_tick = t_done;
-            sm_visit[sm].push(Reverse((t_done, wid)));
-            let cr = &mut crowds[sm];
+            heap.push(Reverse((t_done, wid)));
+            let cr = &mut self.crowds[s];
             cr.visits += 1;
             if drained && cr.retry && cr.visits >= RETRY_VISITS * cr.parked.len() {
-                return Ok(Some(sm));
+                return Ok(true);
             }
         }
     }
@@ -1242,7 +1172,6 @@ impl Launch {
         &mut self,
         kernel: &K,
         mem: &mut DeviceMemory,
-        trace: &mut Option<&mut Trace>,
         bound: (u64, u32),
         dl: u64,
     ) -> Result<(), Hang> {
@@ -1256,16 +1185,17 @@ impl Launch {
                 continue;
             };
             let sm = p.sm;
-            // The target warp's SM may be lazily behind this event
-            // (untraced launches advance one SM per pop), in which case the
-            // anchor-visit projection below would miss displacement already
-            // decided: a lattice visit just before the write can really
-            // issue at-or-after it. Bring the SM up to this event first —
-            // every visit the advance consumes precedes the write in
-            // schedule order, so it fails in replay too.
-            self.ff_advance(kernel, trace, Some(sm), bound, dl)?;
+            // The target warp's SM may be lazily behind this event (parked
+            // warps advance one SM per pop), in which case the anchor-visit
+            // projection below would miss displacement already decided: a
+            // lattice visit just before the write can really issue
+            // at-or-after it. Bring the SM up to this event first — every
+            // visit the advance consumes precedes the write in schedule
+            // order, so it fails in replay too.
+            self.ff_advance(kernel, sm, bound, dl)?;
             if let SpinState::Parked(p) = &mut self.spin[wid as usize] {
-                let cur = cursor(p, wid, &self.crowds[sm], self.sm_next_free[sm]);
+                let (cr, row) = (&self.crowds[sm], &self.sm_ready[sm]);
+                let cur = cursor(p, wid, cr, row, self.sm_next_free[sm]);
                 let kt = poll_at_or_after(p, cur, tick, min_warp, wid);
                 if p.kick.is_none_or(|old| kt < old) {
                     p.kick = Some(kt);
@@ -1289,10 +1219,13 @@ impl Launch {
             unreachable!("kicked warp is parked")
         };
         let sm = p.sm;
-        let cur = cursor(p, wid, &self.crowds[sm], self.sm_next_free[sm]);
+        let row = &mut self.sm_ready[sm];
+        let cur = cursor(p, wid, &self.crowds[sm], row, self.sm_next_free[sm]);
         if cur == (0, t) {
             let anchor = p.anchor_pc;
-            p.leave_ready(&mut self.sm_ready, wid);
+            if let Ok(pos) = row.binary_search(&wid) {
+                row.remove(pos);
+            }
             p.kick = None;
             let SpinState::Parked(p) = std::mem::replace(slot, SpinState::Idle) else {
                 unreachable!("kicked warp is parked")
@@ -1494,7 +1427,7 @@ impl Launch {
                     .sum();
                 let lap = tick.checked_sub(p.next_tick + steps);
                 assert!(
-                    !p.ready && lap.is_some_and(|d| d % cr.period == 0),
+                    lap.is_some_and(|d| d % cr.period == 0),
                     "SM {s}: warp {wid}'s planned cursor ({idx}, {tick}) is off the lattice \
                      of its cursor ({}, {})",
                     p.idx,
@@ -1521,7 +1454,7 @@ impl Launch {
                     .iter()
                     .any(|&Reverse((tk, w))| w == wid && tk == p.next_tick);
                 assert!(
-                    on_row == p.ready && on_row != keyed,
+                    on_row != keyed,
                     "SM {s}: parked warp {wid} is on the ready row: {on_row}, keyed: {keyed}"
                 );
                 waiting += keyed as usize;
@@ -1962,6 +1895,9 @@ impl GpuDevice {
     }
 
     /// Launches with an instruction trace (intended for the toy device).
+    /// A traced launch replays every spin poll, even under
+    /// [`SpinModel::FastForward`], so the trace, stats and host-work
+    /// counters are those of [`SpinModel::Replay`].
     pub fn launch_traced<K: WarpKernel>(
         &mut self,
         kernel: &K,
@@ -2105,13 +2041,7 @@ impl GpuDevice {
                 // deadlock accounting, exactly like a local store.
                 s.last_progress = s.last_progress.max(ev.tick);
                 s.end_tick = s.end_tick.max(ev.tick);
-                let woken = s.deliver_wakes(
-                    kernel,
-                    &mut self.mem,
-                    &mut trace,
-                    (ev.tick, 0),
-                    window(ev_i),
-                );
+                let woken = s.deliver_wakes(kernel, &mut self.mem, (ev.tick, 0), window(ev_i));
                 if let Err(hang) = woken {
                     break 'run Err((s.hang_error(kernel.name(), &warps, hang), s.end_tick));
                 }
@@ -2146,12 +2076,9 @@ impl GpuDevice {
             let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
             let sm = w.sm;
             if s.n_parked > 0 {
-                // Bring parked warps' virtual execution up to this event.
-                // Traced launches advance every SM so events stay globally
-                // ordered; otherwise only this SM's parked warps can
-                // matter before the issue below.
-                let sm_filter = if trace.is_some() { None } else { Some(sm) };
-                if let Err(hang) = s.ff_advance(kernel, &mut trace, sm_filter, (t, wid), dl) {
+                // Bring this SM's parked warps' virtual execution up to
+                // this event: only they can matter before the issue below.
+                if let Err(hang) = s.ff_advance(kernel, sm, (t, wid), dl) {
                     break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
                 }
                 if matches!(s.spin[wid as usize], SpinState::Parked(_)) {
@@ -2245,7 +2172,7 @@ impl GpuDevice {
 
             // Deliver wakes produced by this instruction's stores, atomics,
             // fences, or evictions to parked warps.
-            if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, &mut trace, (t, wid), dl) {
+            if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, (t, wid), dl) {
                 break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
             }
         };

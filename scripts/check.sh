@@ -29,6 +29,11 @@ cargo test -q --workspace
 echo "==> perfbench build + smoke tests (frozen benchmark package)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+# The debug-build engine checks are compiled out in release: the fixtures
+# must come out the same without them, simulated outputs and host work alike.
+echo "==> engine fixtures in release (golden outputs, engine counters, host work)"
+cargo test --release -q -p capellini-sptrsv --test golden_traces --test host_work
+
 echo "==> spin fast-forward differential suite (Replay vs FastForward bit-exactness)"
 cargo test --release -q -p capellini-sptrsv --test spin_fastforward
 

@@ -6,7 +6,7 @@
 
 use capellini_sptrsv::core::kernels::{
     cusparse_like, hybrid, levelset, naive, scheduled, syncfree, syncfree_csc, two_phase,
-    writing_first,
+    writing_first, SimSolve,
 };
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
@@ -169,34 +169,29 @@ fn stats_bit_exact_on_golden_fixture() {
     );
 }
 
-/// Traced launches must interleave reconstructed spin iterations into the
-/// event stream exactly where the replayed polls would have been.
+/// A traced launch replays every spin poll under either spin model: its
+/// trace, and its host work, are Replay's.
 #[test]
 fn traces_bit_exact() {
+    type SolveTraced =
+        fn(&mut GpuDevice, &LowerTriangularCsr, &[f64], &mut Trace) -> Result<SimSolve, SimtError>;
     let l = gen::random_k(600, 3, 600, 42);
     let (_, b) = rhs(&l);
-    let run_sf = |model: SpinModel| {
-        let mut dev = GpuDevice::new(base_cfg().with_spin_model(model));
-        let mut tr = Trace::new();
-        syncfree::solve_traced(&mut dev, &l, &b, &mut tr).unwrap();
-        tr.render()
-    };
-    assert_eq!(
-        run_sf(SpinModel::Replay),
-        run_sf(SpinModel::FastForward),
-        "syncfree trace diverged"
-    );
-    let run_wf = |model: SpinModel| {
-        let mut dev = GpuDevice::new(base_cfg().with_spin_model(model));
-        let mut tr = Trace::new();
-        writing_first::solve_traced(&mut dev, &l, &b, &mut tr).unwrap();
-        tr.render()
-    };
-    assert_eq!(
-        run_wf(SpinModel::Replay),
-        run_wf(SpinModel::FastForward),
-        "writing_first trace diverged"
-    );
+    let traced: [(&str, SolveTraced); 2] = [
+        ("syncfree", syncfree::solve_traced),
+        ("writing_first", writing_first::solve_traced),
+    ];
+    for (name, solve) in traced {
+        let run = |model: SpinModel| {
+            let mut dev = GpuDevice::new(base_cfg().with_spin_model(model));
+            let mut tr = Trace::new();
+            solve(&mut dev, &l, &b, &mut tr).unwrap();
+            (tr.render(), dev.last_launch_counters())
+        };
+        let (replay, ff) = (run(SpinModel::Replay), run(SpinModel::FastForward));
+        assert_eq!(replay.0, ff.0, "{name} trace diverged");
+        assert_eq!(replay.1, ff.1, "{name}: a traced launch fast-forwarded");
+    }
 }
 
 /// Sampled stall-attribution profiles must also be reconstructed
