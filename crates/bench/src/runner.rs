@@ -707,6 +707,42 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// A sweep and the cache hit after it render every suite-grid table and
+    /// figure to the same bytes.
+    #[test]
+    fn sweep_and_cache_hit_render_the_same_bytes() {
+        use crate::experiments::{fig4, fig5, fig7, fig8, platforms, table4, table5};
+        let dir = tmp_dir("render");
+        let runner = Runner {
+            threads: 2,
+            results_dir: dir.clone(),
+        };
+        let grid = || {
+            runner.run_grid(
+                "render",
+                Scale::Small,
+                &small_entries(),
+                &Algorithm::evaluation_trio(),
+                &platforms(),
+                0,
+            )
+        };
+        let render = |cells: &[CellResult]| {
+            [
+                table4(cells),
+                table5(cells, &[]),
+                fig4(cells),
+                fig5(cells, &[]),
+                fig7(cells),
+                fig8(cells),
+            ]
+        };
+        let swept = render(&grid());
+        let cached = render(&grid());
+        assert_eq!(swept, cached);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
     /// Cache versioning: matching sidecar reuses, changed inputs re-sweep,
     /// missing sidecar (legacy cache) is stamped in place.
     #[test]

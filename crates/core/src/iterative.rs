@@ -177,11 +177,13 @@ impl SsorPreconditioner {
         })
     }
 
-    /// Applies `M⁻¹ r`.
-    pub fn apply(&self, r: &[f64]) -> Vec<f64> {
+    /// Applies `M⁻¹ r`. A residual whose length is not the matrix
+    /// dimension is [`SparseError::InvalidStructure`].
+    pub fn apply(&self, r: &[f64]) -> Result<Vec<f64>, SparseError> {
+        check_rhs_len(r, self.diag.len())?;
         let y = solve_selfsched(&self.lower, r, self.threads, Distribution::Cyclic);
         let scaled: Vec<f64> = y.iter().zip(&self.diag).map(|(yi, di)| yi * di).collect();
-        solve_serial_upper(&self.upper, &scaled)
+        Ok(solve_serial_upper(&self.upper, &scaled))
     }
 }
 
@@ -199,7 +201,7 @@ pub fn pcg_ssor(
     let m = SsorPreconditioner::new(a, threads)?;
     let mut x = vec![0.0f64; n];
     let mut r = b.to_vec();
-    let mut z = m.apply(&r);
+    let mut z = m.apply(&r)?;
     let mut p = z.clone();
     let mut rz = dot(&r, &z);
     for it in 1..=max_iters {
@@ -218,7 +220,7 @@ pub fn pcg_ssor(
                 converged: true,
             });
         }
-        z = m.apply(&r);
+        z = m.apply(&r)?;
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -394,5 +396,24 @@ mod tests {
                 other => panic!("{name}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn ssor_apply_checks_the_residual_length() {
+        // A = [[2, 1], [1, 2]]: every step of M⁻¹ r below is exact.
+        let coo = CooMatrix::from_triplets(
+            2,
+            2,
+            [(0u32, 0u32, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)],
+        )
+        .unwrap();
+        let m = SsorPreconditioner::new(&CsrMatrix::from_coo(&coo), 1).unwrap();
+        assert_eq!(
+            m.apply(&[1.0]),
+            Err(SparseError::InvalidStructure(
+                "rhs length 1 does not match matrix dimension 2".into()
+            ))
+        );
+        assert_eq!(m.apply(&[2.0, 4.0]), Ok(vec![0.25, 1.5]));
     }
 }

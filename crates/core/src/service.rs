@@ -15,7 +15,9 @@
 //!   transparently.
 //!
 //! * **Continuous batching.** Each resident session is owned by one worker
-//!   thread draining a per-matrix request queue. Concurrently-arriving
+//!   thread that receives its matrix's requests over a bounded
+//!   [`std::sync::mpsc::sync_channel`]; each request carries a one-shot
+//!   reply channel its caller blocks on. Concurrently-arriving
 //!   right-hand sides for the *same* matrix coalesce into a single
 //!   [`SolverSession::solve_multi`] launch: under backlog the worker takes
 //!   up to [`ServiceConfig::max_batch`] pending vectors the moment the
@@ -28,18 +30,25 @@
 //!   single solves: that is the multi-RHS kernel invariant `tests/batched.rs`
 //!   pins, and `tests/service.rs` re-pins it end to end through the service.
 //!
-//! * **Admission control.** The per-matrix queue is bounded by
-//!   [`ServiceConfig::max_queue_depth`]; a request that would exceed it is
-//!   rejected with the structured [`ServiceError::Overloaded`] instead of
-//!   growing the queue without bound.
+//! * **Admission control.** A matrix's request channel holds at most
+//!   [`ServiceConfig::max_queue_depth`] requests its worker has not yet
+//!   taken into a batch; a request that would exceed it is rejected with
+//!   the structured [`ServiceError::Overloaded`] instead of growing the
+//!   queue without bound.
 //!
 //! * **Per-tenant metrics.** Solves, rejects, coalesced-batch sizes, and
 //!   queue-wait accounting per tenant ([`TenantMetrics`]) plus service-wide
 //!   aggregates ([`ServiceMetrics`]).
+//!
+//! The registry holds the only lasting sender of each worker's channel, so
+//! eviction and shutdown just drop it: the worker serves what is queued,
+//! sees every sender gone, and exits. A reply channel dropped unanswered —
+//! its worker panicked — is its caller's [`ServiceError::WorkerPanicked`].
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use capellini_simt::{DeviceConfig, SimtError};
@@ -49,13 +58,14 @@ use crate::buffers::check_rhs_len;
 use crate::select::Algorithm;
 use crate::session::SolverSession;
 
-/// Locks a mutex, recovering from poison. A worker that panics mid-batch
-/// poisons every lock it held; the service treats the panic as that
-/// worker's failure (its callers get [`ServiceError::WorkerPanicked`]), not
-/// as a reason for *unrelated* tenants' requests to start panicking on
-/// `lock().expect(...)`. All guarded state stays consistent under panic:
-/// metrics are plain counters, and queue/registry invariants are restored
-/// by the panicking worker's deregistration path.
+/// Locks a mutex, recovering from poison. A thread that panics while it
+/// holds one of the service's locks poisons it; the service treats that
+/// as the failure of that thread's request (a worker's callers get
+/// [`ServiceError::WorkerPanicked`]), not as a reason for *unrelated*
+/// tenants' requests to start panicking on `lock().expect(...)`. All
+/// guarded state stays usable under panic: metrics are plain counters, and
+/// a shard's eviction loop tolerates an LRU order that disagrees with its
+/// map.
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -78,8 +88,9 @@ pub struct ServiceConfig {
     pub coalesce_window: Duration,
     /// Cap on right-hand sides coalesced into one launch (≥ 1).
     pub max_batch: usize,
-    /// Bound on pending requests per matrix; arrivals beyond it are
-    /// rejected with [`ServiceError::Overloaded`] (≥ 1).
+    /// Bound on requests per matrix that its worker has not yet taken into
+    /// a batch; arrivals beyond it are rejected with
+    /// [`ServiceError::Overloaded`] (≥ 1).
     pub max_queue_depth: usize,
     /// Algorithm override. `None` selects per matrix by the Figure 6 rule
     /// ([`crate::select::recommend`]).
@@ -332,59 +343,15 @@ struct Pending {
     b: Vec<f64>,
     tenant: String,
     enqueued: Instant,
-    ticket: Arc<Ticket>,
+    /// The capacity-1 channel its caller blocks on.
+    reply: SyncSender<Result<ServiceResponse, ServiceError>>,
 }
 
-/// The rendezvous a blocked caller waits on.
-struct Ticket {
-    slot: Mutex<Option<Result<ServiceResponse, ServiceError>>>,
-    ready: Condvar,
-}
-
-impl Ticket {
-    fn new() -> Arc<Self> {
-        Arc::new(Ticket {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, result: Result<ServiceResponse, ServiceError>) {
-        let mut slot = lock_ok(&self.slot);
-        *slot = Some(result);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<ServiceResponse, ServiceError> {
-        let mut slot = lock_ok(&self.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self
-                .ready
-                .wait(slot)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-}
-
-struct EntryQueue {
-    pending: VecDeque<Pending>,
-    /// Set by eviction (or service shutdown). The worker drains what is
-    /// already queued, then exits and drops its session — freeing the
-    /// simulated device. Checked under the same lock by submitters, so a
-    /// request can never be enqueued after the worker left.
-    shutdown: bool,
-}
-
-/// One resident matrix: its request queue plus the handle the worker
-/// (re)builds the session from.
+/// One resident matrix: the sending end of its worker's request channel.
+/// The registry holds the only lasting reference, so dropping it from the
+/// registry retires the worker once the channel is drained.
 struct MatrixEntry {
-    l: Arc<LowerTriangularCsr>,
-    fp: u64,
-    queue: Mutex<EntryQueue>,
-    arrivals: Condvar,
+    queue: SyncSender<Pending>,
 }
 
 struct Shard {
@@ -423,8 +390,15 @@ pub struct SolverService {
 impl SolverService {
     /// Starts an empty service. Workers are spawned lazily, one per
     /// admitted matrix.
-    pub fn new(config: ServiceConfig) -> Self {
-        let shards = (0..config.shards.max(1))
+    pub fn new(mut config: ServiceConfig) -> Self {
+        // The `with_*` setters clamp these counts to 1, but the fields are
+        // public: clamp a 0 set by assignment too, so `config()` and
+        // `Overloaded::depth` report the bound that actually runs.
+        config.shards = config.shards.max(1);
+        config.sessions_per_shard = config.sessions_per_shard.max(1);
+        config.max_batch = config.max_batch.max(1);
+        config.max_queue_depth = config.max_queue_depth.max(1);
+        let shards = (0..config.shards)
             .map(|_| {
                 Mutex::new(Shard {
                     entries: HashMap::new(),
@@ -442,7 +416,8 @@ impl SolverService {
         }
     }
 
-    /// The configuration the service was started with.
+    /// The configuration the service runs: the one it was started with,
+    /// each zero count clamped to 1.
     pub fn config(&self) -> &ServiceConfig {
         &self.shared.config
     }
@@ -459,17 +434,19 @@ impl SolverService {
         if let Err(SimtError::Launch(msg)) = check_rhs_len(b, matrix.matrix().n()) {
             return Err(ServiceError::BadRequest(msg));
         }
+        let (reply, response) = mpsc::sync_channel(1);
+        let mut request = Pending {
+            b: b.to_vec(),
+            tenant: tenant.to_string(),
+            enqueued: Instant::now(),
+            reply,
+        };
         loop {
             let entry = self.admit(matrix)?;
-            let ticket = {
-                let mut q = lock_ok(&entry.queue);
-                if q.shutdown {
-                    // Evicted between lookup and enqueue; the registry no
-                    // longer maps this fingerprint, so retry re-admits it.
-                    continue;
-                }
-                if q.pending.len() >= self.shared.config.max_queue_depth {
-                    drop(q);
+            request.enqueued = Instant::now();
+            match entry.queue.try_send(request) {
+                Ok(()) => break,
+                Err(TrySendError::Full(_)) => {
                     let mut m = lock_ok(&self.shared.metrics);
                     m.global.rejects += 1;
                     m.tenants.entry(tenant.to_string()).or_default().rejects += 1;
@@ -478,18 +455,19 @@ impl SolverService {
                         depth: self.shared.config.max_queue_depth,
                     });
                 }
-                let ticket = Ticket::new();
-                q.pending.push_back(Pending {
-                    b: b.to_vec(),
-                    tenant: tenant.to_string(),
-                    enqueued: Instant::now(),
-                    ticket: Arc::clone(&ticket),
-                });
-                entry.arrivals.notify_one();
-                ticket
-            };
-            return ticket.wait();
+                // The worker exited on a panic between lookup and enqueue.
+                // It deregisters its matrix before it exits; deregistering
+                // here too guarantees the retry re-admits the matrix even
+                // if the worker died without doing so.
+                Err(TrySendError::Disconnected(back)) => {
+                    deregister(&self.shared, matrix.fp, &Arc::downgrade(&entry));
+                    request = back;
+                }
+            }
         }
+        response.recv().unwrap_or(Err(ServiceError::WorkerPanicked {
+            fingerprint: matrix.fp,
+        }))
     }
 
     /// A snapshot of the service-wide counters.
@@ -528,11 +506,6 @@ impl SolverService {
     pub fn shutdown(&self) {
         for shard in &self.shared.shards {
             let mut s = lock_ok(shard);
-            for entry in s.entries.values() {
-                let mut q = lock_ok(&entry.queue);
-                q.shutdown = true;
-                entry.arrivals.notify_all();
-            }
             s.entries.clear();
             s.lru.clear();
         }
@@ -559,38 +532,28 @@ impl SolverService {
             return Ok(entry);
         }
         // Miss: evict least-recently-used entries over capacity, then admit.
+        // Dropping an entry retires its worker once its queue is drained.
         while shard.entries.len() >= self.shared.config.sessions_per_shard {
             let Some(victim) = shard.lru.pop_front() else {
                 break;
             };
-            if let Some(old) = shard.entries.remove(&victim) {
-                let mut q = lock_ok(&old.queue);
-                q.shutdown = true;
-                old.arrivals.notify_all();
-                drop(q);
-                let mut m = lock_ok(&self.shared.metrics);
-                m.global.evictions += 1;
+            if shard.entries.remove(&victim).is_some() {
+                lock_ok(&self.shared.metrics).global.evictions += 1;
             }
         }
-        let entry = Arc::new(MatrixEntry {
-            l: Arc::clone(&matrix.l),
-            fp: matrix.fp,
-            queue: Mutex::new(EntryQueue {
-                pending: VecDeque::new(),
-                shutdown: false,
-            }),
-            arrivals: Condvar::new(),
-        });
+        let (queue, requests) = mpsc::sync_channel(self.shared.config.max_queue_depth);
+        let entry = Arc::new(MatrixEntry { queue });
 
         let shared = Arc::clone(&self.shared);
-        let worker_entry = Arc::clone(&entry);
-        let handle =
-            spawn_worker(matrix.fp, move || worker_loop(shared, worker_entry)).map_err(|e| {
-                ServiceError::SpawnFailed {
-                    fingerprint: matrix.fp,
-                    reason: e.to_string(),
-                }
-            })?;
+        let worker_matrix = matrix.clone();
+        let worker_entry = Arc::downgrade(&entry);
+        let handle = spawn_worker(matrix.fp, move || {
+            worker_loop(shared, worker_matrix, worker_entry, requests)
+        })
+        .map_err(|e| ServiceError::SpawnFailed {
+            fingerprint: matrix.fp,
+            reason: e.to_string(),
+        })?;
         shard.entries.insert(matrix.fp, Arc::clone(&entry));
         shard.touch(matrix.fp);
         drop(shard);
@@ -626,119 +589,84 @@ impl Drop for SolverService {
 
 // ------------------------------------------------------------------ worker
 
-/// Removes a panicked worker's matrix from the registry and fails its
-/// queued requests, leaving every other tenant untouched. Guarded by
-/// `Arc::ptr_eq` so a re-admitted successor entry under the same
-/// fingerprint is never torn down by a stale worker.
-fn deregister(shared: &ServiceShared, entry: &Arc<MatrixEntry>) {
-    let shard_idx = (entry.fp as usize) % shared.shards.len();
+/// Removes a panicked worker's matrix from the registry, leaving every
+/// other tenant untouched. A successor entry re-admitted under the same
+/// fingerprint is never torn down by a stale worker: the worker's weak
+/// reference keeps its own entry's allocation from being reused, so a
+/// pointer comparison tells the two apart.
+fn deregister(shared: &ServiceShared, fp: u64, entry: &Weak<MatrixEntry>) {
+    let mut shard = lock_ok(&shared.shards[(fp as usize) % shared.shards.len()]);
+    if shard
+        .entries
+        .get(&fp)
+        .is_some_and(|current| std::ptr::eq(Arc::as_ptr(current), entry.as_ptr()))
     {
-        let mut shard = lock_ok(&shared.shards[shard_idx]);
-        if shard
-            .entries
-            .get(&entry.fp)
-            .is_some_and(|current| Arc::ptr_eq(current, entry))
-        {
-            shard.entries.remove(&entry.fp);
-            if let Some(pos) = shard.lru.iter().position(|&f| f == entry.fp) {
-                shard.lru.remove(pos);
-            }
+        shard.entries.remove(&fp);
+        if let Some(pos) = shard.lru.iter().position(|&f| f == fp) {
+            shard.lru.remove(pos);
         }
-    }
-    let drained: Vec<Pending> = {
-        let mut q = lock_ok(&entry.queue);
-        q.shutdown = true;
-        entry.arrivals.notify_all();
-        q.pending.drain(..).collect()
-    };
-    for p in drained {
-        p.ticket.deliver(Err(ServiceError::WorkerPanicked {
-            fingerprint: entry.fp,
-        }));
     }
 }
 
 /// The per-matrix serving loop: builds the session (one analysis), then
-/// drains the request queue in coalesced batches until evicted and empty.
+/// serves the request channel in coalesced batches until every sender is
+/// gone and the channel is empty.
 ///
 /// Both the session construction and every batch run inside
-/// `catch_unwind`: a panic (a bug in one matrix's analysis or kernel) is
-/// converted into [`ServiceError::WorkerPanicked`] for the affected
-/// callers and the matrix is deregistered — it never poisons the registry
-/// locks for unrelated tenants or leaves callers blocked forever.
-fn worker_loop(shared: Arc<ServiceShared>, entry: Arc<MatrixEntry>) {
+/// `catch_unwind`: a panic (a bug in one matrix's analysis or kernel)
+/// deregisters the matrix and returns, and dropping the batch and the
+/// channel fails every affected caller with
+/// [`ServiceError::WorkerPanicked`] — it never poisons the registry locks
+/// for unrelated tenants or leaves callers blocked forever. The worker
+/// holds only a weak reference to its entry: holding its sender would keep
+/// the channel open forever.
+fn worker_loop(
+    shared: Arc<ServiceShared>,
+    matrix: MatrixHandle,
+    entry: Weak<MatrixEntry>,
+    requests: Receiver<Pending>,
+) {
     let config = &shared.config;
     let built = catch_unwind(AssertUnwindSafe(|| match config.algorithm {
-        Some(algo) => SolverSession::with_algorithm(&config.device, (*entry.l).clone(), algo),
-        None => SolverSession::new(&config.device, (*entry.l).clone()),
+        Some(algo) => SolverSession::with_algorithm(&config.device, matrix.matrix().clone(), algo),
+        None => SolverSession::new(&config.device, matrix.matrix().clone()),
     }));
-    let mut session = match built {
-        Ok(session) => session,
-        Err(_) => {
-            deregister(&shared, &entry);
-            return;
-        }
+    let Ok(mut session) = built else {
+        deregister(&shared, matrix.fp, &entry);
+        return;
     };
     {
         let mut m = lock_ok(&shared.metrics);
         m.global.sessions_created += 1;
         m.global.analysis_ms_total += session.analysis_ms();
     }
-    let coalescing = config.coalesce_window > Duration::ZERO && config.max_batch > 1;
-    loop {
-        let batch: Vec<Pending> = {
-            let mut q = lock_ok(&entry.queue);
-            while q.pending.is_empty() && !q.shutdown {
-                q = entry
-                    .arrivals
-                    .wait(q)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-            if q.pending.is_empty() {
-                break; // shut down and fully drained
-            }
-            if coalescing && !q.shutdown && q.pending.len() < config.max_batch {
-                // Low load: linger up to the bounded window so
-                // near-simultaneous arrivals share the launch. Under
-                // backlog (a full batch already pending) this is skipped
-                // and batches form for free.
-                let deadline = Instant::now() + config.coalesce_window;
-                while q.pending.len() < config.max_batch && !q.shutdown {
-                    let now = Instant::now();
-                    let Some(left) = deadline
-                        .checked_duration_since(now)
-                        .filter(|d| !d.is_zero())
-                    else {
-                        break;
-                    };
-                    let (guard, timeout) = entry
-                        .arrivals
-                        .wait_timeout(q, left)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    q = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-            let take = if coalescing {
-                config.max_batch.min(q.pending.len())
-            } else {
-                1
+    // A zero window disables coalescing: every request gets its own launch.
+    let max_batch = if config.coalesce_window.is_zero() {
+        1
+    } else {
+        config.max_batch
+    };
+    while let Ok(first) = requests.recv() {
+        // Linger up to the window so near-simultaneous arrivals share the
+        // launch. Under backlog a full batch is already queued and no call
+        // waits. A window too long to add to `now` lingers without limit.
+        let mut batch = vec![first];
+        let deadline = Instant::now().checked_add(config.coalesce_window);
+        while batch.len() < max_batch {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            let Ok(next) = requests.recv_timeout(left) else {
+                break;
             };
-            q.pending.drain(..take).collect()
-        };
-        if let Some(failed) = serve_batch(&shared, &mut session, batch) {
+            batch.push(next);
+        }
+        if !serve_batch(&shared, &mut session, &batch) {
             // The launch panicked: the session may hold corrupt device
-            // state, so retire this worker and deregister the matrix
-            // before failing the tickets — a retry then re-admits the
-            // matrix with a fresh session.
-            deregister(&shared, &entry);
-            for p in failed {
-                p.ticket.deliver(Err(ServiceError::WorkerPanicked {
-                    fingerprint: entry.fp,
-                }));
-            }
+            // state. Deregister the matrix before returning drops the batch
+            // and the channel, so a caller that sees the failure and
+            // retries re-admits the matrix with a fresh session.
+            deregister(&shared, matrix.fp, &entry);
             return;
         }
     }
@@ -746,17 +674,9 @@ fn worker_loop(shared: Arc<ServiceShared>, entry: Arc<MatrixEntry>) {
     // device memory.
 }
 
-/// Runs one coalesced launch and distributes per-column results.
-/// Serves one coalesced batch. Returns the undelivered batch if the launch
-/// panicked — the caller must deregister the matrix FIRST and only then
-/// fail these tickets, so a caller that observes the failure and retries is
-/// guaranteed to re-admit a fresh entry rather than enqueue onto the dying
-/// one.
-fn serve_batch(
-    shared: &ServiceShared,
-    session: &mut SolverSession,
-    batch: Vec<Pending>,
-) -> Option<Vec<Pending>> {
+/// Serves one coalesced batch and replies to each of its callers. Returns
+/// `false`, replying to no one, if the launch panicked.
+fn serve_batch(shared: &ServiceShared, session: &mut SolverSession, batch: &[Pending]) -> bool {
     let launch_start = Instant::now();
     let k = batch.len();
     let n = session.matrix().n();
@@ -781,15 +701,11 @@ fn serve_batch(
             session.solve_multi(&bs, k).map(|rep| (rep.x, rep.exec_ms))
         }
     }));
-    let launched = match launched {
-        Ok(result) => result,
-        Err(_) => {
-            let mut m = lock_ok(&shared.metrics);
-            m.global.solve_errors += k as u64;
-            drop(m);
-            return Some(batch);
-        }
+    let Ok(launched) = launched else {
+        lock_ok(&shared.metrics).global.solve_errors += k as u64;
+        return false;
     };
+    // A caller blocks on its reply until it comes, so no send below fails.
     match launched {
         Ok((x, exec_ms)) => {
             let mut m = lock_ok(&shared.metrics);
@@ -812,7 +728,7 @@ fn serve_batch(
                 } else {
                     (0..n).map(|i| x[i * k + r]).collect()
                 };
-                p.ticket.deliver(Ok(ServiceResponse {
+                let _ = p.reply.send(Ok(ServiceResponse {
                     x: xi,
                     algorithm: session.algorithm(),
                     batch_size: k,
@@ -822,15 +738,13 @@ fn serve_batch(
             }
         }
         Err(e) => {
-            let mut m = lock_ok(&shared.metrics);
-            m.global.solve_errors += k as u64;
-            drop(m);
-            for p in &batch {
-                p.ticket.deliver(Err(ServiceError::Solve(e.clone())));
+            lock_ok(&shared.metrics).global.solve_errors += k as u64;
+            for p in batch {
+                let _ = p.reply.send(Err(ServiceError::Solve(e.clone())));
             }
         }
     }
-    None
+    true
 }
 
 #[cfg(test)]
@@ -1013,6 +927,61 @@ mod tests {
         for (a, e) in recovered.x.iter().zip(&expect.x) {
             assert_eq!(a.to_bits(), e.to_bits());
         }
+    }
+
+    /// The count fields are public, so a 0 can bypass the `with_*` clamps;
+    /// the service runs, and reports, a bound of 1 for each instead.
+    #[test]
+    fn zero_valued_counts_run_as_one() {
+        let l = gen::powerlaw(150, 2.5, 43);
+        let handle = MatrixHandle::new(l.clone());
+        let mut config = ServiceConfig::new(cfg());
+        config.shards = 0;
+        config.sessions_per_shard = 0;
+        config.max_batch = 0;
+        config.max_queue_depth = 0;
+        let service = SolverService::new(config);
+        let b = rhs(l.n(), 4);
+        let resp = service.solve("t0", &handle, &b).expect("served");
+        let expect = SolverSession::new(&cfg(), l).solve(&b).expect("reference");
+        for (a, e) in resp.x.iter().zip(&expect.x) {
+            assert_eq!(a.to_bits(), e.to_bits());
+        }
+        let c = service.config();
+        assert_eq!(
+            (
+                c.shards,
+                c.sessions_per_shard,
+                c.max_batch,
+                c.max_queue_depth
+            ),
+            (1, 1, 1, 1)
+        );
+    }
+
+    /// A window too long to add to `Instant::now()` lingers until the batch
+    /// is full instead of panicking the worker.
+    #[test]
+    fn unbounded_window_lingers_for_a_full_batch() {
+        let l = gen::powerlaw(160, 2.5, 44);
+        let handle = MatrixHandle::new(l.clone());
+        let service = SolverService::new(
+            ServiceConfig::new(cfg())
+                .with_coalesce_window(Duration::MAX)
+                .with_max_batch(2),
+        );
+        std::thread::scope(|scope| {
+            for seed in 0..2 {
+                let (service, handle) = (&service, &handle);
+                scope.spawn(move || {
+                    let resp = service
+                        .solve("t0", handle, &rhs(handle.matrix().n(), seed))
+                        .expect("served");
+                    assert_eq!(resp.batch_size, 2);
+                });
+            }
+        });
+        assert_eq!(service.metrics().launches, 1);
     }
 
     #[test]

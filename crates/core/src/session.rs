@@ -399,7 +399,8 @@ impl SolverSession {
 mod tests {
     use super::*;
     use crate::solver::solve_simulated;
-    use capellini_sparse::{csr, gen, levels, linalg};
+    use capellini_sparse::diagnostics::analysis_counts;
+    use capellini_sparse::{gen, linalg};
 
     fn rhs(n: usize, seed: usize) -> Vec<f64> {
         (0..n)
@@ -408,8 +409,9 @@ mod tests {
     }
 
     /// The tentpole acceptance test: after construction, repeated session
-    /// solves perform *zero* re-analysis — no level-set analysis, no CSC
-    /// conversion — and still match the cold path bitwise.
+    /// solves perform *zero* re-analysis — no statistics pass, level-set
+    /// analysis, schedule build or CSC conversion — and still match the
+    /// cold path bitwise.
     #[test]
     fn warm_solves_do_zero_reanalysis_for_every_algorithm() {
         let l = gen::layered(300, 4, 5, 91);
@@ -425,8 +427,7 @@ mod tests {
                 })
                 .collect();
             let mut session = SolverSession::with_algorithm(&cfg, l.clone(), algo);
-            let analyses_before = levels::analyze_invocations();
-            let conversions_before = csr::csc_conversions();
+            let before = analysis_counts();
             for (seed, cold) in colds.iter().enumerate() {
                 let b = rhs(l.n(), seed);
                 let warm = session.solve(&b).unwrap();
@@ -446,15 +447,9 @@ mod tests {
                 assert_eq!(warm.preprocessing_ms, 0.0);
             }
             assert_eq!(
-                levels::analyze_invocations(),
-                analyses_before,
-                "{}: warm solves re-ran level-set analysis",
-                algo.label()
-            );
-            assert_eq!(
-                csr::csc_conversions(),
-                conversions_before,
-                "{}: warm solves re-ran the CSC conversion",
+                analysis_counts(),
+                before,
+                "{}: warm solves re-ran an analysis pass",
                 algo.label()
             );
             assert_eq!(session.solves(), 3);
@@ -486,32 +481,31 @@ mod tests {
     /// the one inside that statistics pass).
     #[test]
     fn construction_computes_statistics_exactly_once() {
-        use capellini_sparse::stats;
         // Wide + sparse: recommend() picks Writing-First, which needs no
         // level-set analysis of its own beyond the statistics pass.
         let l = gen::ultra_sparse_wide(2_000, 8, 1, 97);
         let cfg = DeviceConfig::pascal_like();
 
-        let stats_before = stats::compute_invocations();
-        let analyses_before = levels::analyze_invocations();
+        let before = analysis_counts();
         let session = SolverSession::new(&cfg, l.clone());
         assert_eq!(session.algorithm(), Algorithm::CapelliniWritingFirst);
+        let after = analysis_counts();
         assert_eq!(
-            stats::compute_invocations(),
-            stats_before + 1,
+            after.stats,
+            before.stats + 1,
             "SolverSession::new must run the statistics pass exactly once"
         );
         assert_eq!(
-            levels::analyze_invocations(),
-            analyses_before + 1,
+            after.levels,
+            before.levels + 1,
             "SolverSession::new must run level-set analysis exactly once (inside the statistics pass)"
         );
 
-        let stats_before = stats::compute_invocations();
+        let before = analysis_counts();
         let _session = SolverSession::with_algorithm(&cfg, l, Algorithm::SyncFree);
         assert_eq!(
-            stats::compute_invocations(),
-            stats_before + 1,
+            analysis_counts().stats,
+            before.stats + 1,
             "SolverSession::with_algorithm must run the statistics pass exactly once"
         );
     }

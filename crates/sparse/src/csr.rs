@@ -2,25 +2,10 @@
 //! Figure 1c): `row_ptr` holds the beginning position of each row, `col_idx`
 //! the column numbers, and `values` the numerical values.
 
-use std::cell::Cell;
-
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
+use crate::diagnostics::count_analysis;
 use crate::error::SparseError;
-
-thread_local! {
-    static CSC_CONVERSIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of [`CsrMatrix::to_csc`] conversions performed by the current
-/// thread.
-///
-/// Like [`crate::levels::analyze_invocations`], this is a diagnostic for the
-/// session-amortization contract: warm solves must not re-transpose the
-/// matrix. Thread-local so parallel tests see independent counters.
-pub fn csc_conversions() -> u64 {
-    CSC_CONVERSIONS.with(Cell::get)
-}
 
 /// A sparse matrix in CSR form with sorted, duplicate-free column indices
 /// within each row.
@@ -216,7 +201,7 @@ impl CsrMatrix {
     /// the index structure). Liu et al.'s SyncFree algorithm consumes CSC;
     /// this conversion *is* its preprocessing step.
     pub fn to_csc(&self) -> CscMatrix {
-        CSC_CONVERSIONS.with(|c| c.set(c.get() + 1));
+        count_analysis(|c| c.csc += 1);
         let nnz = self.nnz();
         let mut col_ptr = vec![0u32; self.n_cols + 1];
         for &c in &self.col_idx {

@@ -2,6 +2,7 @@
 //! properties that decide SpTRSV algorithm choice (used by the `sptrsv
 //! stats` CLI and handy when triaging a matrix that performs unexpectedly).
 
+use std::cell::Cell;
 use std::fmt::Write as _;
 
 use crate::levels::LevelSets;
@@ -84,6 +85,47 @@ pub fn report(l: &LowerTriangularCsr) -> String {
     out.push('\n');
     out.push_str(&level_hist.render("level widths"));
     out
+}
+
+/// How many times the current thread has run each analysis pass.
+///
+/// A diagnostic for the amortization contract of cached sessions: a test
+/// snapshots [`analysis_counts`] around a construction or a solve and
+/// asserts which passes ran; a warm solve must run none. The record is per
+/// thread, so concurrently running tests cannot perturb each other's
+/// deltas, and it sees a pass that runs inside another (the level-set
+/// analysis inside [`MatrixStats::compute`]), which a tally kept by the
+/// caller would miss.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnalysisCounts {
+    /// [`MatrixStats::compute`] runs.
+    pub stats: u64,
+    /// [`LevelSets::analyze`] runs.
+    pub levels: u64,
+    /// [`crate::Schedule::build`] runs.
+    pub schedules: u64,
+    /// [`crate::CsrMatrix::to_csc`] conversions.
+    pub csc: u64,
+}
+
+thread_local! {
+    static ANALYSIS_COUNTS: Cell<AnalysisCounts> = const {
+        Cell::new(AnalysisCounts { stats: 0, levels: 0, schedules: 0, csc: 0 })
+    };
+}
+
+/// The analysis passes the current thread has run so far.
+pub fn analysis_counts() -> AnalysisCounts {
+    ANALYSIS_COUNTS.with(Cell::get)
+}
+
+/// Records one analysis pass on the current thread.
+pub(crate) fn count_analysis(pass: impl FnOnce(&mut AnalysisCounts)) {
+    ANALYSIS_COUNTS.with(|c| {
+        let mut counts = c.get();
+        pass(&mut counts);
+        c.set(counts);
+    });
 }
 
 #[cfg(test)]

@@ -4,24 +4,8 @@
 //! (Anderson & Saad \[1\], Saltz \[35\]) and the source of the `n_level`
 //! statistic in the parallel-granularity indicator (Eq. 1).
 
-use std::cell::Cell;
-
+use crate::diagnostics::count_analysis;
 use crate::triangular::LowerTriangularCsr;
-
-thread_local! {
-    static ANALYZE_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of [`LevelSets::analyze`] runs performed by the current thread.
-///
-/// A diagnostic for the amortization contract of cached sessions: a test can
-/// snapshot this counter, perform warm solves, and assert it did not move —
-/// i.e. no level-set analysis was silently re-run. Thread-local (rather than
-/// process-global) so concurrently running tests cannot perturb each other's
-/// deltas.
-pub fn analyze_invocations() -> u64 {
-    ANALYZE_CALLS.with(Cell::get)
-}
 
 /// The result of level-set analysis of a lower-triangular system.
 ///
@@ -44,7 +28,7 @@ impl LevelSets {
     /// Single forward sweep — `O(nnz)` — because dependencies always point to
     /// earlier rows in a lower-triangular matrix.
     pub fn analyze(l: &LowerTriangularCsr) -> Self {
-        ANALYZE_CALLS.with(|c| c.set(c.get() + 1));
+        count_analysis(|c| c.levels += 1);
         let n = l.n();
         let mut level_of = vec![0u32; n];
         let mut max_level = 0u32;

@@ -37,23 +37,9 @@
 //! consecutive rows, which keeps `x`/`row_ptr` accesses within a warp in
 //! adjacent sectors — the locality lever measured by `repro schedule`.
 
-use std::cell::Cell;
-
+use crate::diagnostics::count_analysis;
 use crate::levels::LevelSets;
 use crate::triangular::LowerTriangularCsr;
-
-thread_local! {
-    static BUILD_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of [`Schedule::build`] runs performed by the current thread.
-///
-/// Mirrors [`crate::levels::analyze_invocations`]: cached sessions must
-/// construct the schedule exactly once, and tests snapshot this counter
-/// around warm solves to prove no coarsening pass silently re-ran.
-pub fn build_invocations() -> u64 {
-    BUILD_CALLS.with(Cell::get)
-}
 
 /// Tunables of the coarsening pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,7 +132,7 @@ impl Schedule {
     /// schedule (no units), and a diagonal-only system (one level) yields
     /// cost-balanced parallel units with no sequential bands.
     pub fn build(l: &LowerTriangularCsr, levels: &LevelSets, params: ScheduleParams) -> Self {
-        BUILD_CALLS.with(|c| c.set(c.get() + 1));
+        count_analysis(|c| c.schedules += 1);
         let n = l.n();
         assert_eq!(levels.n_rows(), n, "level sets must match the matrix");
         assert!(
@@ -372,6 +358,7 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::csr::CsrMatrix;
+    use crate::diagnostics::analysis_counts;
     use crate::gen;
 
     fn lower(trips: &[(u32, u32, f64)], n: usize) -> LowerTriangularCsr {
@@ -556,10 +543,10 @@ mod tests {
     fn build_invocations_counts_per_thread() {
         let l = gen::chain(10, 1, 3);
         let levels = LevelSets::analyze(&l);
-        let before = build_invocations();
+        let before = analysis_counts().schedules;
         let _ = Schedule::build_default(&l, &levels, 32);
         let _ = Schedule::build_default(&l, &levels, 32);
-        assert_eq!(build_invocations(), before + 2);
+        assert_eq!(analysis_counts().schedules, before + 2);
     }
 
     #[test]

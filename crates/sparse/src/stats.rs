@@ -9,26 +9,9 @@
 //! the average number of nonzeros per row, and by default all bases are 10
 //! and `b1 = b2 = 0.01`.
 
-use std::cell::Cell;
-
+use crate::diagnostics::count_analysis;
 use crate::levels::LevelSets;
 use crate::triangular::LowerTriangularCsr;
-
-thread_local! {
-    static COMPUTE_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of [`MatrixStats::compute`] runs performed by the current thread.
-///
-/// The statistics pass runs a full level-set analysis, so re-computing it
-/// silently is exactly the kind of redundant preprocessing the cached
-/// session exists to avoid. A test can snapshot this counter around a
-/// construction or solve path and assert how many passes actually ran.
-/// Thread-local (mirroring `levels::analyze_invocations`) so concurrently
-/// running tests cannot perturb each other's deltas.
-pub fn compute_invocations() -> u64 {
-    COMPUTE_CALLS.with(Cell::get)
-}
 
 /// Tunable parameters of Equation 1. The paper notes the bases and biases
 /// "can be adjusted by users; by default, we use common logarithm where all
@@ -95,7 +78,7 @@ pub struct MatrixStats {
 impl MatrixStats {
     /// Computes all statistics, running level-set analysis internally.
     pub fn compute(l: &LowerTriangularCsr) -> Self {
-        COMPUTE_CALLS.with(|c| c.set(c.get() + 1));
+        count_analysis(|c| c.stats += 1);
         let levels = LevelSets::analyze(l);
         Self::from_levels(l, &levels)
     }

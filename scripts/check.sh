@@ -46,4 +46,12 @@ cargo test --release -q -p capellini-sptrsv --test multi_device
 echo "==> service differential suite (concurrent tenants vs serial sessions bit-exactness)"
 cargo test --release -q -p capellini-sptrsv --test service
 
+# The service's request path is concurrent, so one passing run shows little:
+# its suites run 20 more times each.
+echo "==> service suites, 20 repeated release runs (integration + core unit tests)"
+for _ in $(seq 20); do
+  cargo test --release -q -p capellini-sptrsv --test service
+  cargo test --release -q -p capellini-core --lib service::
+done
+
 echo "==> all checks passed"

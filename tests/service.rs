@@ -174,6 +174,63 @@ fn eviction_and_readmission_stay_bit_identical() {
     assert_eq!(metrics.resident_sessions, 1);
 }
 
+/// Eviction while requests are queued: four tenants cycle the population
+/// concurrently through a 1-shard, 1-session registry, so each admission
+/// evicts a matrix other callers may be waiting on. Every response must
+/// still carry the serial bits.
+#[test]
+fn concurrent_eviction_churn_stays_bit_identical() {
+    let mats = population();
+    let requests: Vec<(usize, usize)> = (0..4usize)
+        .flat_map(|t| (0..12usize).map(move |k| ((t + k) % 3, t * 12 + k)))
+        .collect();
+    let expected = reference_solutions(&mats, &requests);
+
+    let service = SolverService::new(
+        ServiceConfig::new(device())
+            .with_shards(1)
+            .with_sessions_per_shard(1)
+            .with_coalesce_window(Duration::from_millis(1))
+            .with_max_batch(4),
+    );
+    let mismatches = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let service = &service;
+            let mats = &mats;
+            let expected = &expected;
+            let mismatches = &mismatches;
+            let my_requests = &requests[t * 12..(t + 1) * 12];
+            scope.spawn(move || {
+                let tenant = format!("churn-{t}");
+                for &(m, r) in my_requests {
+                    let b = rhs(mats[m].matrix().n(), m, r);
+                    let resp = service.solve(&tenant, &mats[m], &b).expect("served");
+                    let want = &expected[&(m, r)];
+                    let ok = resp.x.len() == want.len()
+                        && resp
+                            .x
+                            .iter()
+                            .zip(want)
+                            .all(|(a, e)| a.to_bits() == e.to_bits());
+                    if !ok {
+                        mismatches.lock().unwrap().push((m, r, resp.batch_size));
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        mismatches.lock().unwrap().is_empty(),
+        "responses diverged from serial sessions under eviction churn: {:?}",
+        mismatches.lock().unwrap()
+    );
+    let m = service.metrics();
+    assert_eq!(m.solves, 48);
+    assert!(m.evictions >= 1, "a capacity-1 registry must evict");
+    assert!(m.resident_sessions <= 1);
+}
+
 /// Admission control: a depth-bounded queue under a long coalesce window
 /// rejects the overflow with the structured error, serves the rest, and
 /// accounts both per tenant.
