@@ -601,8 +601,13 @@ mod tests {
 
     #[test]
     fn grid_runs_and_caches() {
-        let dir = std::env::temp_dir().join(format!("capellini-grid-{}", std::process::id()));
-        std::env::set_var("CAPELLINI_RESULTS_DIR", &dir);
+        // A runner of its own, not the process-wide `CAPELLINI_RESULTS_DIR`,
+        // which other tests redirect while this one runs.
+        let dir = tmp_dir("grid");
+        let runner = Runner {
+            threads: 1,
+            results_dir: dir.clone(),
+        };
         let entries = vec![DatasetEntry {
             name: "tiny".into(),
             spec: GenSpec::RandomK {
@@ -614,13 +619,12 @@ mod tests {
         }];
         let platforms = vec![DeviceConfig::pascal_like().scaled_down(4)];
         let algos = [Algorithm::CapelliniWritingFirst, Algorithm::SyncFree];
-        let cells = run_grid("test_grid", Scale::Small, &entries, &algos, &platforms, 0);
+        let cells = runner.run_grid("test_grid", Scale::Small, &entries, &algos, &platforms, 0);
         assert_eq!(cells.len(), 2);
         // Second call hits the cache and returns the very cells the sweep
         // did: both are at the CSV's precision, so they render alike.
-        let again = run_grid("test_grid", Scale::Small, &entries, &algos, &platforms, 0);
+        let again = runner.run_grid("test_grid", Scale::Small, &entries, &algos, &platforms, 0);
         assert_eq!(cells, again);
-        std::env::remove_var("CAPELLINI_RESULTS_DIR");
         std::fs::remove_dir_all(dir).ok();
     }
 

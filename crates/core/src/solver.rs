@@ -12,6 +12,14 @@ use crate::session::{has_batched_kernel, SolverSession};
 
 /// The outcome of one simulated solve, carrying everything the paper's
 /// tables report about a (matrix, algorithm, platform) cell.
+///
+/// Its simulated numbers depend on the L2 state the solve started from.
+/// The device keeps its first-touch (and, with the cache model armed, its
+/// tag) state across launches, so a cold solve ([`solve_simulated`], a
+/// fresh session's first solve, and every `repro` table) pays DRAM on first
+/// touch, while a warm [`SolverSession::solve`] or service request on a
+/// resident session is L2-warm: 0 DRAM transactions, a `bandwidth_gbs` of
+/// 0, and fewer cycles for the same solution bits (DESIGN.md §10).
 #[derive(Debug, Clone)]
 pub struct SolveReport {
     /// Which algorithm ran.

@@ -153,23 +153,159 @@ enum Hang {
     Deadlock { cycle: u64 },
 }
 
-/// The scheduler's event queue: issue events `(tick, warp, seq)`, earliest
-/// first (same-tick events in warp-id order). A warp's sequence number
-/// marks its one valid entry; superseded entries (re-kicked or displaced
-/// warps) stay in the heap and are skipped when popped.
+/// The scheduler: one issue arbiter per SM the grid occupies, under a
+/// tournament tree (DESIGN.md §6). Each SM keeps a min-heap of its warps'
+/// timed events (issue-ready ticks, newly resident warps and wake kicks)
+/// and a waiting set of the warps that found its issue slot taken, each
+/// keyed `(sm_next_free[sm], warp)`: the key a busy re-key in one global
+/// heap would reach, one pop at a time. An SM's key is the least of its
+/// heap top and its lowest waiting warp, and the tree yields the least SM
+/// key, so events come out earliest first, same-tick ones in warp-id
+/// order. A warp's sequence number marks its one valid timed entry;
+/// superseded entries (re-kicked warps) stay in their heap and are skipped
+/// when selected.
+///
+/// Keys are packed into one `u128` (see [`pack`]), so comparing two costs
+/// no branch.
 #[derive(Default)]
 struct Queue {
-    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Per SM: its warps' timed events, `pack(tick, warp, seq)`. Only the
+    /// first [`Queue::sms`] are in use; the rest keep their allocations for
+    /// wider grids.
+    timed: Vec<BinaryHeap<Reverse<u128>>>,
+    /// Per SM: its waiting warps, in descending warp-id order, so the
+    /// lowest (the next to issue) is last.
+    waiting: Vec<Vec<u32>>,
     seq: Vec<u32>,
+    /// Min tree over the SM keys `pack(tick, warp, sm)`: SM `s` is leaf
+    /// `sms + s`, node `i` holds the least of nodes `2i` and `2i + 1`, and
+    /// node 1 is the root. An SM with no event holds [`NO_EVENT`].
+    tree: Vec<u128>,
+}
+
+/// The key of an SM with neither a timed event nor a waiting warp.
+const NO_EVENT: u128 = u128::MAX;
+
+/// An event key: ordered by tick, then warp, then `low` (a timed entry's
+/// sequence number, or the SM in the tree).
+#[inline]
+fn pack(tick: u64, warp: u32, low: u32) -> u128 {
+    (tick as u128) << 64 | (warp as u128) << 32 | low as u128
+}
+
+/// The `(tick, warp, low)` of a key.
+#[inline]
+fn unpack(key: u128) -> (u64, u32, u32) {
+    ((key >> 64) as u64, (key >> 32) as u32, key as u32)
+}
+
+/// Where the selected event came from.
+enum Selected {
+    /// A timed event that was superseded after it was pushed.
+    Superseded,
+    /// The warp's live timed event, now popped.
+    Timed,
+    /// The SM's lowest waiting warp, which keeps its place until it issues.
+    Waiting,
 }
 
 impl Queue {
-    /// Schedules `warp` to issue at `tick`, superseding its pending entry.
+    /// Starts a launch of `n_warps` warps over `sms` SMs of `resident`
+    /// warp slots each, keeping every allocation. Only the SMs the last
+    /// launch occupied can hold entries: Level-Set runs thousands of
+    /// one-warp launches, and clearing every SM's queue at each of them
+    /// took a warm cant-like solve from 16.3 to 18.2 ms.
+    fn reset(&mut self, sms: usize, resident: usize, n_warps: usize) {
+        let used = self.sms();
+        self.timed[..used].iter_mut().for_each(BinaryHeap::clear);
+        self.waiting[..used].iter_mut().for_each(Vec::clear);
+        if self.timed.len() < sms {
+            self.timed
+                .resize_with(sms, || BinaryHeap::with_capacity(resident));
+            self.waiting
+                .resize_with(sms, || Vec::with_capacity(resident));
+        }
+        self.seq.clear();
+        self.seq.resize(n_warps, 0);
+        self.tree.clear();
+        self.tree.resize(2 * sms, NO_EVENT);
+    }
+
+    /// SMs the grid occupies: warps fill SMs round-robin, and a pending
+    /// warp takes the SM of the warp that retired.
+    fn sms(&self) -> usize {
+        self.tree.len() / 2
+    }
+
+    /// Schedules `warp` on SM `sm` at `tick`, superseding its pending
+    /// entry. The caller refreshes the SM's key.
     #[inline]
-    fn push(&mut self, tick: u64, warp: u32) {
+    fn push(&mut self, sm: usize, tick: u64, warp: u32) {
         let s = &mut self.seq[warp as usize];
         *s = s.wrapping_add(1);
-        self.heap.push(Reverse((tick, warp, *s)));
+        self.timed[sm].push(Reverse(pack(tick, warp, *s)));
+    }
+
+    /// Puts `warp` in SM `sm`'s waiting set. The caller refreshes the key.
+    fn wait(&mut self, sm: usize, warp: u32) {
+        let w = &mut self.waiting[sm];
+        let pos = w.partition_point(|&x| x > warp);
+        w.insert(pos, warp);
+    }
+
+    /// SM `sm`'s key, given its issue cursor `free`.
+    #[inline]
+    fn key(&self, sm: usize, free: u64) -> u128 {
+        let timed = self.timed[sm]
+            .peek()
+            .map_or(NO_EVENT, |&Reverse(k)| k >> 32 << 32 | sm as u128);
+        match self.waiting[sm].last() {
+            Some(&w) => timed.min(pack(free, w, sm as u32)),
+            None => timed,
+        }
+    }
+
+    /// Recomputes SM `sm`'s key after its events or its issue cursor
+    /// `free` changed, and the tree path above it.
+    #[inline]
+    fn refresh(&mut self, sm: usize, free: u64) {
+        let mut i = self.sms() + sm;
+        let key = self.key(sm, free);
+        if self.tree[i] == key {
+            return;
+        }
+        self.tree[i] = key;
+        while i > 1 {
+            i /= 2;
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+    }
+
+    /// The least event `(tick, warp, sm)`, if any.
+    #[inline]
+    fn first(&self) -> Option<(u64, u32, usize)> {
+        let root = self.tree[1];
+        (root != NO_EVENT).then(|| {
+            let (t, w, sm) = unpack(root);
+            (t, w, sm as usize)
+        })
+    }
+
+    /// Takes the event [`Queue::first`] returned. At an equal key a
+    /// superseded timed entry goes first; it is skipped anyway.
+    #[inline]
+    fn select(&mut self, sm: usize, t: u64, warp: u32) -> Selected {
+        match self.timed[sm].peek() {
+            Some(&Reverse(k)) if k >> 32 == pack(t, warp, 0) >> 32 => {
+                self.timed[sm].pop();
+                if k as u32 == self.seq[warp as usize] {
+                    Selected::Timed
+                } else {
+                    Selected::Superseded
+                }
+            }
+            _ => Selected::Waiting,
+        }
     }
 }
 
@@ -683,6 +819,17 @@ impl Crowd {
 /// nlpkkt160-like 82 ms; never: chain-like 92 ms).
 const RETRY_VISITS: usize = 4;
 
+/// Unparked resident warps above which an SM builds no crowd plan: their
+/// real issues land on planned slots, so such a plan mostly dissolves
+/// before it walks (wiki-Talk-like SyncFree built 1,453 plans and dissolved
+/// 1,433 for 39,808 walked issues). Deep DAGs leave few warps unparked:
+/// paper-deep's ops build the same plans as with no limit. Measured on warm
+/// `pascal_like()`
+/// solves of paper-shallow's 16 ops, sum of per-op best times over two
+/// rounds: no limit 530.5 and 551.6 ms; 2: 501.9 and 538.3 ms; 1, 4 and 8
+/// (second round only): 539.4, 564.1 and 539.0 ms.
+const PLAN_MAX_UNPARKED: usize = 2;
+
 /// Parked warp `wid`'s plan slots for one period from its stored cursor,
 /// as offsets from a plan base `free`. The caller checked that the cursor
 /// is at or past `free`; the warp's last issue is before `free`, so every
@@ -750,9 +897,8 @@ impl Launch {
         };
         self.batch_ok = self.prof.is_none();
 
-        self.queue.heap.clear();
-        self.queue.seq.clear();
-        self.queue.seq.resize(n_warps, 0);
+        self.queue
+            .reset(sm_count.min(n_warps), cfg.max_warps_per_sm, n_warps);
         self.counters = EngineCounters::default();
         self.resident.clear();
         self.resident.resize(sm_count, 0);
@@ -913,14 +1059,16 @@ impl Launch {
     }
 
     /// Tries to plan SM `s`'s parked crowd from its per-visit state (see
-    /// [`Crowd::retry`] for when). It qualifies when the ready row is empty
-    /// and every parked warp spins with one shared period, its cursor at or
-    /// past the SM cursor, on slots no other warp uses.
+    /// [`Crowd::retry`] for when). It qualifies when the ready row is empty,
+    /// at most [`PLAN_MAX_UNPARKED`] resident warps are unparked, and every
+    /// parked warp spins with one shared period, its cursor at or past the
+    /// SM cursor, on slots no other warp uses.
     fn try_plan(&mut self, s: usize) {
         let (cr, free) = (&mut self.crowds[s], self.sm_next_free[s]);
         cr.cal.clear();
         (cr.retry, cr.visits) = (self.batch_ok, 0);
-        if !self.batch_ok || !self.sm_ready[s].is_empty() {
+        let unparked = self.resident[s] - cr.parked.len();
+        if !self.batch_ok || !self.sm_ready[s].is_empty() || unparked > PLAN_MAX_UNPARKED {
             return;
         }
         for (i, &wid) in cr.parked.iter().enumerate() {
@@ -1199,9 +1347,12 @@ impl Launch {
                 let kt = poll_at_or_after(p, cur, tick, min_warp, wid);
                 if p.kick.is_none_or(|old| kt < old) {
                     p.kick = Some(kt);
-                    self.queue.push(kt, wid);
+                    self.queue.push(sm, kt, wid);
                 }
             }
+            // The advance may have moved the SM's cursor, and with it the
+            // key of its waiting warps.
+            self.queue.refresh(sm, self.sm_next_free[sm]);
         }
         Ok(())
     }
@@ -1238,7 +1389,7 @@ impl Launch {
         } else {
             let kt = poll_at_or_after(p, cur, 0, 0, wid);
             p.kick = Some(kt);
-            self.queue.push(kt, wid);
+            self.queue.push(sm, kt, wid);
             self.counters.rekicks += 1;
             None
         }
@@ -1354,7 +1505,7 @@ impl Launch {
                             // no-later-than wake.
                             let kt = poll_at_or_after(&c, (c.idx, c.next_tick), due, 0, wid);
                             c.kick = Some(kt);
-                            self.queue.push(kt, wid);
+                            self.queue.push(sm, kt, wid);
                         }
                         *slot = SpinState::Parked(c);
                         self.crowds[sm].parked.push(wid);
@@ -1473,12 +1624,90 @@ impl Launch {
         );
     }
 
+    /// Debug builds, between events: every leaf of the arbiter tree is its
+    /// SM's key recomputed from scratch and every node the least of its
+    /// children, so the root is the least SM key; and SM `s`'s warps are
+    /// each scheduled once. An unparked resident warp has one live timed
+    /// entry or a place in the waiting set, never both; a parked warp is
+    /// not waiting and has a live timed entry exactly when its wake kick is
+    /// set, at the kick's tick; the waiting set is strictly ordered.
+    #[cfg(debug_assertions)]
+    fn check_queue(&self, s: usize) {
+        let q = &self.queue;
+        let n = q.sms();
+        for sm in 0..n {
+            assert_eq!(
+                q.tree[n + sm],
+                q.key(sm, self.sm_next_free[sm]),
+                "SM {sm}: the arbiter holds a stale key"
+            );
+        }
+        for i in 1..n {
+            assert_eq!(
+                q.tree[i],
+                q.tree[2 * i].min(q.tree[2 * i + 1]),
+                "arbiter node {i} is not the least of its children"
+            );
+        }
+        let parked = |w: u32| match self.spin.get(w as usize) {
+            Some(SpinState::Parked(p)) => Some(p),
+            _ => None,
+        };
+        let waiting = &q.waiting[s];
+        assert!(
+            waiting.windows(2).all(|p| p[0] > p[1]),
+            "SM {s}: the waiting set is not strictly ordered"
+        );
+        assert!(
+            waiting.iter().all(|&w| parked(w).is_none()),
+            "SM {s}: a parked warp is waiting"
+        );
+        let (mut unparked_live, mut kicks) = (0, 0);
+        for &Reverse(k) in q.timed[s].iter() {
+            let (t, w, sq) = unpack(k);
+            if sq != q.seq[w as usize] {
+                continue;
+            }
+            match parked(w) {
+                Some(p) => {
+                    assert!(
+                        p.sm == s && p.kick == Some(t),
+                        "SM {s}: parked warp {w}'s timed entry at {t} is not its kick"
+                    );
+                    kicks += 1;
+                }
+                None => {
+                    assert!(
+                        waiting.binary_search_by(|x| w.cmp(x)).is_err(),
+                        "SM {s}: warp {w} is both timed and waiting"
+                    );
+                    unparked_live += 1;
+                }
+            }
+        }
+        let crowd = self.crowds.get(s).map_or(&[][..], |cr| &cr.parked[..]);
+        assert_eq!(
+            crowd
+                .iter()
+                .filter(|&&w| parked(w).is_some_and(|p| p.kick.is_some()))
+                .count(),
+            kicks,
+            "SM {s}: a parked warp's kick has no live timed entry"
+        );
+        assert_eq!(
+            waiting.len() + unparked_live + crowd.len(),
+            self.resident[s],
+            "SM {s}: an unparked warp is unscheduled or scheduled twice"
+        );
+    }
+
     /// Debug builds: the invariants of a launch that completed, under
     /// either spin model.
     #[cfg(debug_assertions)]
     fn check_end(&self, mem: &DeviceMemory) {
         assert_eq!(self.n_parked, 0, "a completed launch left warps parked");
         (0..self.crowds.len()).for_each(|s| self.check_sm(s));
+        (0..self.queue.sms()).for_each(|s| self.check_queue(s));
         let c = &self.counters;
         assert_eq!(
             c.issues + c.busy_rekeys + c.superseded + c.rekicks,
@@ -1825,10 +2054,13 @@ impl GpuDevice {
         self.grid_reuses
     }
 
-    /// Scheduler heap events processed by the most recent launch — the
-    /// event count [`crate::SpinModel::FastForward`] minimizes (identical
-    /// stats, far fewer events on spin-heavy kernels). The
-    /// `heap_events` field of [`GpuDevice::last_launch_counters`].
+    /// Scheduler events selected by the most recent launch: timed events
+    /// (superseded ones included) and waiting warps taken from their SM's
+    /// issue arbiter. [`crate::SpinModel::FastForward`] minimizes it
+    /// (identical stats, far fewer events on spin-heavy kernels), and a warp
+    /// that finds its SM busy adds one event on joining the SM's waiting
+    /// set, not one per slot it waits. The `heap_events` field of
+    /// [`GpuDevice::last_launch_counters`].
     pub fn last_launch_heap_events(&self) -> u64 {
         self.launch.counters.heap_events
     }
@@ -2003,8 +2235,9 @@ impl GpuDevice {
             warps[wid] = Some(w);
             s.resident[sm] += 1;
             debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
-            s.queue.push(0, wid as u32);
+            s.queue.push(sm, 0, wid as u32);
         }
+        (0..s.queue.sms()).for_each(|sm| s.queue.refresh(sm, 0));
         let mut next_pending = plan.sms.len();
 
         // While link events are still pending, a stall is waiting on the
@@ -2023,13 +2256,13 @@ impl GpuDevice {
         // buffered stores flush; the one teardown below handles them all.
         let exit: Result<(), (SimtError, u64)> = 'run: loop {
             // Apply external (link-delivered) events that are due at or
-            // before the next scheduled pop, re-peeking after each one: an
-            // applied event may wake a parked warp whose kick lands earlier
-            // than the previous heap top. With an empty heap the remaining
-            // events apply unconditionally (every runnable warp is parked
-            // or done; only an event can unblock anything).
+            // before the next scheduled event, re-reading it after each one:
+            // an applied event may wake a parked warp whose kick lands
+            // earlier. With no event left the remaining link events apply
+            // unconditionally (every runnable warp is parked or done; only
+            // a link event can unblock anything).
             while ev_i < events.len() {
-                if let Some(&Reverse((nt, _, _))) = s.queue.heap.peek() {
+                if let Some((nt, _, _)) = s.queue.first() {
                     if events[ev_i].tick > nt {
                         break;
                     }
@@ -2046,9 +2279,9 @@ impl GpuDevice {
                     break 'run Err((s.hang_error(kernel.name(), &warps, hang), s.end_tick));
                 }
             }
-            let Some(Reverse((t, wid, sq))) = s.queue.heap.pop() else {
-                // The heap drained. Every pending wake for a parked warp
-                // keeps a kick in the heap, so parked warps remaining here
+            let Some((t, wid, sm)) = s.queue.first() else {
+                // No event is left. Every pending wake for a parked warp
+                // keeps a kick scheduled, so parked warps remaining here
                 // can never run again: report the deadlock *now*, waiter
                 // graph attached, instead of burning the deadlock window on
                 // an empty schedule.
@@ -2062,119 +2295,135 @@ impl GpuDevice {
             };
             let dl = window(ev_i);
             s.counters.heap_events += 1;
-            if sq != s.queue.seq[wid as usize] {
-                // Superseded event: the warp was re-kicked or re-scheduled
-                // after this entry was pushed.
-                s.counters.superseded += 1;
-                continue;
-            }
-            if s.relaxed_on {
-                // Heap pops are monotone in t, so due-expired stores drain
-                // exactly once, in program order.
-                self.mem.drain_due(t);
-            }
-            let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
-            let sm = w.sm;
-            if s.n_parked > 0 {
-                // Bring this SM's parked warps' virtual execution up to
-                // this event: only they can matter before the issue below.
-                if let Err(hang) = s.ff_advance(kernel, sm, (t, wid), dl) {
-                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+            // Every way out of this block leaves SM `sm`'s key to refresh.
+            'event: {
+                let waiting = match s.queue.select(sm, t, wid) {
+                    // The warp was re-kicked after this entry was pushed.
+                    Selected::Superseded => {
+                        s.counters.superseded += 1;
+                        break 'event;
+                    }
+                    Selected::Timed => false,
+                    Selected::Waiting => true,
+                };
+                if s.relaxed_on {
+                    // Events come out monotone in t, so due-expired stores
+                    // drain exactly once, in program order.
+                    self.mem.drain_due(t);
                 }
-                if matches!(s.spin[wid as usize], SpinState::Parked(_)) {
-                    match s.take_kick(wid, t) {
-                        // Fall through: the poll issues at t like any event.
-                        Some(anchor) => {
-                            w.stack.last_mut().expect("parked warp has stack").pc = anchor
+                let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
+                debug_assert_eq!(w.sm, sm, "warp {wid} is scheduled on another SM");
+                if s.n_parked > 0 {
+                    // Bring this SM's parked warps' virtual execution up to
+                    // this event: only they can matter before the issue below.
+                    if let Err(hang) = s.ff_advance(kernel, sm, (t, wid), dl) {
+                        break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+                    }
+                    if matches!(s.spin[wid as usize], SpinState::Parked(_)) {
+                        match s.take_kick(wid, t) {
+                            // Fall through: the poll issues at t like any event.
+                            Some(anchor) => {
+                                w.stack.last_mut().expect("parked warp has stack").pc = anchor
+                            }
+                            None => break 'event,
                         }
-                        None => continue,
                     }
                 }
-            }
-            if s.sm_next_free[sm] > t {
-                s.counters.busy_rekeys += 1;
-                s.queue.push(s.sm_next_free[sm], wid);
-                continue;
-            }
-            if let Some(hang) = s.ticks.hang_at(t, s.last_progress, dl) {
-                break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
-            }
+                if s.sm_next_free[sm] > t {
+                    // The slot is taken: the warp waits at the SM's cursor.
+                    s.counters.busy_rekeys += 1;
+                    if !waiting {
+                        s.queue.wait(sm, wid);
+                    }
+                    break 'event;
+                }
+                if waiting {
+                    let lowest = s.queue.waiting[sm].pop();
+                    debug_assert_eq!(lowest, Some(wid), "SM {sm}: not its lowest waiting warp");
+                }
+                if let Some(hang) = s.ticks.hang_at(t, s.last_progress, dl) {
+                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
+                }
 
-            // A real issue on a planned slot displaces that slot's warp (a
-            // lower warp id would have issued first): the crowd leaves its
-            // plan.
-            if s.crowds.get(sm).and_then(Crowd::next_tick) == Some(t) {
-                s.dissolve(sm);
-            }
+                // A real issue on a planned slot displaces that slot's warp
+                // (a lower warp id would have issued first): the crowd
+                // leaves its plan.
+                if s.crowds.get(sm).and_then(Crowd::next_tick) == Some(t) {
+                    s.dissolve(sm);
+                }
 
-            // Issue accounting.
-            s.counters.issues += 1;
-            sat_add(&mut s.stats.issue_ticks, 1);
-            let gap = t.saturating_sub(s.sm_last_issue[sm]).saturating_sub(1);
-            s.stats.stall_ticks = s.stats.stall_ticks.saturating_add(gap);
-            s.sm_last_issue[sm] = t;
-            s.sm_next_free[sm] = t + 1;
+                // Issue accounting.
+                s.counters.issues += 1;
+                sat_add(&mut s.stats.issue_ticks, 1);
+                let gap = t.saturating_sub(s.sm_last_issue[sm]).saturating_sub(1);
+                s.stats.stall_ticks = s.stats.stall_ticks.saturating_add(gap);
+                s.sm_last_issue[sm] = t;
+                s.sm_next_free[sm] = t + 1;
 
-            // Execute one warp instruction.
-            let out = s.step_warp(kernel, w, wid, &mut self.mem, &mut trace, t);
-            if s.racecheck {
-                if let Some(r) = self.mem.take_race() {
-                    let err = SimtError::RaceDetected {
-                        kernel: kernel.name(),
-                        buffer: r.buf,
-                        index: r.idx,
-                        producer_warp: r.producer_warp,
-                        consumer_warp: r.consumer_warp,
-                        pc: r.pc,
-                    };
-                    break 'run Err((err, t));
+                // Execute one warp instruction.
+                let out = s.step_warp(kernel, w, wid, &mut self.mem, &mut trace, t);
+                if s.racecheck {
+                    if let Some(r) = self.mem.take_race() {
+                        let err = SimtError::RaceDetected {
+                            kernel: kernel.name(),
+                            buffer: r.buf,
+                            index: r.idx,
+                            producer_warp: r.producer_warp,
+                            consumer_warp: r.consumer_warp,
+                            pc: r.pc,
+                        };
+                        break 'run Err((err, t));
+                    }
+                }
+                if out.stored || out.retired > 0 {
+                    s.last_progress = t;
+                }
+                sat_add(&mut s.stats.lanes_retired, out.retired);
+                let t_done = t + out.cost_ticks;
+                s.end_tick = s.end_tick.max(t_done);
+                if let Some(p) = s.prof.as_mut() {
+                    p.on_issue(
+                        sm,
+                        t,
+                        gap,
+                        wid as usize,
+                        out.pc,
+                        kernel.pc_name(out.pc),
+                        out.issue,
+                        out.wait,
+                        t_done,
+                    );
+                }
+                let parked = s.ff_on && s.capture(kernel, &mut self.mem, wid, sm, &out, t_done);
+                if w.done() {
+                    let mut w = warps[wid as usize].take().expect("done warp exists");
+                    s.resident[sm] -= 1;
+                    if next_pending < n_warps {
+                        w.reset(kernel, next_pending, sm, ws);
+                        warps[next_pending] = Some(w);
+                        s.resident[sm] += 1;
+                        debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
+                        s.queue.push(sm, t + 1, next_pending as u32);
+                        next_pending += 1;
+                    } else if self.warp_scratch.len() < pool_cap {
+                        self.warp_scratch.push(WarpScratch {
+                            stack: w.stack,
+                            shared: w.shared,
+                        });
+                    }
+                } else if !parked {
+                    s.queue.push(sm, t_done, wid);
+                }
+
+                // Deliver wakes produced by this instruction's stores,
+                // atomics, fences, or evictions to parked warps.
+                if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, (t, wid), dl) {
+                    break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
                 }
             }
-            if out.stored || out.retired > 0 {
-                s.last_progress = t;
-            }
-            sat_add(&mut s.stats.lanes_retired, out.retired);
-            let t_done = t + out.cost_ticks;
-            s.end_tick = s.end_tick.max(t_done);
-            if let Some(p) = s.prof.as_mut() {
-                p.on_issue(
-                    sm,
-                    t,
-                    gap,
-                    wid as usize,
-                    out.pc,
-                    kernel.pc_name(out.pc),
-                    out.issue,
-                    out.wait,
-                    t_done,
-                );
-            }
-            let parked = s.ff_on && s.capture(kernel, &mut self.mem, wid, sm, &out, t_done);
-            if w.done() {
-                let mut w = warps[wid as usize].take().expect("done warp exists");
-                s.resident[sm] -= 1;
-                if next_pending < n_warps {
-                    w.reset(kernel, next_pending, sm, ws);
-                    warps[next_pending] = Some(w);
-                    s.resident[sm] += 1;
-                    debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
-                    s.queue.push(t + 1, next_pending as u32);
-                    next_pending += 1;
-                } else if self.warp_scratch.len() < pool_cap {
-                    self.warp_scratch.push(WarpScratch {
-                        stack: w.stack,
-                        shared: w.shared,
-                    });
-                }
-            } else if !parked {
-                s.queue.push(t_done, wid);
-            }
-
-            // Deliver wakes produced by this instruction's stores, atomics,
-            // fences, or evictions to parked warps.
-            if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, (t, wid), dl) {
-                break 'run Err((s.hang_error(kernel.name(), &warps, hang), t));
-            }
+            s.queue.refresh(sm, s.sm_next_free[sm]);
+            #[cfg(debug_assertions)]
+            s.check_queue(sm);
         };
         if let Err((err, flush)) = exit {
             // Buffered stores still land and no registration outlives the
@@ -3220,5 +3469,125 @@ mod tests {
         let k = WaitForLink { flag, x, y };
         dev.launch_with_events(&k, 0, &events).unwrap();
         assert_eq!(dev.mem_ref().read_f64(x)[1], 3.25);
+    }
+
+    /// The decisions of the `k`-th issue of an arbiter run seeded `seed`,
+    /// by warp `w`: its cost (1–4 ticks), whether the warp is pushed a
+    /// second time (superseding the first entry, as a re-kick does), and
+    /// how far forward another SM's cursor moves (as a wake's advance of
+    /// that SM's parked warps moves it). 0 moves nothing.
+    fn issue_rolls(seed: u64, k: u64, w: u32) -> (u64, Option<u64>, u64, u64) {
+        let mut h = (seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (w as u64) << 40)
+            .wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let mut roll = |n: u64| {
+            h ^= h >> 29;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (h >> 33) % n
+        };
+        let cost = 1 + roll(4);
+        let again = (roll(5) == 0).then(|| 1 + roll(6));
+        let (target, bump) = (roll(64), if roll(4) == 0 { roll(5) } else { 0 });
+        (cost, again, target, bump)
+    }
+
+    /// One scheduling run of `n_warps` warps, `per_warp` issues each, on
+    /// `sm_count` SMs, by the arbiter (`naive` false) or by one global heap
+    /// that re-keys a busy warp to its SM's cursor, one pop at a time: the
+    /// scheduler the arbiter replaced. Returns the issues `(tick, warp)` in
+    /// order.
+    fn schedule(
+        sm_count: usize,
+        n_warps: usize,
+        per_warp: u32,
+        seed: u64,
+        naive: bool,
+    ) -> Vec<(u64, u32)> {
+        let sms = sm_count.min(n_warps);
+        let (mut q, mut heap) = (Queue::default(), BinaryHeap::new());
+        q.reset(sms, 64, n_warps);
+        let mut seq = vec![0u32; n_warps];
+        // Schedules `w` at `t` in whichever scheduler runs.
+        let push = |q: &mut Queue, heap: &mut BinaryHeap<_>, seq: &mut [u32], t: u64, w: u32| {
+            if naive {
+                seq[w as usize] += 1;
+                heap.push(Reverse((t, w, seq[w as usize])));
+            } else {
+                q.push(w as usize % sms, t, w);
+            }
+        };
+        (0..n_warps as u32).for_each(|w| push(&mut q, &mut heap, &mut seq, 0, w));
+        (0..sms).for_each(|sm| q.refresh(sm, 0));
+        let (mut free, mut issued, mut out) = (vec![0u64; sms], vec![0u32; n_warps], Vec::new());
+        loop {
+            let (t, w, waiting) = if naive {
+                let Some(Reverse((t, w, sq))) = heap.pop() else {
+                    break;
+                };
+                if sq != seq[w as usize] {
+                    continue;
+                }
+                (t, w, false)
+            } else {
+                let Some((t, w, sm)) = q.first() else { break };
+                assert_eq!(sm, w as usize % sms, "warp {w} selected on SM {sm}");
+                match q.select(sm, t, w) {
+                    Selected::Superseded => {
+                        q.refresh(sm, free[sm]);
+                        continue;
+                    }
+                    Selected::Timed => (t, w, false),
+                    Selected::Waiting => (t, w, true),
+                }
+            };
+            let sm = w as usize % sms;
+            if free[sm] > t {
+                if naive {
+                    push(&mut q, &mut heap, &mut seq, free[sm], w);
+                } else if !waiting {
+                    q.wait(sm, w);
+                    q.refresh(sm, free[sm]);
+                }
+                continue;
+            }
+            if waiting {
+                assert_eq!(q.waiting[sm].pop(), Some(w));
+            }
+            let (cost, again, target, bump) = issue_rolls(seed, out.len() as u64, w);
+            out.push((t, w));
+            free[sm] = t + 1;
+            issued[w as usize] += 1;
+            if issued[w as usize] < per_warp {
+                push(&mut q, &mut heap, &mut seq, t + cost, w);
+                if let Some(d) = again {
+                    push(&mut q, &mut heap, &mut seq, t + d, w);
+                }
+            }
+            let other = target as usize % sms;
+            free[other] = free[other].max(t + bump);
+            if !naive {
+                q.refresh(sm, free[sm]);
+                q.refresh(other, free[other]);
+                let least = (0..sms).map(|s| q.key(s, free[s])).min();
+                assert_eq!(Some(q.tree[1]), least, "the root is not the least SM key");
+            }
+        }
+        assert_eq!(out.len(), n_warps * per_warp as usize, "a warp was lost");
+        out
+    }
+
+    #[test]
+    fn arbiter_issues_in_the_order_of_one_rekeying_heap() {
+        for sm_count in [1, 2, 3, 5, 20, 33] {
+            for n_warps in [1, 7, 100] {
+                for seed in 0..3 {
+                    let naive = schedule(sm_count, n_warps, 12, seed, true);
+                    let arbiter = schedule(sm_count, n_warps, 12, seed, false);
+                    assert_eq!(
+                        arbiter, naive,
+                        "{sm_count} SMs, {n_warps} warps, seed {seed}: the issue order moved"
+                    );
+                }
+            }
+        }
     }
 }

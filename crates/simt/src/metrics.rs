@@ -87,22 +87,32 @@ pub struct LaunchStats {
 /// comparable; no simulated result reads them. Read through
 /// [`crate::GpuDevice::last_launch_counters`].
 ///
+/// The scheduler is one issue arbiter per SM: each SM's timed events
+/// (issue-ready ticks, newly resident warps, wake kicks) and a waiting set
+/// of its warps that found the issue slot taken, under a tree that selects
+/// the earliest event over the SMs. The names say "heap" and "re-key"
+/// because they count the same decisions one global event heap made, where
+/// a busy warp was pushed back at its SM's cursor and popped again.
+///
 /// Two identities hold. For a launch that completes, `issues`,
 /// `busy_rekeys`, `superseded` and `rekicks` sum to `heap_events`. For
 /// every launch, `issues` and the two virtual counts sum to
 /// [`LaunchStats::warp_instructions`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Scheduler heap events popped, superseded ones included.
+    /// Scheduler events selected: timed events, superseded ones included,
+    /// and selections of an SM's lowest waiting warp.
     pub heap_events: u64,
-    /// Pops that issued a warp instruction.
+    /// Events that issued a warp instruction.
     pub issues: u64,
-    /// Pops re-keyed because their SM's issue slot was taken.
+    /// Events whose warp found its SM's issue slot taken: a timed event's
+    /// warp joins the SM's waiting set, and a selected waiting warp that a
+    /// lower-id parked warp's virtual issue beat to the slot stays in it.
     pub busy_rekeys: u64,
-    /// Pops of superseded entries (re-kicked or re-scheduled warps).
+    /// Selected timed events that were superseded (re-kicked warps).
     pub superseded: u64,
-    /// Pops of a parked warp's wake kick whose anchor poll had moved later,
-    /// so the warp was kicked again.
+    /// Selected wake kicks of a parked warp whose anchor poll had moved
+    /// later, so the warp was kicked again.
     pub rekicks: u64,
     /// Parked warps' virtual warp instructions reconstructed one at a time.
     pub virtual_single: u64,

@@ -37,6 +37,11 @@ cargo test --release -q -p capellini-sptrsv --test golden_traces --test host_wor
 echo "==> spin fast-forward differential suite (Replay vs FastForward bit-exactness)"
 cargo test --release -q -p capellini-sptrsv --test spin_fastforward
 
+# The issue arbiter decides when relaxed-model store buffers drain, and the
+# batched kernels serve the service: their suites run in release too.
+echo "==> memory-model, differential-fuzz and batched suites in release"
+cargo test --release -q -p capellini-sptrsv --test memory_model --test differential_fuzz --test batched
+
 echo "==> cache-model differential suite (off invisible, on deterministic across runs)"
 cargo test --release -q -p capellini-sptrsv --test cache_model
 

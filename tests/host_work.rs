@@ -67,17 +67,17 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Allocations per `(case, spin model, path)`.
 const EXPECTED: &[(&str, &str, &str, u64)] = &[
-    ("writing_first/random_k", "FastForward", "cold", 15827),
+    ("writing_first/random_k", "FastForward", "cold", 15833),
     ("writing_first/random_k", "FastForward", "warm", 14092),
-    ("writing_first/random_k", "Replay", "cold", 811),
+    ("writing_first/random_k", "Replay", "cold", 817),
     ("writing_first/random_k", "Replay", "warm", 203),
-    ("syncfree/random_k", "FastForward", "cold", 4337),
+    ("syncfree/random_k", "FastForward", "cold", 4342),
     ("syncfree/random_k", "FastForward", "warm", 2180),
-    ("syncfree/random_k", "Replay", "cold", 1335),
+    ("syncfree/random_k", "Replay", "cold", 1340),
     ("syncfree/random_k", "Replay", "warm", 327),
-    ("levelset/layered", "FastForward", "cold", 235),
+    ("levelset/layered", "FastForward", "cold", 243),
     ("levelset/layered", "FastForward", "warm", 130),
-    ("levelset/layered", "Replay", "cold", 231),
+    ("levelset/layered", "Replay", "cold", 239),
     ("levelset/layered", "Replay", "warm", 130),
 ];
 

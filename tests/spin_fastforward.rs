@@ -8,6 +8,7 @@ use capellini_sptrsv::core::kernels::{
     cusparse_like, hybrid, levelset, naive, scheduled, syncfree, syncfree_csc, two_phase,
     writing_first, SimSolve,
 };
+use capellini_sptrsv::core::solve_serial_csr;
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
 use capellini_sptrsv::simt::{EngineCounters, GpuDevice, ProfileMode, Trace};
@@ -79,7 +80,15 @@ fn rhs(l: &LowerTriangularCsr) -> (Vec<f64>, Vec<f64>) {
     (x_true, b)
 }
 
-fn diff_one(name: &str, mname: &str, solve: Solve, l: &LowerTriangularCsr, cfg: &DeviceConfig) {
+/// Runs `solve` under Replay and FastForward, asserts equal `LaunchStats`
+/// and solution bits, and returns the solution.
+fn diff_one(
+    name: &str,
+    mname: &str,
+    solve: Solve,
+    l: &LowerTriangularCsr,
+    cfg: &DeviceConfig,
+) -> Vec<f64> {
     let (_, b) = rhs(l);
     let run = |model: SpinModel| {
         let mut dev = GpuDevice::new(cfg.clone().with_spin_model(model));
@@ -107,6 +116,7 @@ fn diff_one(name: &str, mname: &str, solve: Solve, l: &LowerTriangularCsr, cfg: 
         (Ok((rs, rx)), Ok((fs, fx))) => {
             assert_eq!(rs, fs, "{name} on {mname}: stats diverged");
             assert_eq!(rx, fx, "{name} on {mname}: solution diverged");
+            fx
         }
         (r, f) => panic!("{name} on {mname}: outcome diverged: replay={r:?} ff={f:?}"),
     }
@@ -116,6 +126,43 @@ fn diff_all(cfg: &DeviceConfig) {
     for (mname, l) in &matrices() {
         for (name, solve) in &kernels() {
             diff_one(name, mname, *solve, l, cfg);
+        }
+    }
+}
+
+/// The issue arbiter's shapes: 1, 3, 20 (unscaled `pascal_like`) and 33
+/// SMs, with one or 64 resident warps each, on random matrices small
+/// enough that some grids have fewer warps than SMs (24 rows give
+/// Writing-First one warp) and large enough that one warp slot per SM
+/// leaves most warps pending (300 rows). FastForward must equal Replay,
+/// and both the serial reference.
+#[test]
+fn every_arbiter_shape_matches_replay_and_the_reference() {
+    let solves = [
+        ("syncfree", syncfree::solve as Solve),
+        ("cusparse_like", cusparse_like::solve as Solve),
+        ("writing_first", writing_first::solve as Solve),
+        ("scheduled", scheduled::solve as Solve),
+    ];
+    for (mname, l) in [
+        ("randomk24", gen::random_k(24, 3, 24, 5)),
+        ("randomk300", gen::random_k(300, 3, 300, 9)),
+    ] {
+        let (_, b) = rhs(&l);
+        let x_ref = solve_serial_csr(&l, &b);
+        for sm_count in [1, 3, 20, 33] {
+            for max_warps_per_sm in [1, 64] {
+                let cfg = DeviceConfig {
+                    sm_count,
+                    max_warps_per_sm,
+                    ..DeviceConfig::pascal_like()
+                };
+                let shape = format!("{mname} on {sm_count} SMs x {max_warps_per_sm} warps");
+                for (name, solve) in solves {
+                    let x = diff_one(name, &shape, solve, &l, &cfg);
+                    linalg::assert_solutions_close(&x, &x_ref, 1e-9);
+                }
+            }
         }
     }
 }
@@ -338,34 +385,34 @@ fn crowd_plans_carry_the_dense_band() {
             "syncfree",
             syncfree::solve as Solve,
             EngineCounters {
-                heap_events: 53_692,
+                heap_events: 47_582,
                 issues: 46_909,
-                busy_rekeys: 6_783,
+                busy_rekeys: 673,
                 superseded: 0,
                 rekicks: 0,
-                virtual_single: 22_971,
-                virtual_crowd: 392_005,
-                ready_inserts: 18_009,
+                virtual_single: 23_430,
+                virtual_crowd: 391_546,
+                ready_inserts: 18_439,
                 parks: 4_500,
-                plans_built: 347,
-                plans_dissolved: 227,
+                plans_built: 344,
+                plans_dissolved: 224,
             },
         ),
         (
             "cusparse_like",
             cusparse_like::solve as Solve,
             EngineCounters {
-                heap_events: 73_103,
+                heap_events: 63_682,
                 issues: 62_917,
-                busy_rekeys: 10_186,
+                busy_rekeys: 765,
                 superseded: 0,
                 rekicks: 0,
-                virtual_single: 22_677,
-                virtual_crowd: 542_187,
-                ready_inserts: 17_866,
+                virtual_single: 26_183,
+                virtual_crowd: 538_681,
+                ready_inserts: 20_682,
                 parks: 4_500,
-                plans_built: 338,
-                plans_dissolved: 218,
+                plans_built: 333,
+                plans_dissolved: 213,
             },
         ),
     ];
