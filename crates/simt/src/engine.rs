@@ -1499,14 +1499,7 @@ impl Launch {
                         c.idx = if c.sig.len() > 1 { 1 } else { 0 };
                         c.next_tick = t_done;
                         c.kick = None;
-                        if let Some(due) = mem.spin_park(wid, &c.watch) {
-                            // A buffered store to a watched word drains no
-                            // later than `due`; schedule the corresponding
-                            // no-later-than wake.
-                            let kt = poll_at_or_after(&c, (c.idx, c.next_tick), due, 0, wid);
-                            c.kick = Some(kt);
-                            self.queue.push(sm, kt, wid);
-                        }
+                        mem.spin_park(wid, &c.watch);
                         *slot = SpinState::Parked(c);
                         self.crowds[sm].parked.push(wid);
                         self.n_parked += 1;
@@ -2252,30 +2245,49 @@ impl GpuDevice {
             }
         };
         let mut ev_i = 0usize;
+        // The key just past the last selected event. A store buffered with
+        // no delay drains at the tick it executed, and its drain must not
+        // wake a poll that issued before it.
+        let mut after = (0u64, 0u32);
         // Every failure breaks out with its error and the tick at which
         // buffered stores flush; the one teardown below handles them all.
         let exit: Result<(), (SimtError, u64)> = 'run: loop {
-            // Apply external (link-delivered) events that are due at or
-            // before the next scheduled event, re-reading it after each one:
-            // an applied event may wake a parked warp whose kick lands
-            // earlier. With no event left the remaining link events apply
-            // unconditionally (every runnable warp is parked or done; only
-            // a link event can unblock anything).
-            while ev_i < events.len() {
-                if let Some((nt, _, _)) = s.queue.first() {
-                    if events[ev_i].tick > nt {
-                        break;
+            // External (link-delivered) events and autonomous store-buffer
+            // drains are events of their own: those due at or before the
+            // next scheduled event apply first, in tick order, link events
+            // first at equal ticks, re-reading the next event after each
+            // one, since a wake may kick a parked warp earlier. Each wakes
+            // parked warps as of its own key, so a woken warp's SM is
+            // advanced no further than that key before its poll is
+            // projected. With no scheduled event left, link events apply
+            // unconditionally, and drains while warps are parked: only they
+            // can unblock anything.
+            loop {
+                let next = s.queue.first().map_or(u64::MAX, |(t, _, _)| t);
+                let link = events.get(ev_i).map(|ev| ev.tick).filter(|&l| l <= next);
+                let drain = self
+                    .mem
+                    .next_drain()
+                    .filter(|&d| d <= next && (next < u64::MAX || s.n_parked > 0));
+                let key = match (link, drain) {
+                    (Some(l), d) if d.is_none_or(|d| l <= d) => {
+                        let ev = events[ev_i];
+                        ev_i += 1;
+                        self.mem.ext_apply(&ev);
+                        // The link delivering a value is forward progress
+                        // for the deadlock accounting, like a local store.
+                        s.last_progress = s.last_progress.max(ev.tick);
+                        s.end_tick = s.end_tick.max(ev.tick);
+                        (l, 0)
                     }
-                }
-                let ev = events[ev_i];
-                ev_i += 1;
-                self.mem.ext_apply(&ev);
-                // The link delivering a value is forward progress for the
-                // deadlock accounting, exactly like a local store.
-                s.last_progress = s.last_progress.max(ev.tick);
-                s.end_tick = s.end_tick.max(ev.tick);
-                let woken = s.deliver_wakes(kernel, &mut self.mem, (ev.tick, 0), window(ev_i));
-                if let Err(hang) = woken {
+                    (_, Some(d)) => {
+                        let key = (d, 0).max(after);
+                        self.mem.drain_due(key.0, key.1);
+                        key
+                    }
+                    _ => break,
+                };
+                if let Err(hang) = s.deliver_wakes(kernel, &mut self.mem, key, window(ev_i)) {
                     break 'run Err((s.hang_error(kernel.name(), &warps, hang), s.end_tick));
                 }
             }
@@ -2294,6 +2306,7 @@ impl GpuDevice {
                 break Ok(());
             };
             let dl = window(ev_i);
+            after = (t, wid + 1);
             s.counters.heap_events += 1;
             // Every way out of this block leaves SM `sm`'s key to refresh.
             'event: {
@@ -2306,11 +2319,6 @@ impl GpuDevice {
                     Selected::Timed => false,
                     Selected::Waiting => true,
                 };
-                if s.relaxed_on {
-                    // Events come out monotone in t, so due-expired stores
-                    // drain exactly once, in program order.
-                    self.mem.drain_due(t);
-                }
                 let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
                 debug_assert_eq!(w.sm, sm, "warp {wid} is scheduled on another SM");
                 if s.n_parked > 0 {

@@ -210,13 +210,6 @@ struct WordMeta {
     epoch: u64,
     undrained: u32,
     last_op: ExtOp,
-    /// Earliest autonomous-drain deadline among this word's undrained
-    /// stores. Maintained as a lower bound only (drains do not re-raise
-    /// it), which is safe for its single use: scheduling a *no-later-than*
-    /// wake for warps parking on the word. A premature wake re-polls and
-    /// re-parks; a late wake would be a missed store, so lateness is never
-    /// allowed.
-    earliest_due: u64,
 }
 
 /// Per-instruction spin observations, recorded by [`LaneMem`] for the
@@ -758,14 +751,28 @@ impl DeviceMemory {
         self.relaxed = Some(RelaxedState::new(drain_ticks, racecheck));
     }
 
+    /// Tick of the next autonomous drain, if a store is buffered: the
+    /// earliest due tick, or a lower bound on it after a capacity eviction.
+    pub(crate) fn next_drain(&self) -> Option<u64> {
+        self.relaxed
+            .as_ref()
+            .and_then(|rs| (!rs.pending.is_empty()).then_some(rs.min_due))
+    }
+
     /// Drains every store due at or before `now`, in program order, each
-    /// at its own due tick. Wakes nobody: a warp parked on the word was
-    /// woken when the store executed and re-parked with its due tick.
-    pub(crate) fn drain_due(&mut self, now: u64) {
+    /// at its own due tick, and wakes its word's waiters with
+    /// `(due, min_warp)`: every poll from that key on reads the drained
+    /// value. The engine drains at [`DeviceMemory::next_drain`] with
+    /// `min_warp` 0, so the stores it drains are all due at `now`.
+    pub(crate) fn drain_due(&mut self, now: u64, min_warp: u32) {
         let Some(rs) = &mut self.relaxed else { return };
         if now >= rs.min_due {
+            let spin = &mut self.spin;
             rs.drain(&mut self.bufs, &mut self.watch, |ps| {
-                (ps.due <= now).then_some(ps.due)
+                (ps.due <= now).then(|| {
+                    wake_waiters(spin, ps.buf, ps.idx, ps.due, min_warp);
+                    ps.due
+                })
             });
         }
     }
@@ -815,25 +822,12 @@ impl DeviceMemory {
 
     // ---- spin fast-forward waiter registry (engine-internal) ------------
 
-    /// Parks `warp` on every word in `watch`. Returns the earliest
-    /// autonomous-drain deadline among stores already pending to a watched
-    /// word, if any — the no-later-than tick at which a buffered store
-    /// could become visible without any further instruction executing,
-    /// which the engine must schedule a wake for.
-    pub(crate) fn spin_park(&mut self, warp: u32, watch: &[(u32, u32)]) -> Option<u64> {
-        let mut due = None;
+    /// Parks `warp` on every word in `watch`.
+    pub(crate) fn spin_park(&mut self, warp: u32, watch: &[(u32, u32)]) {
         self.spin.registered += watch.len();
         for &(buf, idx) in watch {
             self.spin.map.entry((buf, idx)).or_default().push(warp);
-            if let Some(rs) = &self.relaxed {
-                if let Some(m) = rs.words.get(&(buf, idx as usize)) {
-                    if m.undrained > 0 {
-                        due = Some(due.map_or(m.earliest_due, |d: u64| d.min(m.earliest_due)));
-                    }
-                }
-            }
         }
-        due
     }
 
     /// Removes `warp` from the waiter lists of every word in `watch`.
@@ -901,24 +895,17 @@ impl DeviceMemory {
             epoch: seq,
             undrained: 0,
             last_op: op,
-            earliest_due: due,
         });
-        if m.undrained > 0 {
-            m.earliest_due = m.earliest_due.min(due);
-        } else {
-            m.earliest_due = due;
-        }
         m.owner = owner;
         m.warp = warp;
         m.epoch = seq;
         m.undrained += 1;
         m.last_op = op;
-        // Wake warps parked on this word as soon as the store *executes*,
-        // not when it drains: a co-owner forwards the value immediately,
-        // and anyone else re-polls, fails, and re-parks — at which point
-        // `spin_park` reports the drain deadline for the no-later-than
-        // wake. Waking at execution keeps relaxed-model staleness
-        // accounting exact for loops whose bodies read racy words.
+        // Wake warps parked on this word as soon as the store *executes*:
+        // a co-owner forwards the value immediately, and anyone else
+        // re-polls, fails, and re-parks until the drain wakes it again.
+        // Waking at execution keeps relaxed-model staleness accounting
+        // exact for loops whose bodies read racy words.
         wake_waiters(&mut self.spin, buf, idx, now, warp.saturating_add(1));
     }
 
@@ -1504,13 +1491,13 @@ mod tests {
             let mut m = lane_mem_as(&mut dev, &mut shared, &mut acc, &mut sops, &mut polls, 1, 0);
             m.store_flag(g, 0, true);
         }
-        dev.drain_due(5);
+        dev.drain_due(5, 0);
         acc.clear();
         {
             let mut m = lane_mem_as(&mut dev, &mut shared, &mut acc, &mut sops, &mut polls, 2, 5);
             assert!(!m.poll_flag(g, 0), "not yet drained");
         }
-        dev.drain_due(100); // past due + any skew
+        dev.drain_due(100, 0); // past due + any skew
         acc.clear();
         {
             let mut m = lane_mem_as(
@@ -1537,7 +1524,7 @@ mod tests {
             let mut m = lane_mem_as(&mut dev, &mut shared, &mut acc, &mut sops, &mut polls, 1, 0);
             m.store_f64(f, 0, 3.0);
         }
-        dev.drain_due(1_000); // value reaches DRAM — but was never fenced
+        dev.drain_due(1_000, 0); // value reaches DRAM — but was never fenced
         acc.clear();
         {
             let mut m = lane_mem_as(
@@ -1669,7 +1656,7 @@ mod tests {
             .iter()
             .flat_map(|&(b, n)| (0..n).map(move |i| (b, i)))
             .collect();
-        assert_eq!(dev.spin_park(9, &words), None);
+        dev.spin_park(9, &words);
         let (mut acc, mut sops, mut polls) = (Vec::new(), 0, 0u32);
         let mut shared = [0.0f64; 0];
         macro_rules! lane {
@@ -1706,18 +1693,20 @@ mod tests {
         );
 
         // A relaxed store publishes nothing but wakes at execution; its
-        // delay drain publishes at the due tick and wakes nobody.
+        // delay drain publishes at the due tick and wakes with (due, 0).
         dev.set_relaxed(100, false);
         lane!(1, 20).store_f64(x, 2, 2.5);
         assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![(9, 20, 2)]));
         let due = 20 + 100 + drain_skew(xr, 2, 100);
-        dev.drain_due(due - 1);
+        assert_eq!(dev.next_drain(), Some(due));
+        dev.drain_due(due - 1, 0);
         assert_eq!(take_writes(&mut dev, &watched), (vec![], vec![]));
-        dev.drain_due(due + 5);
+        dev.drain_due(due + 5, 0);
         assert_eq!(
             take_writes(&mut dev, &watched),
-            (vec![(due, xr, 2, StoreF64(2.5))], vec![])
+            (vec![(due, xr, 2, StoreF64(2.5))], vec![(9, due, 0)])
         );
+        assert_eq!(dev.next_drain(), None);
 
         // A fence publishes the owner's stores in program order at the
         // fence tick and wakes with (now, warp + 1).

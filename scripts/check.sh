@@ -34,7 +34,9 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> engine fixtures in release (golden outputs, engine counters, host work)"
 cargo test --release -q -p capellini-sptrsv --test golden_traces --test host_work
 
-echo "==> spin fast-forward differential suite (Replay vs FastForward bit-exactness)"
+# Replay vs FastForward bit-exactness, including a seeded sweep under the
+# relaxed model, where store-buffer drains wake parked warps on their own.
+echo "==> spin fast-forward differential suite (Replay vs FastForward, SC and relaxed sweep)"
 cargo test --release -q -p capellini-sptrsv --test spin_fastforward
 
 # The issue arbiter decides when relaxed-model store buffers drain, and the

@@ -5,14 +5,16 @@
 //! of DESIGN.md §9 is pinned here.
 
 use capellini_sptrsv::core::kernels::{
-    cusparse_like, hybrid, levelset, naive, scheduled, syncfree, syncfree_csc, two_phase,
-    writing_first, SimSolve,
+    cusparse_like, cusparse_like_multi, hybrid, levelset, naive, scheduled, syncfree, syncfree_csc,
+    syncfree_multi, two_phase, writing_first, writing_first_multi, SimSolve,
 };
 use capellini_sptrsv::core::solve_serial_csr;
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
 use capellini_sptrsv::simt::{EngineCounters, GpuDevice, ProfileMode, Trace};
 use capellini_sptrsv::sparse::{gen, paper_example};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 type Solve =
     fn(
@@ -189,6 +191,199 @@ fn stats_bit_exact_relaxed_sm_scope() {
 #[test]
 fn stats_bit_exact_racecheck() {
     diff_all(&base_cfg().with_memory_model(MemoryModel::racecheck(2_000)));
+}
+
+type SolveMulti = fn(
+    &mut GpuDevice,
+    &LowerTriangularCsr,
+    &[f64],
+    usize,
+) -> Result<SimSolve, capellini_sptrsv::simt::SimtError>;
+
+/// How one cell of the relaxed sweep solves.
+#[derive(Clone, Copy)]
+enum SweepRun {
+    Single(Solve),
+    /// Three right-hand sides in one launch.
+    Multi(SolveMulti),
+    /// Sharded over `pcie(devices)`.
+    Sharded(Algorithm, usize),
+}
+
+/// One relaxed cell: a kernel on `random_k(n, 3, n, seed)` under one store
+/// scope (or racecheck) and drain delay.
+struct SweepCell {
+    kernel: &'static str,
+    run: SweepRun,
+    scope: &'static str,
+    drain_ticks: u64,
+    n: usize,
+    seed: u64,
+}
+
+impl SweepCell {
+    fn model(&self) -> MemoryModel {
+        match self.scope {
+            "warp" => MemoryModel::relaxed(self.drain_ticks),
+            "sm" => MemoryModel::Relaxed {
+                drain_ticks: self.drain_ticks,
+                scope: StoreScope::Sm,
+                racecheck: false,
+            },
+            _ => MemoryModel::racecheck(self.drain_ticks),
+        }
+    }
+
+    /// Stats (per device when sharded) and solution bits under `spin`, or
+    /// the error.
+    fn outcome(&self, spin: SpinModel) -> Result<(String, Vec<u64>), String> {
+        let l = gen::random_k(self.n, 3, self.n, self.seed);
+        let x_true: Vec<f64> = (0..l.n()).map(|i| (i % 17) as f64 - 8.0).collect();
+        let b = linalg::rhs_for_solution(&l, &x_true);
+        let cfg = base_cfg()
+            .with_memory_model(self.model())
+            .with_spin_model(spin);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        match self.run {
+            SweepRun::Single(solve) => solve(&mut GpuDevice::new(cfg), &l, &b)
+                .map(|out| (format!("{:?}", out.stats), bits(&out.x))),
+            SweepRun::Multi(solve) => {
+                let bs: Vec<f64> = (0..3 * l.n())
+                    .map(|k| b[k / 3] * (k % 3 + 1) as f64)
+                    .collect();
+                solve(&mut GpuDevice::new(cfg), &l, &bs, 3)
+                    .map(|out| (format!("{:?}", out.stats), bits(&out.x)))
+            }
+            SweepRun::Sharded(algo, devices) => {
+                solve_sharded(&cfg, &l, &b, algo, &ShardConfig::pcie(devices)).map(|r| {
+                    let stats = format!("{:?} makespan {}", r.per_device, r.makespan_cycles);
+                    (stats, bits(&r.x))
+                })
+            }
+        }
+        .map_err(|e| format!("{e:?}"))
+    }
+}
+
+/// FastForward against Replay under the relaxed model, where autonomous
+/// store-buffer drains make values visible with no instruction executing:
+/// a seeded sweep over the evaluation trio, their three-RHS variants and
+/// sharded solves, every store scope, racecheck and three drain delays.
+/// The named cells are the ones where a wake scheduled at park time, from
+/// the warp's undisplaced cursor, landed one spin period after Replay's
+/// poll first saw the drained value.
+#[test]
+fn relaxed_sweep_matches_replay() {
+    let cell = |kernel, run, scope, drain_ticks, n, seed| SweepCell {
+        kernel,
+        run,
+        scope,
+        drain_ticks,
+        n,
+        seed,
+    };
+    let sf_multi = SweepRun::Multi(syncfree_multi::solve_multi as SolveMulti);
+    let mut cells = vec![
+        cell("syncfree_multi", sf_multi, "sm", 2_000, 224, 1002),
+        cell("syncfree_multi", sf_multi, "warp", 2_000, 298, 1004),
+        cell(
+            "syncfree",
+            SweepRun::Single(syncfree::solve as Solve),
+            "warp",
+            7_000,
+            150,
+            1000,
+        ),
+        cell(
+            "syncfree",
+            SweepRun::Sharded(Algorithm::SyncFree, 2),
+            "sm",
+            2_000,
+            372,
+            1006,
+        ),
+        cell(
+            "syncfree",
+            SweepRun::Sharded(Algorithm::SyncFree, 3),
+            "sm",
+            2_000,
+            381,
+            1013,
+        ),
+    ];
+    let named = cells.len();
+    let runs = [
+        ("syncfree", SweepRun::Single(syncfree::solve as Solve)),
+        ("cusparse_like", SweepRun::Single(cusparse_like::solve)),
+        ("writing_first", SweepRun::Single(writing_first::solve)),
+        ("syncfree_multi", sf_multi),
+        (
+            "cusparse_like_multi",
+            SweepRun::Multi(cusparse_like_multi::solve_multi),
+        ),
+        (
+            "writing_first_multi",
+            SweepRun::Multi(writing_first_multi::solve_multi),
+        ),
+        ("syncfree", SweepRun::Sharded(Algorithm::SyncFree, 2)),
+        (
+            "cusparse_like",
+            SweepRun::Sharded(Algorithm::CusparseLike, 3),
+        ),
+        (
+            "writing_first",
+            SweepRun::Sharded(Algorithm::CapelliniWritingFirst, 2),
+        ),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x5EED_D8A1);
+    for (kernel, run) in runs {
+        for scope in ["warp", "sm", "racecheck"] {
+            for drain_ticks in [500, 2_000, 7_000] {
+                let n = rng.gen_range(120..320);
+                cells.push(cell(
+                    kernel,
+                    run,
+                    scope,
+                    drain_ticks,
+                    n,
+                    rng.gen_range(0..1 << 20),
+                ));
+            }
+        }
+    }
+    let diverged: Vec<String> = cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| {
+            let (replay, ff) = (c.outcome(SpinModel::Replay), c.outcome(SpinModel::FastForward));
+            let how = match c.run {
+                SweepRun::Single(_) => String::new(),
+                SweepRun::Multi(_) => " x3 rhs".into(),
+                SweepRun::Sharded(_, d) => format!(" on pcie({d})"),
+            };
+            (replay != ff).then(|| {
+                format!(
+                    "{}{} {}{how}, {} scope, drain {}, random_k({n}, 3, {n}, {}): replay {:?} ff {:?}",
+                    if i < named { "named " } else { "" },
+                    i,
+                    c.kernel,
+                    c.scope,
+                    c.drain_ticks,
+                    c.seed,
+                    replay.as_ref().map(|o| &o.0),
+                    ff.as_ref().map(|o| &o.0),
+                    n = c.n,
+                )
+            })
+        })
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "{} of {} relaxed cells diverged:\n{}",
+        diverged.len(),
+        cells.len(),
+        diverged.join("\n")
+    );
 }
 
 /// The fixture that caught the lazy-SM wake-projection bug: on a lazily
