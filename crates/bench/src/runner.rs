@@ -712,7 +712,9 @@ mod tests {
     }
 
     /// A sweep and the cache hit after it render every suite-grid table and
-    /// figure to the same bytes.
+    /// figure to the same bytes. The grid holds a matrix whose unrounded
+    /// cells render differently from the CSV's: its cuSPARSE-like speedup
+    /// puts table5's average at a rounding boundary.
     #[test]
     fn sweep_and_cache_hit_render_the_same_bytes() {
         use crate::experiments::{fig4, fig5, fig7, fig8, platforms, table4, table5};
@@ -721,11 +723,21 @@ mod tests {
             threads: 2,
             results_dir: dir.clone(),
         };
+        let mut entries = small_entries();
+        entries.push(DatasetEntry {
+            name: "edge".into(),
+            spec: GenSpec::RandomK {
+                n: 200,
+                k: 2,
+                window: 200,
+            },
+            seed: 127,
+        });
         let grid = || {
             runner.run_grid(
                 "render",
                 Scale::Small,
-                &small_entries(),
+                &entries,
                 &Algorithm::evaluation_trio(),
                 &platforms(),
                 0,
@@ -744,6 +756,15 @@ mod tests {
         let swept = render(&grid());
         let cached = render(&grid());
         assert_eq!(swept, cached);
+        // The boundary is still there: unrounded cells would render other
+        // bytes, so the comparison above bites.
+        let refs: Vec<&DatasetEntry> = entries.iter().collect();
+        let unrounded = runner.sweep("render", &refs, &Algorithm::evaluation_trio(), &platforms());
+        assert_ne!(
+            render(&unrounded),
+            cached,
+            "no rendered value sits at a rounding boundary"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

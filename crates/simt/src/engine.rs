@@ -582,9 +582,13 @@ struct SpinFf {
     sig: Vec<SigStep>,
     /// Ticks per whole iteration (sum of `sig` costs).
     period: u64,
-    /// Global words whose writes must wake this warp: the polled words
-    /// plus every word the loop body reads.
+    /// While capturing, the anchor's polled words. While parked, the
+    /// global words whose writes must wake this warp: the distinct polled
+    /// words plus every word the loop body reads, in first-seen order.
     watch: Vec<(u32, u32)>,
+    /// While parked: its registrations in the device's spin-wait registry,
+    /// one per word of `watch`.
+    nodes: Vec<u32>,
     /// Virtual cursor: next `sig` index to issue...
     idx: usize,
     /// ...and the earliest tick it can issue at (pre-displacement). For a
@@ -632,12 +636,9 @@ impl SpinFf {
             wait: out.wait,
         });
         self.period = 0;
+        // Deduplicated when the warp parks.
         self.watch.clear();
-        for &wd in polled {
-            if !self.watch.contains(&wd) {
-                self.watch.push(wd);
-            }
-        }
+        self.watch.extend_from_slice(polled);
         self.idx = 0;
         self.next_tick = 0;
         self.kick = None;
@@ -659,6 +660,11 @@ enum SpinState {
     /// Counting consecutive all-lanes-failed visits to one anchor poll;
     /// holds no box until the streak reaches [`ARM_VISITS`].
     Arming { anchor_pc: Pc, mask: u64, fails: u8 },
+    /// Woken from a park at `anchor_pc`. Its next all-lanes-failed pure
+    /// poll there starts a capture at once, without re-arming: a warp that
+    /// parked once is a long spinner, and arming would replay
+    /// `ARM_VISITS - 1` more iterations after every wake.
+    Woken { anchor_pc: Pc },
     /// An all-lanes-failed pure poll was seen; recording one iteration.
     Capturing(Box<SpinFf>),
     /// Off the heap; iterations are reconstructed virtually.
@@ -1413,6 +1419,20 @@ impl Launch {
         out: &StepOutcome,
         t_done: u64,
     ) -> bool {
+        let mut state = std::mem::replace(&mut self.spin[wid as usize], SpinState::Idle);
+        if let SpinState::Waking(mut old) = state {
+            // The woken warp just re-executed its poll for real; drop the
+            // stale watch registration (re-parking below re-registers a
+            // freshly captured set, so changed read-set values are
+            // re-observed).
+            mem.spin_unpark(&mut old.nodes);
+            state = SpinState::Woken {
+                anchor_pc: old.anchor_pc,
+            };
+            self.spare.push(old);
+            #[cfg(debug_assertions)]
+            self.check_registry(mem, sm);
+        }
         let rec = &mut self.spin_rec;
         let (pc, mask) = (out.pc, out.mask);
         let is_poll = !rec.polled.is_empty() || rec.polled_ok > 0;
@@ -1420,23 +1440,24 @@ impl Launch {
             !rec.polled.is_empty() && rec.polled_ok == 0 && out.pure && kernel.spin_pure(pc);
         let spare = &mut self.spare;
         let slot = &mut self.spin[wid as usize];
-        let mut state = std::mem::replace(slot, SpinState::Idle);
-        if let SpinState::Waking(old) = state {
-            // The woken warp just re-executed its poll for real; drop the
-            // stale watch registration (re-parking below re-registers a
-            // freshly captured set, so changed read-set values are
-            // re-observed).
-            mem.spin_unpark(wid, &old.watch);
-            spare.push(old);
-            state = SpinState::Idle;
-        }
         let start_capture = |spare: &mut Vec<Box<SpinFf>>| {
             let mut c = spare.pop().unwrap_or_default();
             c.start(sm, pc, mask, out, &rec.polled);
             SpinState::Capturing(c)
         };
         match state {
-            SpinState::Idle => {
+            SpinState::Woken { anchor_pc } if anchor_ok && pc == anchor_pc => {
+                // It spun here long enough to park once: capture now.
+                *slot = start_capture(spare);
+            }
+            SpinState::Woken { anchor_pc }
+                if !anchor_ok && (!is_poll || (pc == anchor_pc && rec.polled_ok > 0)) =>
+            {
+                // Loop-body steps and polls that free some lanes at the
+                // anchor keep the mark; anything else drops it.
+                *slot = SpinState::Woken { anchor_pc };
+            }
+            SpinState::Idle | SpinState::Woken { .. } => {
                 if anchor_ok {
                     *slot = SpinState::Arming {
                         anchor_pc: pc,
@@ -1485,26 +1506,24 @@ impl Launch {
                         && pc == c.anchor_pc
                         && mask == c.mask
                         && rec.polled.len() == c.sig[0].poll_fails as usize
-                        && rec.polled.iter().all(|wd| c.watch.contains(wd))
+                        && mem.spin_watch_holds(&c.watch, &rec.polled)
                     {
                         // The loop closed on its anchor: park.
                         debug_assert_eq!(out.cost_ticks, c.sig[0].cost);
-                        for &r in rec.reads.iter() {
-                            if !c.watch.contains(&r) {
-                                c.watch.push(r);
-                            }
-                        }
+                        mem.spin_watch_dedupe(&mut c.watch, &rec.reads);
                         rec.reads.clear();
                         c.period = c.sig.iter().map(|s| s.cost).sum();
                         c.idx = if c.sig.len() > 1 { 1 } else { 0 };
                         c.next_tick = t_done;
                         c.kick = None;
-                        mem.spin_park(wid, &c.watch);
+                        mem.spin_park(wid, &c.watch, &mut c.nodes);
                         *slot = SpinState::Parked(c);
                         self.crowds[sm].parked.push(wid);
                         self.n_parked += 1;
                         self.counters.parks += 1;
                         self.crowd_joined(sm, wid);
+                        #[cfg(debug_assertions)]
+                        self.check_registry(mem, sm);
                         return true;
                     }
                     rec.reads.clear();
@@ -1617,6 +1636,34 @@ impl Launch {
         );
     }
 
+    /// Debug builds, at every park and unpark: each parked warp on SM `s`
+    /// holds one live registration per word of its watch, on that word, in
+    /// watch order, and the registry holds as many registrations as the
+    /// parked warps of every SM watch words, so no other warp holds any.
+    #[cfg(debug_assertions)]
+    fn check_registry(&self, mem: &DeviceMemory, s: usize) {
+        let mut watched = 0;
+        for (wid, st) in self.spin.iter().enumerate() {
+            let SpinState::Parked(p) = st else { continue };
+            watched += p.watch.len();
+            if p.sm == s {
+                assert!(
+                    p.nodes.len() == p.watch.len()
+                        && p.nodes
+                            .iter()
+                            .zip(&p.watch)
+                            .all(|(&id, &wd)| mem.spin_node(id) == Some((wid as u32, wd))),
+                    "SM {s}: parked warp {wid}'s registrations do not match its watch"
+                );
+            }
+        }
+        assert_eq!(
+            mem.spin_registered(),
+            watched,
+            "SM {s}: the spin registry holds registrations of warps that are not parked"
+        );
+    }
+
     /// Debug builds, between events: every leaf of the arbiter tree is its
     /// SM's key recomputed from scratch and every node the least of its
     /// children, so the root is the least SM key; and SM `s`'s warps are
@@ -1715,6 +1762,11 @@ impl Launch {
         assert!(
             mem.store_buffers_empty(),
             "stores still buffered at launch end"
+        );
+        assert_eq!(
+            mem.spin_registered(),
+            0,
+            "a spin registration survived the launch"
         );
     }
 

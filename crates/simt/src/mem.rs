@@ -126,6 +126,14 @@ struct Buffer {
 }
 
 impl Buffer {
+    fn len(&self) -> usize {
+        match &self.data {
+            BufData::F64(v) => v.len(),
+            BufData::U32(v) => v.len(),
+            BufData::Flag(v) => v.len(),
+        }
+    }
+
     fn new(data: BufData) -> Self {
         let bytes = match &data {
             BufData::F64(v) => v.len() * 8,
@@ -243,36 +251,184 @@ impl SpinRec {
 /// is `>= min_warp` (heap pop order within a tick is by warp id).
 type SpinWake = (u32, u64, u32);
 
+/// An empty list, or the end of one, in [`SpinWaiters`].
+const NIL: u32 = u32::MAX;
+
+/// One word's entry in the spin-wait registry's index.
+#[derive(Clone, Copy)]
+struct WordSlot {
+    /// The word's first and last registrations, or [`NIL`].
+    head: u32,
+    tail: u32,
+    /// Equal to [`SpinWaiters::stamp`] while the word is in the watch set
+    /// being deduplicated.
+    stamp: u32,
+}
+
+/// One registration: parked `warp` waits on the word of index slot
+/// `slot`. A word's registrations are a doubly linked list in park order.
+/// A free node has warp [`NIL`] and chains the free list through `next`.
+#[derive(Clone, Copy)]
+struct Waiter {
+    warp: u32,
+    prev: u32,
+    next: u32,
+    slot: u32,
+}
+
 /// Registry of warps parked on global words under
-/// [`crate::SpinModel::FastForward`]. O(1) to consult whenever no warp is
-/// parked. An emptied waiter list is kept until the launch ends, so a warp
-/// that re-parks on a word does not allocate. The map is released between
-/// launches: kept across them, it held every word any launch watched, and
-/// the paper-deep sessions peaked 0.74 MiB higher.
-#[derive(Default)]
+/// [`crate::SpinModel::FastForward`], dense over the buffers the kernel
+/// watches: one [`WordSlot`] per element of each watched buffer, allocated
+/// the first time the launch watches the buffer, heading a list of
+/// registrations in one slab. A park and an unpark cost O(watched words)
+/// and a wake walks one list, with no hashing; the slot's stamp
+/// deduplicates a watch set in O(1) per word. O(1) to consult whenever no
+/// warp is parked. Released at launch end: kept across launches, it would
+/// hold a slot per element of every buffer any launch watched.
 struct SpinWaiters {
-    /// `(buffer, element index)` → parked warp ids.
-    map: HashMap<(u32, u32), Vec<u32>>,
-    /// Registrations in `map`, over all words.
+    /// Per buffer, by raw id: the index of its first slot in `slots`, or
+    /// [`NIL`] while the launch has not watched it.
+    base: Vec<u32>,
+    /// The watched buffers' slots, each buffer's contiguous.
+    slots: Vec<WordSlot>,
+    /// Registrations, live and free.
+    nodes: Vec<Waiter>,
+    /// The first free node, or [`NIL`].
+    free: u32,
+    /// Live registrations.
     registered: usize,
+    /// The dedupe generation (see [`WordSlot::stamp`]).
+    stamp: u32,
     /// Wakes produced by stores/fences/atomics, drained by the engine
     /// after every executed instruction.
     wakes: Vec<SpinWake>,
 }
 
-/// Queues a wake for every waiter of `(buf, idx)`. The key names the first
-/// scheduler slot at which the *initiating instruction* has executed; a
-/// woken warp whose poll still cannot observe the value (e.g. the store is
-/// buffered and unpublished) simply fails the poll and re-parks, so waking
-/// early is safe while waking late never happens.
+impl Default for SpinWaiters {
+    fn default() -> Self {
+        SpinWaiters {
+            base: Vec::new(),
+            slots: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            registered: 0,
+            stamp: 0,
+            wakes: Vec::new(),
+        }
+    }
+}
+
+impl SpinWaiters {
+    /// The slot of word `idx` of buffer `buf`, if a launch watches `buf`.
+    #[inline]
+    fn find(&self, buf: u32, idx: usize) -> Option<usize> {
+        match self.base.get(buf as usize) {
+            Some(&b) if b != NIL => Some(b as usize + idx),
+            _ => None,
+        }
+    }
+
+    /// The slot of word `idx` of buffer `buf`, allocating the buffer's
+    /// slots (one per element of `bufs[buf]`) the first time.
+    #[inline]
+    fn slot(&mut self, bufs: &[Buffer], buf: u32, idx: u32) -> u32 {
+        let b = buf as usize;
+        if self.base.len() <= b {
+            self.base.resize(b + 1, NIL);
+        }
+        if self.base[b] == NIL {
+            self.base[b] = self.slots.len() as u32;
+            let len = self.slots.len() + bufs[b].len();
+            let empty = WordSlot {
+                head: NIL,
+                tail: NIL,
+                stamp: 0,
+            };
+            self.slots.resize(len, empty);
+        }
+        self.base[b] + idx
+    }
+
+    /// A stamp no slot holds.
+    fn restamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.iter_mut().for_each(|sl| sl.stamp = 0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+
+    /// Registers `warp` on the word of slot `slot`, last in its list.
+    fn link(&mut self, warp: u32, slot: u32) -> u32 {
+        let id = match self.free {
+            NIL => self.nodes.len() as u32,
+            id => id,
+        };
+        let sl = &mut self.slots[slot as usize];
+        let prev = std::mem::replace(&mut sl.tail, id);
+        match prev {
+            NIL => sl.head = id,
+            prev => self.nodes[prev as usize].next = id,
+        }
+        let node = Waiter {
+            warp,
+            prev,
+            next: NIL,
+            slot,
+        };
+        if id as usize == self.nodes.len() {
+            self.nodes.push(node);
+        } else {
+            self.free = self.nodes[id as usize].next;
+            self.nodes[id as usize] = node;
+        }
+        self.registered += 1;
+        id
+    }
+
+    /// Removes registration `id` from its word's list and frees it.
+    fn unlink(&mut self, id: u32) {
+        let Waiter {
+            prev, next, slot, ..
+        } = self.nodes[id as usize];
+        let sl = &mut self.slots[slot as usize];
+        match prev {
+            NIL => sl.head = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => sl.tail = prev,
+            next => self.nodes[next as usize].prev = prev,
+        }
+        self.nodes[id as usize] = Waiter {
+            warp: NIL,
+            prev: NIL,
+            next: self.free,
+            slot: NIL,
+        };
+        self.free = id;
+        self.registered -= 1;
+    }
+}
+
+/// Queues a wake for every waiter of `(buf, idx)`, in park order. The key
+/// names the first scheduler slot at which the *initiating instruction*
+/// has executed; a woken warp whose poll still cannot observe the value
+/// (e.g. the store is buffered and unpublished) simply fails the poll and
+/// re-parks, so waking early is safe while waking late never happens.
 fn wake_waiters(spin: &mut SpinWaiters, buf: u32, idx: usize, tick: u64, min_warp: u32) {
     if spin.registered == 0 {
         return;
     }
-    if let Some(ws) = spin.map.get(&(buf, idx as u32)) {
-        for &wid in ws {
-            spin.wakes.push((wid, tick, min_warp));
-        }
+    let Some(slot) = spin.find(buf, idx) else {
+        return;
+    };
+    let mut id = spin.slots[slot].head;
+    while id != NIL {
+        let w = spin.nodes[id as usize];
+        spin.wakes.push((w.warp, tick, min_warp));
+        id = w.next;
     }
 }
 
@@ -822,23 +978,60 @@ impl DeviceMemory {
 
     // ---- spin fast-forward waiter registry (engine-internal) ------------
 
-    /// Parks `warp` on every word in `watch`.
-    pub(crate) fn spin_park(&mut self, warp: u32, watch: &[(u32, u32)]) {
-        self.spin.registered += watch.len();
+    /// Whether `watch` holds every word of `words`. A closing capture polls
+    /// the words it started with, in the same order, so equal lists skip
+    /// the stamps.
+    pub(crate) fn spin_watch_holds(&mut self, watch: &[(u32, u32)], words: &[(u32, u32)]) -> bool {
+        if watch == words {
+            return true;
+        }
+        let (spin, bufs) = (&mut self.spin, &self.bufs);
+        let stamp = spin.restamp();
         for &(buf, idx) in watch {
-            self.spin.map.entry((buf, idx)).or_default().push(warp);
+            let sl = spin.slot(bufs, buf, idx);
+            spin.slots[sl as usize].stamp = stamp;
+        }
+        words.iter().all(|&(buf, idx)| {
+            let sl = spin.slot(bufs, buf, idx);
+            spin.slots[sl as usize].stamp == stamp
+        })
+    }
+
+    /// Drops the repeats from `watch` and appends each word of `reads` it
+    /// does not hold, keeping first-seen order.
+    pub(crate) fn spin_watch_dedupe(&mut self, watch: &mut Vec<(u32, u32)>, reads: &[(u32, u32)]) {
+        let (spin, bufs) = (&mut self.spin, &self.bufs);
+        let stamp = spin.restamp();
+        let first = |spin: &mut SpinWaiters, (buf, idx): (u32, u32)| {
+            let sl = spin.slot(bufs, buf, idx) as usize;
+            std::mem::replace(&mut spin.slots[sl].stamp, stamp) != stamp
+        };
+        watch.retain(|&wd| first(spin, wd));
+        for &wd in reads {
+            if first(spin, wd) {
+                watch.push(wd);
+            }
         }
     }
 
-    /// Removes `warp` from the waiter lists of every word in `watch`.
-    pub(crate) fn spin_unpark(&mut self, warp: u32, watch: &[(u32, u32)]) {
+    /// Parks `warp` on every word in `watch`; `nodes` receives its
+    /// registrations, one per word in `watch` order.
+    pub(crate) fn spin_park(&mut self, warp: u32, watch: &[(u32, u32)], nodes: &mut Vec<u32>) {
+        let (spin, bufs) = (&mut self.spin, &self.bufs);
+        nodes.clear();
         for &(buf, idx) in watch {
-            if let Some(ws) = self.spin.map.get_mut(&(buf, idx)) {
-                let before = ws.len();
-                ws.retain(|&w| w != warp);
-                self.spin.registered -= before - ws.len();
-            }
+            let sl = spin.slot(bufs, buf, idx);
+            nodes.push(spin.link(warp, sl));
         }
+    }
+
+    /// Removes the registrations in `nodes` (a parked warp's, from
+    /// [`DeviceMemory::spin_park`]) and empties it.
+    pub(crate) fn spin_unpark(&mut self, nodes: &mut Vec<u32>) {
+        for &id in nodes.iter() {
+            self.spin.unlink(id);
+        }
+        nodes.clear();
     }
 
     /// Drains queued wakes into `out` (cleared first).
@@ -847,12 +1040,48 @@ impl DeviceMemory {
         out.append(&mut self.spin.wakes);
     }
 
-    /// Clears all waiter state and releases its memory (launch start and
-    /// end, and error paths that leave warps parked).
+    /// Clears all waiter state and releases the registry's memory (launch
+    /// start and end, and error paths that leave warps parked).
     pub(crate) fn spin_clear(&mut self) {
-        self.spin.map = HashMap::new();
-        self.spin.registered = 0;
-        self.spin.wakes.clear();
+        let mut wakes = std::mem::take(&mut self.spin.wakes);
+        wakes.clear();
+        self.spin = SpinWaiters {
+            wakes,
+            ..SpinWaiters::default()
+        };
+    }
+
+    /// Debug builds: registration `id`'s warp and word, if it is live and
+    /// linked to its neighbours.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn spin_node(&self, id: u32) -> Option<(u32, (u32, u32))> {
+        let spin = &self.spin;
+        let w = spin.nodes.get(id as usize).filter(|w| w.warp != NIL)?;
+        let sl = spin.slots[w.slot as usize];
+        let node = |i: u32| &spin.nodes[i as usize];
+        let linked = (if w.prev == NIL {
+            sl.head == id
+        } else {
+            node(w.prev).next == id
+        }) && (if w.next == NIL {
+            sl.tail == id
+        } else {
+            node(w.next).prev == id
+        });
+        // The watched buffer whose slots hold `w.slot`: the one with the
+        // greatest base at or below it.
+        let (buf, base) = (spin.base.iter().enumerate())
+            .filter(|&(_, &b)| b != NIL && b <= w.slot)
+            .max_by_key(|&(_, &b)| b)?;
+        linked.then_some((w.warp, (buf as u32, w.slot - base)))
+    }
+
+    /// Debug builds: live registrations, counted over the registry's slab.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn spin_registered(&self) -> usize {
+        let live = self.spin.nodes.iter().filter(|w| w.warp != NIL).count();
+        assert_eq!(live, self.spin.registered, "the spin registry miscounts");
+        live
     }
 
     /// Stale data reads observed so far this launch (relaxed model only).
@@ -1656,7 +1885,7 @@ mod tests {
             .iter()
             .flat_map(|&(b, n)| (0..n).map(move |i| (b, i)))
             .collect();
-        dev.spin_park(9, &words);
+        park(&mut dev, 9, &words);
         let (mut acc, mut sops, mut polls) = (Vec::new(), 0, 0u32);
         let mut shared = [0.0f64; 0];
         macro_rules! lane {
@@ -1785,6 +2014,118 @@ mod tests {
         assert_eq!(dev.read_flags(g), &[1, 1, 0, 0]);
         assert_eq!(dev.read_u32(c), &[3, 4]);
         assert_eq!(dev.read_f64(y), &[7.0, 8.0]);
+    }
+
+    /// Parks `warp` on `words`, with no loop-body reads; returns its
+    /// registrations.
+    fn park(dev: &mut DeviceMemory, warp: u32, words: &[(u32, u32)]) -> Vec<u32> {
+        let mut nodes = Vec::new();
+        dev.spin_park(warp, words, &mut nodes);
+        nodes
+    }
+
+    /// Wakes queued by an SC flag store of `warp` to word `idx` of `g`.
+    fn wakes_of_store(dev: &mut DeviceMemory, g: BufFlag, idx: usize, warp: u32) -> Vec<SpinWake> {
+        let (mut acc, mut sops, mut polls) = (Vec::new(), 0, 0u32);
+        let mut shared = [0.0f64; 0];
+        lane_mem_as(dev, &mut shared, &mut acc, &mut sops, &mut polls, warp, 50)
+            .store_flag(g, idx, true);
+        let mut wakes = Vec::new();
+        dev.take_spin_wakes(&mut wakes);
+        wakes
+    }
+
+    /// Parks, unparks and wakes across two watched buffers: a write wakes
+    /// exactly the warps parked on its word, in park order, and an unpark
+    /// removes only the unparking warp.
+    #[test]
+    fn registry_parks_unparks_and_wakes_across_two_buffers() {
+        let mut dev = DeviceMemory::new();
+        let _unwatched = dev.alloc_f64(&[0.0; 4]);
+        let (f, g) = (dev.alloc_flags(8), dev.alloc_flags(3));
+        let (fr, gr) = (f.raw(), g.raw());
+        // A capture's polled words, one polled twice.
+        let mut watch = vec![(fr, 5), (gr, 1), (fr, 5), (fr, 2)];
+        assert!(dev.spin_watch_holds(&watch, &watch.clone()));
+        assert!(dev.spin_watch_holds(&watch, &[(gr, 1), (fr, 2), (fr, 5)]));
+        assert!(!dev.spin_watch_holds(&watch, &[(fr, 5), (gr, 2)]));
+
+        // Closing the capture drops the repeat and appends the new
+        // loop-body reads, in first-seen order, across both buffers.
+        dev.spin_watch_dedupe(&mut watch, &[(gr, 1), (gr, 2), (gr, 2)]);
+        assert_eq!(watch, [(fr, 5), (gr, 1), (fr, 2), (gr, 2)]);
+        let mut n3 = park(&mut dev, 3, &watch);
+        assert_eq!(n3.len(), 4);
+        assert_eq!(dev.spin_node(n3[3]), Some((3, (gr, 2))));
+        let mut n7 = park(&mut dev, 7, &[(gr, 1), (fr, 5)]);
+        let mut n9 = park(&mut dev, 9, &[(fr, 5)]);
+        assert_eq!(dev.spin_registered(), 7);
+        assert_eq!(dev.spin_node(n7[1]), Some((7, (fr, 5))));
+        assert_eq!(
+            wakes_of_store(&mut dev, f, 5, 1),
+            [(3, 50, 2), (7, 50, 2), (9, 50, 2)]
+        );
+        assert_eq!(wakes_of_store(&mut dev, g, 1, 1), [(3, 50, 2), (7, 50, 2)]);
+        assert_eq!(wakes_of_store(&mut dev, f, 0, 1), []);
+
+        // Unparking the middle, the first and the last waiter of one word.
+        dev.spin_unpark(&mut n7);
+        assert!(n7.is_empty());
+        assert_eq!(wakes_of_store(&mut dev, f, 5, 1), [(3, 50, 2), (9, 50, 2)]);
+        dev.spin_unpark(&mut n3);
+        assert_eq!(wakes_of_store(&mut dev, f, 5, 1), [(9, 50, 2)]);
+        assert_eq!(wakes_of_store(&mut dev, g, 2, 1), []);
+        n3 = park(&mut dev, 3, &[(fr, 5)]);
+        dev.spin_unpark(&mut n9);
+        assert_eq!(wakes_of_store(&mut dev, f, 5, 1), [(3, 50, 2)]);
+        dev.spin_unpark(&mut n3);
+        assert_eq!(dev.spin_registered(), 0);
+        assert_eq!(wakes_of_store(&mut dev, f, 5, 1), []);
+    }
+
+    /// Unparked registrations are reused before the slab grows.
+    #[test]
+    fn registry_reuses_freed_registrations() {
+        let mut dev = DeviceMemory::new();
+        let g = dev.alloc_flags(6);
+        let words: Vec<(u32, u32)> = (0..6).map(|i| (g.raw(), i)).collect();
+        let mut a = park(&mut dev, 1, &words);
+        park(&mut dev, 2, &words[..2]);
+        assert_eq!(dev.spin.nodes.len(), 8);
+        let mut freed = a.clone();
+        dev.spin_unpark(&mut a);
+        let mut c = park(&mut dev, 4, &words[1..]);
+        let d = park(&mut dev, 5, &words[..1]);
+        assert_eq!(
+            dev.spin.nodes.len(),
+            8,
+            "a freed registration was not reused"
+        );
+        c.extend(&d);
+        c.sort_unstable();
+        freed.sort_unstable();
+        assert_eq!(c, freed);
+        assert_eq!(dev.spin_registered(), 8);
+        assert_eq!(wakes_of_store(&mut dev, g, 0, 0), [(2, 50, 1), (5, 50, 1)]);
+    }
+
+    /// A launch that fails leaves warps parked; clearing the registry drops
+    /// every registration and releases its memory, and the next launch
+    /// parks on a fresh registry.
+    #[test]
+    fn spin_clear_drops_registrations_left_by_a_failed_launch() {
+        let mut dev = DeviceMemory::new();
+        let g = dev.alloc_flags(4);
+        park(&mut dev, 1, &[(g.raw(), 0), (g.raw(), 1)]);
+        let mut b = park(&mut dev, 2, &[(g.raw(), 1)]);
+        dev.spin_clear();
+        assert_eq!(dev.spin_registered(), 0);
+        assert_eq!(dev.spin.nodes.capacity() + dev.spin.slots.capacity(), 0);
+        assert_eq!(wakes_of_store(&mut dev, g, 1, 0), []);
+        // The stale ids in `b` are dropped by the next park.
+        dev.spin_park(2, &[(g.raw(), 3)], &mut b);
+        assert_eq!(b, [0]);
+        assert_eq!(wakes_of_store(&mut dev, g, 3, 0), [(2, 50, 1)]);
     }
 
     #[test]

@@ -67,12 +67,12 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Allocations per `(case, spin model, path)`.
 const EXPECTED: &[(&str, &str, &str, u64)] = &[
-    ("writing_first/random_k", "FastForward", "cold", 15833),
-    ("writing_first/random_k", "FastForward", "warm", 14092),
+    ("writing_first/random_k", "FastForward", "cold", 3125),
+    ("writing_first/random_k", "FastForward", "warm", 483),
     ("writing_first/random_k", "Replay", "cold", 817),
     ("writing_first/random_k", "Replay", "warm", 203),
-    ("syncfree/random_k", "FastForward", "cold", 4342),
-    ("syncfree/random_k", "FastForward", "warm", 2180),
+    ("syncfree/random_k", "FastForward", "cold", 2732),
+    ("syncfree/random_k", "FastForward", "warm", 341),
     ("syncfree/random_k", "Replay", "cold", 1340),
     ("syncfree/random_k", "Replay", "warm", 327),
     ("levelset/layered", "FastForward", "cold", 243),

@@ -580,31 +580,31 @@ fn crowd_plans_carry_the_dense_band() {
             "syncfree",
             syncfree::solve as Solve,
             EngineCounters {
-                heap_events: 47_582,
-                issues: 46_909,
-                busy_rekeys: 673,
+                heap_events: 30_288,
+                issues: 29_705,
+                busy_rekeys: 583,
                 superseded: 0,
                 rekicks: 0,
-                virtual_single: 23_430,
-                virtual_crowd: 391_546,
-                ready_inserts: 18_439,
+                virtual_single: 24_978,
+                virtual_crowd: 407_202,
+                ready_inserts: 19_729,
                 parks: 4_500,
-                plans_built: 344,
-                plans_dissolved: 224,
+                plans_built: 342,
+                plans_dissolved: 222,
             },
         ),
         (
             "cusparse_like",
             cusparse_like::solve as Solve,
             EngineCounters {
-                heap_events: 63_682,
-                issues: 62_917,
+                heap_events: 37_876,
+                issues: 37_111,
                 busy_rekeys: 765,
                 superseded: 0,
                 rekicks: 0,
-                virtual_single: 26_183,
-                virtual_crowd: 538_681,
-                ready_inserts: 20_682,
+                virtual_single: 24_197,
+                virtual_crowd: 566_473,
+                ready_inserts: 19_172,
                 parks: 4_500,
                 plans_built: 333,
                 plans_dissolved: 213,
