@@ -7,27 +7,33 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
+use capellini_simt::SimtError;
 use capellini_sparse::{LevelSets, LowerTriangularCsr};
+
+use crate::buffers::check_rhs_len;
 
 /// Solves `Lx = b` level by level with `n_threads` workers and a barrier
 /// between levels. The level analysis must come from
-/// [`LevelSets::analyze`] on the same matrix.
+/// [`LevelSets::analyze`] on the same matrix. A wrong-length rhs is the
+/// same [`SimtError::Launch`] as on the simulated paths, and a level
+/// analysis of another row count is a [`SimtError::Launch`] too.
 pub fn solve_levelset_parallel(
     l: &LowerTriangularCsr,
     levels: &LevelSets,
     b: &[f64],
     n_threads: usize,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, SimtError> {
     let n = l.n();
-    assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
-    assert_eq!(
-        levels.n_rows(),
-        n,
-        "level analysis does not match the matrix"
-    );
+    check_rhs_len(b, n)?;
+    if levels.n_rows() != n {
+        return Err(SimtError::Launch(format!(
+            "level analysis of {} rows does not match the matrix of {n} rows",
+            levels.n_rows()
+        )));
+    }
     let n_threads = n_threads.clamp(1, n.max(1));
     if n_threads == 1 || n < 2 {
-        return crate::reference::solve_serial_csr(l, b);
+        return Ok(crate::reference::solve_serial_csr(l, b));
     }
 
     // x is written before the barrier and read only after it, so Relaxed
@@ -68,10 +74,10 @@ pub fn solve_levelset_parallel(
         }
     });
 
-    x_bits
+    Ok(x_bits
         .iter()
         .map(|v| f64::from_bits(v.load(Ordering::Relaxed)))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -87,7 +93,7 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 3) % 29) as f64 - 14.0).collect();
         let levels = LevelSets::analyze(l);
         let x_ref = solve_serial_csr(l, &b);
-        let x = solve_levelset_parallel(l, &levels, &b, threads);
+        let x = solve_levelset_parallel(l, &levels, &b, threads).unwrap();
         assert_solutions_close(&x, &x_ref, 1e-11);
     }
 
@@ -112,12 +118,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "level analysis does not match")]
-    fn mismatched_levels_panic() {
+    fn mismatched_levels_are_a_launch_error() {
         let l = gen::diagonal(10);
-        let other = gen::diagonal(11);
-        let levels = LevelSets::analyze(&other);
-        let b = vec![1.0; 10];
-        solve_levelset_parallel(&l, &levels, &b, 2);
+        let levels = LevelSets::analyze(&gen::diagonal(11));
+        let err = solve_levelset_parallel(&l, &levels, &[1.0; 10], 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid launch: level analysis of 11 rows does not match the matrix of 10 rows"
+        );
+    }
+
+    #[test]
+    fn wrong_rhs_length_is_a_launch_error() {
+        let l = gen::diagonal(10);
+        let levels = LevelSets::analyze(&l);
+        let err = solve_levelset_parallel(&l, &levels, &[1.0; 9], 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid launch: rhs length 9 does not match matrix dimension 10"
+        );
     }
 }

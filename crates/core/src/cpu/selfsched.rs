@@ -14,7 +14,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+use capellini_simt::SimtError;
 use capellini_sparse::LowerTriangularCsr;
+
+use crate::buffers::check_rhs_len;
 
 /// How rows are assigned to threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +29,19 @@ pub enum Distribution {
 }
 
 /// Solves `Lx = b` with `n_threads` self-scheduled busy-waiting threads.
+/// A wrong-length rhs is the same [`SimtError::Launch`] as on the simulated
+/// paths.
 pub fn solve_selfsched(
     l: &LowerTriangularCsr,
     b: &[f64],
     n_threads: usize,
     dist: Distribution,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, SimtError> {
     let n = l.n();
-    assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
+    check_rhs_len(b, n)?;
     let n_threads = n_threads.clamp(1, n.max(1));
     if n_threads == 1 || n < 2 {
-        return crate::reference::solve_serial_csr(l, b);
+        return Ok(crate::reference::solve_serial_csr(l, b));
     }
 
     let x_bits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -91,10 +96,10 @@ pub fn solve_selfsched(
         }
     });
 
-    x_bits
+    Ok(x_bits
         .iter()
         .map(|v| f64::from_bits(v.load(Ordering::Relaxed)))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -109,7 +114,7 @@ mod tests {
         let n = l.n();
         let b: Vec<f64> = (0..n).map(|i| ((i * 31 + 7) % 19) as f64 - 9.0).collect();
         let x_ref = solve_serial_csr(l, &b);
-        let x = solve_selfsched(l, &b, threads, dist);
+        let x = solve_selfsched(l, &b, threads, dist).unwrap();
         assert_solutions_close(&x, &x_ref, 1e-11);
     }
 
@@ -156,8 +161,18 @@ mod tests {
         // result is bitwise identical across runs despite racing schedules.
         let l = gen::random_k(1000, 4, 1000, 27);
         let b: Vec<f64> = (0..1000).map(|i| (i % 13) as f64).collect();
-        let a = solve_selfsched(&l, &b, 8, Distribution::Cyclic);
-        let c = solve_selfsched(&l, &b, 8, Distribution::Cyclic);
+        let a = solve_selfsched(&l, &b, 8, Distribution::Cyclic).unwrap();
+        let c = solve_selfsched(&l, &b, 8, Distribution::Cyclic).unwrap();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn wrong_rhs_length_is_a_launch_error() {
+        let l = gen::chain(5, 1, 26);
+        let err = solve_selfsched(&l, &[1.0; 4], 2, Distribution::Cyclic).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid launch: rhs length 4 does not match matrix dimension 5"
+        );
     }
 }

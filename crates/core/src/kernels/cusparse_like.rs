@@ -94,6 +94,7 @@ impl WarpKernel for CusparseLikeKernel {
         CuLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut CuLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = (tid / self.warp_size) as usize;
         let lane = tid % self.warp_size;

@@ -101,6 +101,7 @@ impl WarpKernel for CusparseLikeMultiKernel {
         }
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut CumLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = (tid / self.warp_size) as usize;
         let lane = tid % self.warp_size;

@@ -190,6 +190,7 @@ impl WarpKernel for HybridKernel {
         HyLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut HyLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let warp = (tid / self.warp_size) as usize;
         let lane = tid % self.warp_size;

@@ -83,6 +83,7 @@ impl WarpKernel for LevelSolveKernel {
         LvLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut LvLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         match pc {
             P_LD_ORDER => {

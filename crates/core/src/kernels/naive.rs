@@ -72,6 +72,7 @@ impl WarpKernel for NaiveThreadKernel {
         NaiveLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut NaiveLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = tid as usize;
         match pc {

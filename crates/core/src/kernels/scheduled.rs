@@ -307,6 +307,7 @@ impl WarpKernel for ScheduledKernel {
         SchedLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut SchedLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let unit = tid / self.warp_size;
         let lane = tid % self.warp_size;

@@ -99,6 +99,7 @@ impl WarpKernel for SyncFreeKernel {
         SfLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut SfLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = self.row_of(tid) as usize; // the component this warp solves
         let lane = self.lane_of(tid);

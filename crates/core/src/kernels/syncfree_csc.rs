@@ -105,6 +105,7 @@ impl WarpKernel for SyncFreeCscKernel {
         ScLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut ScLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let col = (tid / self.warp_size) as usize;
         let lane = tid % self.warp_size;

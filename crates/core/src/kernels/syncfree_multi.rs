@@ -101,6 +101,7 @@ impl WarpKernel for SyncFreeMultiKernel {
         }
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut SfmLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = (tid / self.warp_size) as usize; // the component this warp solves
         let lane = tid % self.warp_size;

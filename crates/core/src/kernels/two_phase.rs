@@ -88,6 +88,7 @@ impl WarpKernel for TwoPhaseKernel {
         TpLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut TpLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = tid as usize;
         match pc {

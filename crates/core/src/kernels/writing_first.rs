@@ -151,6 +151,7 @@ impl WarpKernel for WritingFirstKernel {
         WfLane::default()
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut WfLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = tid as usize;
         match pc {

@@ -78,6 +78,7 @@ impl WarpKernel for WritingFirstMultiKernel {
         }
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, l: &mut WfmLane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let i = tid as usize;
         let m = self.nrhs as usize;

@@ -178,6 +178,7 @@ impl<K: WarpKernel> WarpKernel for ShardView<K> {
         self.inner.make_lane(tid + self.base)
     }
 
+    #[inline(always)]
     fn exec(&self, pc: Pc, lane: &mut K::Lane, tid: u32, mem: &mut LaneMem<'_>) -> Effect {
         let gtid = tid + self.base;
         if pc == 0 && gtid >= self.limit {

@@ -154,40 +154,47 @@ enum Hang {
 }
 
 /// The scheduler: one issue arbiter per SM the grid occupies, under a
-/// tournament tree (DESIGN.md §6). Each SM keeps a min-heap of its warps'
-/// timed events (issue-ready ticks, newly resident warps and wake kicks)
-/// and a waiting set of the warps that found its issue slot taken, each
-/// keyed `(sm_next_free[sm], warp)`: the key a busy re-key in one global
-/// heap would reach, one pop at a time. An SM's key is the least of its
-/// heap top and its lowest waiting warp, and the tree yields the least SM
-/// key, so events come out earliest first, same-tick ones in warp-id
-/// order. A warp's sequence number marks its one valid timed entry;
-/// superseded entries (re-kicked warps) stay in their heap and are skipped
-/// when selected.
+/// tournament tree (DESIGN.md §6). Each SM keeps one timed slot per warp
+/// slot, holding its warp's next timed event (an issue-ready tick, a newly
+/// resident warp's start or a wake kick) under a min tree of its own, and a
+/// waiting set of the warps that found its issue slot taken, each keyed
+/// `(sm_next_free[sm], warp)`: the key a busy re-key in one global heap
+/// would reach, one pop at a time. An SM's key is the least of its slot
+/// tree's root and its lowest waiting warp, and the tree over the SMs
+/// yields the least SM key, so events come out earliest first, same-tick
+/// ones in warp-id order. Rescheduling a warp overwrites its slot, so a
+/// warp has at most one timed event.
 ///
 /// Keys are packed into one `u128` (see [`pack`]), so comparing two costs
 /// no branch.
 #[derive(Default)]
 struct Queue {
-    /// Per SM: its warps' timed events, `pack(tick, warp, seq)`. Only the
-    /// first [`Queue::sms`] are in use; the rest keep their allocations for
-    /// wider grids.
-    timed: Vec<BinaryHeap<Reverse<u128>>>,
+    /// Leaves of each SM's slot tree: its warp slots, rounded up to a
+    /// power of two.
+    leaves: usize,
+    /// The SMs' slot trees, `2 * leaves` keys `pack(tick, warp, 0)` each:
+    /// SM `s`'s node `i` is `slots[2 * leaves * s + i]`, slot `j` is leaf
+    /// `leaves + j`, node `i` holds the least of nodes `2i` and `2i + 1`,
+    /// and node 1 is the root. An empty slot holds [`NO_EVENT`].
+    slots: Vec<u128>,
+    /// Per warp: its slot on its SM.
+    slot_of: Vec<u32>,
     /// Per SM: its waiting warps, in descending warp-id order, so the
-    /// lowest (the next to issue) is last.
+    /// lowest (the next to issue) is last. Only the first [`Queue::sms`]
+    /// are in use; the rest keep their allocations for wider grids.
     waiting: Vec<Vec<u32>>,
-    seq: Vec<u32>,
     /// Min tree over the SM keys `pack(tick, warp, sm)`: SM `s` is leaf
-    /// `sms + s`, node `i` holds the least of nodes `2i` and `2i + 1`, and
-    /// node 1 is the root. An SM with no event holds [`NO_EVENT`].
+    /// `sms + s`, and node 1 is the root. An SM with no event holds
+    /// [`NO_EVENT`].
     tree: Vec<u128>,
 }
 
-/// The key of an SM with neither a timed event nor a waiting warp.
+/// The key of an empty slot, or of an SM with neither a timed event nor a
+/// waiting warp.
 const NO_EVENT: u128 = u128::MAX;
 
-/// An event key: ordered by tick, then warp, then `low` (a timed entry's
-/// sequence number, or the SM in the tree).
+/// An event key: ordered by tick, then warp, then `low` (the SM in the tree
+/// over the SMs, 0 in a slot tree).
 #[inline]
 fn pack(tick: u64, warp: u32, low: u32) -> u128 {
     (tick as u128) << 64 | (warp as u128) << 32 | low as u128
@@ -199,34 +206,25 @@ fn unpack(key: u128) -> (u64, u32, u32) {
     ((key >> 64) as u64, (key >> 32) as u32, key as u32)
 }
 
-/// Where the selected event came from.
-enum Selected {
-    /// A timed event that was superseded after it was pushed.
-    Superseded,
-    /// The warp's live timed event, now popped.
-    Timed,
-    /// The SM's lowest waiting warp, which keeps its place until it issues.
-    Waiting,
-}
-
 impl Queue {
     /// Starts a launch of `n_warps` warps over `sms` SMs of `resident`
-    /// warp slots each, keeping every allocation. Only the SMs the last
-    /// launch occupied can hold entries: Level-Set runs thousands of
-    /// one-warp launches, and clearing every SM's queue at each of them
-    /// took a warm cant-like solve from 16.3 to 18.2 ms.
+    /// warp slots each, keeping every allocation. Each SM's slot tree has
+    /// room for the warps the grid can make resident on it at once. Only
+    /// the SMs the last launch occupied can hold waiting warps: Level-Set
+    /// runs thousands of one-warp launches, and clearing every SM's queue
+    /// at each of them took a warm cant-like solve from 16.3 to 18.2 ms.
     fn reset(&mut self, sms: usize, resident: usize, n_warps: usize) {
         let used = self.sms();
-        self.timed[..used].iter_mut().for_each(BinaryHeap::clear);
         self.waiting[..used].iter_mut().for_each(Vec::clear);
-        if self.timed.len() < sms {
-            self.timed
-                .resize_with(sms, || BinaryHeap::with_capacity(resident));
+        if self.waiting.len() < sms {
             self.waiting
                 .resize_with(sms, || Vec::with_capacity(resident));
         }
-        self.seq.clear();
-        self.seq.resize(n_warps, 0);
+        self.leaves = resident.min(n_warps.div_ceil(sms)).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(2 * self.leaves * sms, NO_EVENT);
+        self.slot_of.clear();
+        self.slot_of.resize(n_warps, 0);
         self.tree.clear();
         self.tree.resize(2 * sms, NO_EVENT);
     }
@@ -237,17 +235,54 @@ impl Queue {
         self.tree.len() / 2
     }
 
-    /// Schedules `warp` on SM `sm` at `tick`, superseding its pending
-    /// entry. The caller refreshes the SM's key.
+    /// Gives `warp` slot `slot` on its SM: a warp that becomes resident
+    /// takes a free slot, a pending warp the slot of the warp it replaces.
     #[inline]
-    fn push(&mut self, sm: usize, tick: u64, warp: u32) {
-        let s = &mut self.seq[warp as usize];
-        *s = s.wrapping_add(1);
-        self.timed[sm].push(Reverse(pack(tick, warp, *s)));
+    fn seat(&mut self, warp: u32, slot: u32) {
+        debug_assert!((slot as usize) < self.leaves, "slot {slot} is out of range");
+        self.slot_of[warp as usize] = slot;
     }
 
-    /// Puts `warp` in SM `sm`'s waiting set. The caller refreshes the key.
+    /// Writes `warp`'s slot on SM `sm`, and the path above it. The caller
+    /// refreshes the SM's key.
+    #[inline]
+    fn put(&mut self, sm: usize, warp: u32, key: u128) {
+        let n = self.leaves;
+        let tree = &mut self.slots[2 * n * sm..2 * n * (sm + 1)];
+        let mut i = n + self.slot_of[warp as usize] as usize;
+        let mut v = key;
+        tree[i] = v;
+        while i > 1 {
+            v = v.min(tree[i ^ 1]);
+            i /= 2;
+            tree[i] = v;
+        }
+    }
+
+    /// Schedules `warp` on SM `sm` at `tick`, replacing its timed event if
+    /// it has one. The caller refreshes the SM's key.
+    #[inline]
+    fn push(&mut self, sm: usize, tick: u64, warp: u32) {
+        self.put(sm, warp, pack(tick, warp, 0));
+    }
+
+    /// Empties `warp`'s slot on SM `sm`: it parked, waits, or retired with
+    /// no successor. The caller refreshes the SM's key.
+    #[inline]
+    fn clear(&mut self, sm: usize, warp: u32) {
+        self.put(sm, warp, NO_EVENT);
+    }
+
+    /// The root of SM `sm`'s slot tree: its least timed event.
+    #[inline]
+    fn timed(&self, sm: usize) -> u128 {
+        self.slots[2 * self.leaves * sm + 1]
+    }
+
+    /// Moves `warp` from its slot on SM `sm` into the SM's waiting set.
+    /// The caller refreshes the key.
     fn wait(&mut self, sm: usize, warp: u32) {
+        self.clear(sm, warp);
         let w = &mut self.waiting[sm];
         let pos = w.partition_point(|&x| x > warp);
         w.insert(pos, warp);
@@ -256,9 +291,8 @@ impl Queue {
     /// SM `sm`'s key, given its issue cursor `free`.
     #[inline]
     fn key(&self, sm: usize, free: u64) -> u128 {
-        let timed = self.timed[sm]
-            .peek()
-            .map_or(NO_EVENT, |&Reverse(k)| k >> 32 << 32 | sm as u128);
+        // An empty tree's root stays `NO_EVENT`.
+        let timed = self.timed(sm) | sm as u128;
         match self.waiting[sm].last() {
             Some(&w) => timed.min(pack(free, w, sm as u32)),
             None => timed,
@@ -291,20 +325,34 @@ impl Queue {
         })
     }
 
-    /// Takes the event [`Queue::first`] returned. At an equal key a
-    /// superseded timed entry goes first; it is skipped anyway.
+    /// Whether the event [`Queue::first`] returned is `warp`'s timed event,
+    /// rather than SM `sm`'s lowest waiting warp. A timed event stays in
+    /// its slot until the warp is rescheduled, waits, parks or retires.
     #[inline]
-    fn select(&mut self, sm: usize, t: u64, warp: u32) -> Selected {
-        match self.timed[sm].peek() {
-            Some(&Reverse(k)) if k >> 32 == pack(t, warp, 0) >> 32 => {
-                self.timed[sm].pop();
-                if k as u32 == self.seq[warp as usize] {
-                    Selected::Timed
-                } else {
-                    Selected::Superseded
-                }
-            }
-            _ => Selected::Waiting,
+    fn is_timed(&self, sm: usize, t: u64, warp: u32) -> bool {
+        self.timed(sm) == pack(t, warp, 0)
+    }
+
+    /// Debug builds: SM `sm`'s slot tree, recomputed from its leaves, is
+    /// the tree held, and each live leaf is held by the warp seated in
+    /// that slot.
+    #[cfg(debug_assertions)]
+    fn check_slots(&self, sm: usize) {
+        let l = self.leaves;
+        let tree = &self.slots[2 * l * sm..2 * l * (sm + 1)];
+        for i in 1..l {
+            assert_eq!(
+                tree[i],
+                tree[2 * i].min(tree[2 * i + 1]),
+                "SM {sm}: slot tree node {i} is not the least of its children"
+            );
+        }
+        for (j, &k) in tree[l..].iter().enumerate() {
+            let (_, w, low) = unpack(k);
+            assert!(
+                k == NO_EVENT || (low == 0 && self.slot_of[w as usize] as usize == j),
+                "SM {sm}: slot {j} holds warp {w}, which is not seated there"
+            );
         }
     }
 }
@@ -379,7 +427,8 @@ struct Launch {
 
     // Per-instruction scratch.
     accesses: Vec<RawAccess>,
-    targets: Vec<(u32, Pc)>,
+    /// A divergent instruction's lanes grouped by target `(pc, mask)`, in
+    /// the order the targets first appear.
     groups: Vec<(Pc, u64)>,
     spin_rec: SpinRec,
 }
@@ -1359,6 +1408,8 @@ impl Launch {
             // The advance may have moved the SM's cursor, and with it the
             // key of its waiting warps.
             self.queue.refresh(sm, self.sm_next_free[sm]);
+            #[cfg(debug_assertions)]
+            self.queue.check_slots(sm);
         }
         Ok(())
     }
@@ -1664,17 +1715,21 @@ impl Launch {
         );
     }
 
-    /// Debug builds, between events: every leaf of the arbiter tree is its
+    /// Debug builds, between events: SM `s`'s slot tree is sound (see
+    /// [`Queue::check_slots`]); every leaf of the tree over the SMs is its
     /// SM's key recomputed from scratch and every node the least of its
     /// children, so the root is the least SM key; and SM `s`'s warps are
-    /// each scheduled once. An unparked resident warp has one live timed
-    /// entry or a place in the waiting set, never both; a parked warp is
-    /// not waiting and has a live timed entry exactly when its wake kick is
-    /// set, at the kick's tick; the waiting set is strictly ordered.
+    /// each scheduled once. An unparked resident warp has one live slot or
+    /// a place in the waiting set, never both; a parked warp is not waiting
+    /// and its slot is live exactly when its wake kick is set, at the
+    /// kick's tick; the waiting set is strictly ordered. The other SMs'
+    /// slot trees change only at launch start and by a wake kick, and are
+    /// checked there.
     #[cfg(debug_assertions)]
     fn check_queue(&self, s: usize) {
         let q = &self.queue;
         let n = q.sms();
+        q.check_slots(s);
         for sm in 0..n {
             assert_eq!(
                 q.tree[n + sm],
@@ -1703,16 +1758,17 @@ impl Launch {
             "SM {s}: a parked warp is waiting"
         );
         let (mut unparked_live, mut kicks) = (0, 0);
-        for &Reverse(k) in q.timed[s].iter() {
-            let (t, w, sq) = unpack(k);
-            if sq != q.seq[w as usize] {
-                continue;
-            }
+        let l = q.leaves;
+        for &k in q.slots[2 * l * s + l..2 * l * (s + 1)]
+            .iter()
+            .filter(|&&k| k != NO_EVENT)
+        {
+            let (t, w, _) = unpack(k);
             match parked(w) {
                 Some(p) => {
                     assert!(
                         p.sm == s && p.kick == Some(t),
-                        "SM {s}: parked warp {w}'s timed entry at {t} is not its kick"
+                        "SM {s}: parked warp {w}'s timed slot at {t} is not its kick"
                     );
                     kicks += 1;
                 }
@@ -1732,7 +1788,7 @@ impl Launch {
                 .filter(|&&w| parked(w).is_some_and(|p| p.kick.is_some()))
                 .count(),
             kicks,
-            "SM {s}: a parked warp's kick has no live timed entry"
+            "SM {s}: a parked warp's kick has no live timed slot"
         );
         assert_eq!(
             waiting.len() + unparked_live + crowd.len(),
@@ -1750,7 +1806,7 @@ impl Launch {
         (0..self.queue.sms()).for_each(|s| self.check_queue(s));
         let c = &self.counters;
         assert_eq!(
-            c.issues + c.busy_rekeys + c.superseded + c.rekicks,
+            c.issues + c.busy_rekeys + c.rekicks,
             c.heap_events,
             "the heap-pop split does not sum to the heap events"
         );
@@ -1792,7 +1848,7 @@ impl Launch {
         let warp_size = self.warp_size;
         let owner = if self.sm_scope { w.sm as u32 } else { wid };
         let stale_before = mem.stale_count();
-        let mut spin_rec = if self.ff_on {
+        let spin_rec = if self.ff_on {
             self.spin_rec.begin_instr();
             self.spin_rec.record_reads = matches!(self.spin[wid as usize], SpinState::Capturing(_));
             Some(&mut self.spin_rec)
@@ -1800,47 +1856,63 @@ impl Launch {
             None
         };
         let accesses = &mut self.accesses;
-        let targets = &mut self.targets;
+        let groups = &mut self.groups;
         let stats = &mut self.stats;
         accesses.clear();
-        targets.clear();
+        groups.clear();
         let mut shared_ops: u32 = 0;
         let mut failed_polls: u32 = 0;
         let mut flops: u64 = 0;
         let mut fence = false;
-        // Uniformity is tracked inline so the common fully-converged case
-        // never rescans `targets`.
+        // Uniformity is tracked inline, and lanes are grouped by target only
+        // once the instruction diverges, so the common fully-converged case
+        // records nothing per lane.
+        let first_lane = mask.trailing_zeros();
         let mut first_target = PC_EXIT;
         let mut uniform = true;
 
-        for lane in 0..warp_size {
-            if mask & (1 << lane) == 0 {
-                continue;
+        // One memory interface serves every lane of the instruction, in
+        // ascending lane order.
+        let mut lm = LaneMem {
+            dev: mem,
+            shared: &mut w.shared,
+            accesses,
+            shared_ops: &mut shared_ops,
+            failed_polls: &mut failed_polls,
+            spin: spin_rec,
+            owner,
+            warp: wid,
+            now: t,
+            pc,
+            #[cfg(debug_assertions)]
+            ops_this_exec: 0,
+        };
+        let base_tid = wid * warp_size as u32;
+        let mut rest = mask;
+        while rest != 0 {
+            let lane = rest.trailing_zeros();
+            rest &= rest - 1;
+            #[cfg(debug_assertions)]
+            {
+                lm.ops_this_exec = 0;
             }
-            let tid = wid * warp_size as u32 + lane as u32;
-            let mut lm = LaneMem {
-                dev: mem,
-                shared: &mut w.shared,
-                accesses,
-                shared_ops: &mut shared_ops,
-                failed_polls: &mut failed_polls,
-                spin: spin_rec.as_deref_mut(),
-                owner,
-                warp: wid,
-                now: t,
-                pc,
-                #[cfg(debug_assertions)]
-                ops_this_exec: 0,
-            };
-            let eff = kernel.exec(pc, &mut w.lanes[lane], tid, &mut lm);
+            let eff = kernel.exec(pc, &mut w.lanes[lane as usize], base_tid + lane, &mut lm);
             flops += eff.flops as u64;
             fence |= eff.fence;
-            if targets.is_empty() {
+            if lane == first_lane {
                 first_target = eff.next;
-            } else if eff.next != first_target {
-                uniform = false;
+            } else if !uniform || eff.next != first_target {
+                if uniform {
+                    // The first lane to diverge: every earlier lane went to
+                    // the first target.
+                    uniform = false;
+                    groups.push((first_target, mask & ((1u64 << lane) - 1)));
+                }
+                match groups.iter_mut().find(|g| g.0 == eff.next) {
+                    Some(g) => g.1 |= 1 << lane,
+                    None => groups.push((eff.next, 1 << lane)),
+                }
             }
-            targets.push((lane as u32, eff.next));
         }
 
         sat_add(&mut stats.warp_instructions, 1);
@@ -2019,15 +2091,6 @@ impl Launch {
         } else {
             let rpc = kernel.reconv(pc);
             w.stack.last_mut().expect("stack non-empty").pc = rpc;
-            // Group lanes by target (scratch hoisted by the caller).
-            let groups = &mut self.groups;
-            groups.clear();
-            for &(lane, tg) in targets.iter() {
-                match groups.iter_mut().find(|g| g.0 == tg) {
-                    Some(g) => g.1 |= 1 << lane,
-                    None => groups.push((tg, 1 << lane)),
-                }
-            }
             // Execution order: kernel's branch order, then pc. Push in
             // reverse so the first-executing group ends on top. Targets are
             // unique within `groups`, so the unstable sort (which does not
@@ -2094,14 +2157,15 @@ impl GpuDevice {
     /// instead of re-walking the round-robin residency fill. Diagnostic for
     /// the session-amortization contract: warm same-shape launches should
     /// all hit the cache. Reuse is bit-transparent — the cached plan is
-    /// exactly the assignment the fill loop would recompute.
+    /// exactly the assignment the fill loop would recompute. The sum of the
+    /// `grid_reuses` field of [`GpuDevice::last_launch_counters`] over the
+    /// device's launches.
     pub fn grid_reuses(&self) -> u64 {
         self.grid_reuses
     }
 
     /// Scheduler events selected by the most recent launch: timed events
-    /// (superseded ones included) and waiting warps taken from their SM's
-    /// issue arbiter. [`crate::SpinModel::FastForward`] minimizes it
+    /// and waiting warps taken from their SM's issue arbiter. [`crate::SpinModel::FastForward`] minimizes it
     /// (identical stats, far fewer events on spin-heavy kernels), and a warp
     /// that finds its SM busy adds one event on joining the SM's waiting
     /// set, not one per slot it waits. The `heap_events` field of
@@ -2256,6 +2320,7 @@ impl GpuDevice {
         let plan = match self.grid_cache.iter().position(|p| p.n_warps == n_warps) {
             Some(pos) => {
                 self.grid_reuses += 1;
+                s.counters.grid_reuses = 1;
                 &self.grid_cache[pos]
             }
             None => {
@@ -2275,14 +2340,20 @@ impl GpuDevice {
         let mut warps: Vec<Option<WarpRt<K::Lane>>> = (0..n_warps).map(|_| None).collect();
         for (wid, &sm) in plan.sms.iter().enumerate() {
             let sm = sm as usize;
-            let mut w = WarpRt::from_scratch(self.warp_scratch.pop().unwrap_or_default());
+            let scratch = self.warp_scratch.pop();
+            s.counters.warp_reuses += scratch.is_some() as u64;
+            let mut w = WarpRt::from_scratch(scratch.unwrap_or_default());
             w.reset(kernel, wid, sm, ws);
             warps[wid] = Some(w);
+            // The SM's next free slot: no warp has retired yet.
+            s.queue.seat(wid as u32, s.resident[sm] as u32);
             s.resident[sm] += 1;
             debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
             s.queue.push(sm, 0, wid as u32);
         }
         (0..s.queue.sms()).for_each(|sm| s.queue.refresh(sm, 0));
+        #[cfg(debug_assertions)]
+        (0..s.queue.sms()).for_each(|sm| s.queue.check_slots(sm));
         let mut next_pending = plan.sms.len();
 
         // While link events are still pending, a stall is waiting on the
@@ -2360,17 +2431,10 @@ impl GpuDevice {
             let dl = window(ev_i);
             after = (t, wid + 1);
             s.counters.heap_events += 1;
-            // Every way out of this block leaves SM `sm`'s key to refresh.
+            // Every way out of this block leaves SM `sm`'s key to refresh,
+            // and the selected warp's timed slot rewritten or emptied.
             'event: {
-                let waiting = match s.queue.select(sm, t, wid) {
-                    // The warp was re-kicked after this entry was pushed.
-                    Selected::Superseded => {
-                        s.counters.superseded += 1;
-                        break 'event;
-                    }
-                    Selected::Timed => false,
-                    Selected::Waiting => true,
-                };
+                let waiting = !s.queue.is_timed(sm, t, wid);
                 let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
                 debug_assert_eq!(w.sm, sm, "warp {wid} is scheduled on another SM");
                 if s.n_parked > 0 {
@@ -2459,19 +2523,27 @@ impl GpuDevice {
                     let mut w = warps[wid as usize].take().expect("done warp exists");
                     s.resident[sm] -= 1;
                     if next_pending < n_warps {
+                        let next = next_pending as u32;
                         w.reset(kernel, next_pending, sm, ws);
                         warps[next_pending] = Some(w);
+                        s.counters.warp_reuses += 1;
                         s.resident[sm] += 1;
                         debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
-                        s.queue.push(sm, t + 1, next_pending as u32);
+                        s.queue.seat(next, s.queue.slot_of[wid as usize]);
+                        s.queue.push(sm, t + 1, next);
                         next_pending += 1;
-                    } else if self.warp_scratch.len() < pool_cap {
-                        self.warp_scratch.push(WarpScratch {
-                            stack: w.stack,
-                            shared: w.shared,
-                        });
+                    } else {
+                        s.queue.clear(sm, wid);
+                        if self.warp_scratch.len() < pool_cap {
+                            self.warp_scratch.push(WarpScratch {
+                                stack: w.stack,
+                                shared: w.shared,
+                            });
+                        }
                     }
-                } else if !parked {
+                } else if parked {
+                    s.queue.clear(sm, wid);
+                } else {
                     s.queue.push(sm, t_done, wid);
                 }
 
@@ -2720,6 +2792,110 @@ mod tests {
         let pc3 = trace.events.iter().find(|e| e.pc == 3).unwrap();
         assert_eq!(pc3.mask, 0b010);
         assert_eq!(stats.thread_instructions, 3 + 2 * 2 + 1 + 3 + 3);
+    }
+
+    /// The lanes of a 64-lane warp that survive pc 0 of [`SplitKernel`].
+    const KEEP: u64 = 1 << 3 | 1 << 5 | 1 << 9 | 1 << 40 | 1 << 63;
+
+    /// Lanes outside [`KEEP`] exit at pc 0. At pc 1 the rest split three
+    /// ways: lane 9 to pc 3, lane 63 to pc 4, the others to pc 2. Each
+    /// branch stores `100 * pc + lane` for its lane, and the warp
+    /// reconverges at pc 5.
+    struct SplitKernel {
+        y: BufF64,
+    }
+
+    impl WarpKernel for SplitKernel {
+        type Lane = ();
+        fn name(&self) -> &'static str {
+            "split"
+        }
+        fn make_lane(&self, _tid: u32) {}
+        fn exec(&self, pc: Pc, _l: &mut (), tid: u32, mem: &mut LaneMem<'_>) -> Effect {
+            let lane = tid % 64;
+            match pc {
+                0 if KEEP & 1 << lane != 0 => Effect::to(1),
+                0 => Effect::exit(),
+                1 => Effect::to(match lane {
+                    9 => 3,
+                    63 => 4,
+                    _ => 2,
+                }),
+                2..=4 => {
+                    mem.store_f64(self.y, lane as usize, (100 * pc + lane) as f64);
+                    Effect::to(5)
+                }
+                5 => Effect::exit(),
+                _ => unreachable!(),
+            }
+        }
+        fn reconv(&self, pc: Pc) -> Pc {
+            match pc {
+                0 => 1,
+                1 => 5,
+                _ => unreachable!(),
+            }
+        }
+    }
+
+    /// A partial mask of a 64-lane warp, lane 63 included, whose first lane
+    /// to diverge is its third active lane: the two before it join the
+    /// first target's group, each group gets its own stack entry, and every
+    /// lane runs its own branch.
+    #[test]
+    fn a_partial_64_lane_mask_splits_into_its_groups() {
+        let cfg = DeviceConfig {
+            warp_size: 64,
+            ..DeviceConfig::pascal_like()
+        };
+        let mut mem = DeviceMemory::new();
+        let k = SplitKernel {
+            y: mem.alloc_f64(&[-1.0; 64]),
+        };
+        let mut s = Launch::default();
+        s.reset(&cfg, k.name(), 1, false);
+        let mut w = WarpRt::from_scratch(WarpScratch::default());
+        w.reset(&k, 0, 0, 64);
+        let mut issued = Vec::new();
+        while !w.done() {
+            let out = s.step_warp(&k, &mut w, 0, &mut mem, &mut None, 0);
+            issued.push((out.pc, out.mask));
+            if out.pc == 1 {
+                let stack: Vec<_> = w.stack.iter().map(|e| (e.pc, e.reconv, e.mask)).collect();
+                let first = 1 << 3 | 1 << 5 | 1 << 40;
+                assert_eq!(
+                    stack,
+                    [
+                        (5, PC_EXIT, KEEP),
+                        (4, 5, 1 << 63),
+                        (3, 5, 1 << 9),
+                        (2, 5, first)
+                    ],
+                    "the branch at pc 1 grouped its lanes wrongly"
+                );
+            }
+        }
+        let first = 1 << 3 | 1 << 5 | 1 << 40;
+        assert_eq!(
+            issued,
+            [
+                (0, u64::MAX),
+                (1, KEEP),
+                (2, first),
+                (3, 1 << 9),
+                (4, 1 << 63),
+                (5, KEEP)
+            ]
+        );
+        let want: Vec<f64> = (0..64u32)
+            .map(|lane| match lane {
+                9 => 309.0,
+                63 => 463.0,
+                3 | 5 | 40 => (200 + lane) as f64,
+                _ => -1.0,
+            })
+            .collect();
+        assert_eq!(mem.read_f64(k.y), &want[..]);
     }
 
     /// The §3.3 Challenge-1 scenario: lane 1 spins on a flag that lane 0
@@ -3532,8 +3708,8 @@ mod tests {
     }
 
     /// The decisions of the `k`-th issue of an arbiter run seeded `seed`,
-    /// by warp `w`: its cost (1–4 ticks), whether the warp is pushed a
-    /// second time (superseding the first entry, as a re-kick does), and
+    /// by warp `w`: its cost (1–4 ticks), whether the warp is scheduled a
+    /// second time (overwriting its first event, as a re-kick does), and
     /// how far forward another SM's cursor moves (as a wake's advance of
     /// that SM's parked warps moves it). 0 moves nothing.
     fn issue_rolls(seed: u64, k: u64, w: u32) -> (u64, Option<u64>, u64, u64) {
@@ -3553,8 +3729,9 @@ mod tests {
     /// One scheduling run of `n_warps` warps, `per_warp` issues each, on
     /// `sm_count` SMs, by the arbiter (`naive` false) or by one global heap
     /// that re-keys a busy warp to its SM's cursor, one pop at a time: the
-    /// scheduler the arbiter replaced. Returns the issues `(tick, warp)` in
-    /// order.
+    /// scheduler the arbiter replaced. A second push for a warp supersedes
+    /// its first entry in the heap and overwrites its slot in the arbiter.
+    /// Returns the issues `(tick, warp)` in order.
     fn schedule(
         sm_count: usize,
         n_warps: usize,
@@ -3564,7 +3741,9 @@ mod tests {
     ) -> Vec<(u64, u32)> {
         let sms = sm_count.min(n_warps);
         let (mut q, mut heap) = (Queue::default(), BinaryHeap::new());
-        q.reset(sms, 64, n_warps);
+        // Every warp is resident from the start, more than 64 on an SM
+        // when there are few SMs.
+        q.reset(sms, n_warps.div_ceil(sms).max(64), n_warps);
         let mut seq = vec![0u32; n_warps];
         // Schedules `w` at `t` in whichever scheduler runs.
         let push = |q: &mut Queue, heap: &mut BinaryHeap<_>, seq: &mut [u32], t: u64, w: u32| {
@@ -3575,7 +3754,10 @@ mod tests {
                 q.push(w as usize % sms, t, w);
             }
         };
-        (0..n_warps as u32).for_each(|w| push(&mut q, &mut heap, &mut seq, 0, w));
+        for w in 0..n_warps as u32 {
+            q.seat(w, w / sms as u32);
+            push(&mut q, &mut heap, &mut seq, 0, w);
+        }
         (0..sms).for_each(|sm| q.refresh(sm, 0));
         let (mut free, mut issued, mut out) = (vec![0u64; sms], vec![0u32; n_warps], Vec::new());
         loop {
@@ -3590,14 +3772,7 @@ mod tests {
             } else {
                 let Some((t, w, sm)) = q.first() else { break };
                 assert_eq!(sm, w as usize % sms, "warp {w} selected on SM {sm}");
-                match q.select(sm, t, w) {
-                    Selected::Superseded => {
-                        q.refresh(sm, free[sm]);
-                        continue;
-                    }
-                    Selected::Timed => (t, w, false),
-                    Selected::Waiting => (t, w, true),
-                }
+                (t, w, !q.is_timed(sm, t, w))
             };
             let sm = w as usize % sms;
             if free[sm] > t {
@@ -3621,6 +3796,8 @@ mod tests {
                 if let Some(d) = again {
                     push(&mut q, &mut heap, &mut seq, t + d, w);
                 }
+            } else if !naive {
+                q.clear(sm, w);
             }
             let other = target as usize % sms;
             free[other] = free[other].max(t + bump);

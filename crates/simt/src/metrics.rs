@@ -87,21 +87,22 @@ pub struct LaunchStats {
 /// comparable; no simulated result reads them. Read through
 /// [`crate::GpuDevice::last_launch_counters`].
 ///
-/// The scheduler is one issue arbiter per SM: each SM's timed events
-/// (issue-ready ticks, newly resident warps, wake kicks) and a waiting set
-/// of its warps that found the issue slot taken, under a tree that selects
-/// the earliest event over the SMs. The names say "heap" and "re-key"
-/// because they count the same decisions one global event heap made, where
-/// a busy warp was pushed back at its SM's cursor and popped again.
+/// The scheduler is one issue arbiter per SM: one timed slot per resident
+/// warp (its issue-ready tick, its start or its wake kick) and a waiting set
+/// of the SM's warps that found the issue slot taken, under a tree that
+/// selects the earliest event over the SMs. The names say "heap" and
+/// "re-key" because they count the same decisions one global event heap
+/// made, where a busy warp was pushed back at its SM's cursor and popped
+/// again.
 ///
 /// Two identities hold. For a launch that completes, `issues`,
-/// `busy_rekeys`, `superseded` and `rekicks` sum to `heap_events`. For
-/// every launch, `issues` and the two virtual counts sum to
+/// `busy_rekeys` and `rekicks` sum to `heap_events`. For every launch,
+/// `issues` and the two virtual counts sum to
 /// [`LaunchStats::warp_instructions`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Scheduler events selected: timed events, superseded ones included,
-    /// and selections of an SM's lowest waiting warp.
+    /// Scheduler events selected: timed events and selections of an SM's
+    /// lowest waiting warp.
     pub heap_events: u64,
     /// Events that issued a warp instruction.
     pub issues: u64,
@@ -109,8 +110,6 @@ pub struct EngineCounters {
     /// warp joins the SM's waiting set, and a selected waiting warp that a
     /// lower-id parked warp's virtual issue beat to the slot stays in it.
     pub busy_rekeys: u64,
-    /// Selected timed events that were superseded (re-kicked warps).
-    pub superseded: u64,
     /// Selected wake kicks of a parked warp whose anchor poll had moved
     /// later, so the warp was kicked again.
     pub rekicks: u64,
@@ -126,6 +125,13 @@ pub struct EngineCounters {
     pub plans_built: u64,
     /// Crowd plans dissolved back into per-visit state.
     pub plans_dissolved: u64,
+    /// 1 if the launch replayed the device's cached grid plan for its warp
+    /// count instead of computing the initial residency, else 0.
+    pub grid_reuses: u64,
+    /// Warps started on a retired warp's allocations: drawn from the
+    /// device's pool of earlier launches' warps, or recycled within the
+    /// launch from a warp that finished.
+    pub warp_reuses: u64,
 }
 
 impl LaunchStats {

@@ -65,9 +65,9 @@ fn cpu_solvers_agree_with_gpu_simulation() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let levels = LevelSets::analyze(&l);
         for x_cpu in [
-            solve_selfsched(&l, &b, 4, Distribution::Cyclic),
-            solve_selfsched(&l, &b, 3, Distribution::Blocked),
-            solve_levelset_parallel(&l, &levels, &b, 4),
+            solve_selfsched(&l, &b, 4, Distribution::Cyclic).unwrap(),
+            solve_selfsched(&l, &b, 3, Distribution::Blocked).unwrap(),
+            solve_levelset_parallel(&l, &levels, &b, 4).unwrap(),
             solve_serial_csc(&l.csr().to_csc(), &b),
         ] {
             linalg::assert_solutions_close(&x_cpu, &gpu.x, 1e-10);

@@ -67,17 +67,17 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Allocations per `(case, spin model, path)`.
 const EXPECTED: &[(&str, &str, &str, u64)] = &[
-    ("writing_first/random_k", "FastForward", "cold", 3125),
+    ("writing_first/random_k", "FastForward", "cold", 3116),
     ("writing_first/random_k", "FastForward", "warm", 483),
-    ("writing_first/random_k", "Replay", "cold", 817),
+    ("writing_first/random_k", "Replay", "cold", 808),
     ("writing_first/random_k", "Replay", "warm", 203),
-    ("syncfree/random_k", "FastForward", "cold", 2732),
+    ("syncfree/random_k", "FastForward", "cold", 2723),
     ("syncfree/random_k", "FastForward", "warm", 341),
-    ("syncfree/random_k", "Replay", "cold", 1340),
+    ("syncfree/random_k", "Replay", "cold", 1331),
     ("syncfree/random_k", "Replay", "warm", 327),
-    ("levelset/layered", "FastForward", "cold", 243),
+    ("levelset/layered", "FastForward", "cold", 234),
     ("levelset/layered", "FastForward", "warm", 130),
-    ("levelset/layered", "Replay", "cold", 239),
+    ("levelset/layered", "Replay", "cold", 230),
     ("levelset/layered", "Replay", "warm", 130),
 ];
 

@@ -57,7 +57,7 @@ fn every_algorithm_matches_the_reference() {
             let rep = solve_simulated(&cfg, &l, &b, algo).unwrap();
             linalg::assert_solutions_close(&rep.x, &x_ref, 1e-10);
         }
-        let x_cpu = solve_selfsched(&l, &b, 3, Distribution::Cyclic);
+        let x_cpu = solve_selfsched(&l, &b, 3, Distribution::Cyclic).unwrap();
         linalg::assert_solutions_close(&x_cpu, &x_ref, 1e-10);
     }
 }

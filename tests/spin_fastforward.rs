@@ -99,7 +99,7 @@ fn diff_one(
         // single launch's issues, real and virtual, are its instructions.
         let c = dev.last_launch_counters();
         assert_eq!(
-            c.issues + c.busy_rekeys + c.superseded + c.rekicks,
+            c.issues + c.busy_rekeys + c.rekicks,
             c.heap_events,
             "{name} on {mname} under {model:?}: heap pops do not split"
         );
@@ -136,8 +136,9 @@ fn diff_all(cfg: &DeviceConfig) {
 /// SMs, with one or 64 resident warps each, on random matrices small
 /// enough that some grids have fewer warps than SMs (24 rows give
 /// Writing-First one warp) and large enough that one warp slot per SM
-/// leaves most warps pending (300 rows). FastForward must equal Replay,
-/// and both the serial reference.
+/// leaves most warps pending (300 rows), at warp sizes 3, 32 and 64 (the
+/// only width whose lane walk reaches bit 63). FastForward must equal
+/// Replay, and both the serial reference.
 #[test]
 fn every_arbiter_shape_matches_replay_and_the_reference() {
     let solves = [
@@ -154,15 +155,20 @@ fn every_arbiter_shape_matches_replay_and_the_reference() {
         let x_ref = solve_serial_csr(&l, &b);
         for sm_count in [1, 3, 20, 33] {
             for max_warps_per_sm in [1, 64] {
-                let cfg = DeviceConfig {
-                    sm_count,
-                    max_warps_per_sm,
-                    ..DeviceConfig::pascal_like()
-                };
-                let shape = format!("{mname} on {sm_count} SMs x {max_warps_per_sm} warps");
-                for (name, solve) in solves {
-                    let x = diff_one(name, &shape, solve, &l, &cfg);
-                    linalg::assert_solutions_close(&x, &x_ref, 1e-9);
+                for warp_size in [3, 32, 64] {
+                    let cfg = DeviceConfig {
+                        sm_count,
+                        max_warps_per_sm,
+                        warp_size,
+                        ..DeviceConfig::pascal_like()
+                    };
+                    let shape = format!(
+                        "{mname} on {sm_count} SMs x {max_warps_per_sm} warps of {warp_size} lanes"
+                    );
+                    for (name, solve) in solves {
+                        let x = diff_one(name, &shape, solve, &l, &cfg);
+                        linalg::assert_solutions_close(&x, &x_ref, 1e-9);
+                    }
                 }
             }
         }
@@ -583,7 +589,6 @@ fn crowd_plans_carry_the_dense_band() {
                 heap_events: 30_288,
                 issues: 29_705,
                 busy_rekeys: 583,
-                superseded: 0,
                 rekicks: 0,
                 virtual_single: 24_978,
                 virtual_crowd: 407_202,
@@ -591,6 +596,8 @@ fn crowd_plans_carry_the_dense_band() {
                 parks: 4_500,
                 plans_built: 342,
                 plans_dissolved: 222,
+                grid_reuses: 0,
+                warp_reuses: 0,
             },
         ),
         (
@@ -600,7 +607,6 @@ fn crowd_plans_carry_the_dense_band() {
                 heap_events: 37_876,
                 issues: 37_111,
                 busy_rekeys: 765,
-                superseded: 0,
                 rekicks: 0,
                 virtual_single: 24_197,
                 virtual_crowd: 566_473,
@@ -608,6 +614,8 @@ fn crowd_plans_carry_the_dense_band() {
                 parks: 4_500,
                 plans_built: 333,
                 plans_dissolved: 213,
+                grid_reuses: 0,
+                warp_reuses: 0,
             },
         ),
     ];
