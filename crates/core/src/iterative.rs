@@ -8,7 +8,6 @@
 //! (the thread-level CapelliniSpTRSV analog), so the cost profile matches
 //! what a GPU deployment of the paper's kernel would accelerate.
 
-use capellini_simt::SimtError;
 use capellini_sparse::triangular::solve_serial_upper;
 use capellini_sparse::{linalg, CsrMatrix, LowerTriangularCsr, SparseError, UpperTriangularCsr};
 
@@ -76,7 +75,8 @@ pub fn gauss_seidel(
     for it in 1..=max_iters {
         let ux = linalg::spmv(&upper, &x);
         let rhs: Vec<f64> = b.iter().zip(&ux).map(|(bi, ui)| bi - ui).collect();
-        x = forward_sweep(&lower, &rhs, threads)?;
+        x = solve_selfsched(&lower, &rhs, threads, Distribution::Cyclic)
+            .map_err(|e| SparseError::InvalidStructure(e.to_string()))?;
         let res = residual_general(a, &x, b);
         if res <= tol {
             return Ok(IterResult {
@@ -131,7 +131,8 @@ pub fn sor(
     for it in 1..=max_iters {
         let rx = linalg::spmv(&rest, &x);
         let rhs: Vec<f64> = b.iter().zip(&rx).map(|(bi, ri)| bi - ri).collect();
-        x = forward_sweep(&lower, &rhs, threads)?;
+        x = solve_selfsched(&lower, &rhs, threads, Distribution::Cyclic)
+            .map_err(|e| SparseError::InvalidStructure(e.to_string()))?;
         let res = residual_general(a, &x, b);
         if res <= tol {
             return Ok(IterResult {
@@ -182,7 +183,8 @@ impl SsorPreconditioner {
     /// dimension is [`SparseError::InvalidStructure`].
     pub fn apply(&self, r: &[f64]) -> Result<Vec<f64>, SparseError> {
         check_rhs_len(r, self.diag.len())?;
-        let y = forward_sweep(&self.lower, r, self.threads)?;
+        let y = solve_selfsched(&self.lower, r, self.threads, Distribution::Cyclic)
+            .map_err(|e| SparseError::InvalidStructure(e.to_string()))?;
         let scaled: Vec<f64> = y.iter().zip(&self.diag).map(|(yi, di)| yi * di).collect();
         Ok(solve_serial_upper(&self.upper, &scaled))
     }
@@ -235,19 +237,6 @@ pub fn pcg_ssor(
         iterations: max_iters,
         residual,
         converged: false,
-    })
-}
-
-/// One thread-level forward sweep. Its rhs length error is the iterative
-/// solvers' own, word for word.
-fn forward_sweep(
-    lower: &LowerTriangularCsr,
-    rhs: &[f64],
-    threads: usize,
-) -> Result<Vec<f64>, SparseError> {
-    solve_selfsched(lower, rhs, threads, Distribution::Cyclic).map_err(|e| match e {
-        SimtError::Launch(msg) => SparseError::InvalidStructure(msg),
-        other => SparseError::InvalidStructure(other.to_string()),
     })
 }
 

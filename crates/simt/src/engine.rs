@@ -67,6 +67,9 @@ const GRID_CACHE_CAP: usize = 32;
 struct GridPlan {
     n_warps: usize,
     sms: Vec<u32>,
+    /// The most warps the fill makes resident on one SM. A pending warp
+    /// takes the place of a warp that retired, so no SM ever holds more.
+    depth: usize,
 }
 
 impl GridPlan {
@@ -76,7 +79,11 @@ impl GridPlan {
     fn round_robin(n_warps: usize, sm_count: usize, max_resident: usize) -> Self {
         let resident = n_warps.min(sm_count * max_resident);
         let sms = (0..resident).map(|w| (w % sm_count) as u32).collect();
-        GridPlan { n_warps, sms }
+        GridPlan {
+            n_warps,
+            sms,
+            depth: resident.div_ceil(sm_count),
+        }
     }
 }
 
@@ -163,14 +170,19 @@ enum Hang {
 /// tree's root and its lowest waiting warp, and the tree over the SMs
 /// yields the least SM key, so events come out earliest first, same-tick
 /// ones in warp-id order. Rescheduling a warp overwrites its slot, so a
-/// warp has at most one timed event.
+/// warp has at most one timed event. The queue also seats warps: it hands
+/// out the slots ([`Queue::admit`], [`Queue::retire`]) and counts each
+/// SM's resident warps.
 ///
 /// Keys are packed into one `u128` (see [`pack`]), so comparing two costs
 /// no branch.
 #[derive(Default)]
 struct Queue {
-    /// Leaves of each SM's slot tree: its warp slots, rounded up to a
-    /// power of two.
+    /// Warp slots per SM: the most warps the fill makes resident on one
+    /// SM.
+    depth: usize,
+    /// Leaves of each SM's slot tree: `depth`, rounded up to a power of
+    /// two.
     leaves: usize,
     /// The SMs' slot trees, `2 * leaves` keys `pack(tick, warp, 0)` each:
     /// SM `s`'s node `i` is `slots[2 * leaves * s + i]`, slot `j` is leaf
@@ -179,6 +191,9 @@ struct Queue {
     slots: Vec<u128>,
     /// Per warp: its slot on its SM.
     slot_of: Vec<u32>,
+    /// Per SM: its resident warps. During the fill, the SM's next free
+    /// slot.
+    resident: Vec<usize>,
     /// Per SM: its waiting warps, in descending warp-id order, so the
     /// lowest (the next to issue) is last. Only the first [`Queue::sms`]
     /// are in use; the rest keep their allocations for wider grids.
@@ -207,24 +222,29 @@ fn unpack(key: u128) -> (u64, u32, u32) {
 }
 
 impl Queue {
-    /// Starts a launch of `n_warps` warps over `sms` SMs of `resident`
-    /// warp slots each, keeping every allocation. Each SM's slot tree has
-    /// room for the warps the grid can make resident on it at once. Only
-    /// the SMs the last launch occupied can hold waiting warps: Level-Set
-    /// runs thousands of one-warp launches, and clearing every SM's queue
-    /// at each of them took a warm cant-like solve from 16.3 to 18.2 ms.
-    fn reset(&mut self, sms: usize, resident: usize, n_warps: usize) {
+    /// Starts a launch of `plan`'s grid on a device configured by `cfg`,
+    /// keeping every allocation. Each SM's slot tree has a slot for each
+    /// warp the fill makes resident on it. Only the SMs the last launch
+    /// occupied can hold waiting warps: Level-Set runs thousands of
+    /// one-warp launches, and clearing every SM's queue at each of them
+    /// took a warm cant-like solve from 16.3 to 18.2 ms.
+    fn reset(&mut self, cfg: &DeviceConfig, plan: &GridPlan) {
+        let (sms, n_warps) = (cfg.sm_count.min(plan.n_warps), plan.n_warps);
         let used = self.sms();
         self.waiting[..used].iter_mut().for_each(Vec::clear);
         if self.waiting.len() < sms {
             self.waiting
-                .resize_with(sms, || Vec::with_capacity(resident));
+                .resize_with(sms, || Vec::with_capacity(cfg.max_warps_per_sm));
         }
-        self.leaves = resident.min(n_warps.div_ceil(sms)).next_power_of_two();
+        debug_assert!(plan.depth <= cfg.max_warps_per_sm);
+        self.depth = plan.depth;
+        self.leaves = plan.depth.next_power_of_two();
         self.slots.clear();
         self.slots.resize(2 * self.leaves * sms, NO_EVENT);
         self.slot_of.clear();
         self.slot_of.resize(n_warps, 0);
+        self.resident.clear();
+        self.resident.resize(cfg.sm_count, 0);
         self.tree.clear();
         self.tree.resize(2 * sms, NO_EVENT);
     }
@@ -235,12 +255,31 @@ impl Queue {
         self.tree.len() / 2
     }
 
-    /// Gives `warp` slot `slot` on its SM: a warp that becomes resident
-    /// takes a free slot, a pending warp the slot of the warp it replaces.
+    /// Makes `warp` resident on SM `sm` in the SM's next free slot. Only
+    /// the fill admits warps, before any warp has retired; a pending warp
+    /// takes over a retired warp's slot ([`Queue::retire`]).
+    fn admit(&mut self, sm: usize, warp: u32) {
+        let slot = self.resident[sm];
+        assert!(
+            slot < self.depth,
+            "SM {sm} has no free slot for warp {warp}"
+        );
+        self.slot_of[warp as usize] = slot as u32;
+        self.resident[sm] += 1;
+    }
+
+    /// `warp` retired from SM `sm`: the pending warp `next` takes over its
+    /// slot, or, with none left, the slot is emptied. The caller schedules
+    /// `next` and refreshes the SM's key.
     #[inline]
-    fn seat(&mut self, warp: u32, slot: u32) {
-        debug_assert!((slot as usize) < self.leaves, "slot {slot} is out of range");
-        self.slot_of[warp as usize] = slot;
+    fn retire(&mut self, sm: usize, warp: u32, next: Option<u32>) {
+        match next {
+            Some(next) => self.slot_of[next as usize] = self.slot_of[warp as usize],
+            None => {
+                self.resident[sm] -= 1;
+                self.clear(sm, warp);
+            }
+        }
     }
 
     /// Writes `warp`'s slot on SM `sm`, and the path above it. The caller
@@ -381,8 +420,6 @@ struct Launch {
     queue: Queue,
     /// Host-work counters (see [`GpuDevice::last_launch_counters`]).
     counters: EngineCounters,
-    /// Resident warps per SM.
-    resident: Vec<usize>,
     /// Per SM: the first tick its issue slot is free...
     sm_next_free: Vec<u64>,
     /// ...and the tick of its last issue (stall gaps are measured from it).
@@ -923,13 +960,13 @@ fn add_virtual(stats: &mut LaunchStats, n: u64, threads: u64, flops: u64, l2: u6
 }
 
 impl Launch {
-    /// Starts a launch of `n_warps` warps of the kernel named `kernel` on a
+    /// Starts a launch of `plan`'s grid of the kernel named `kernel` on a
     /// device configured by `cfg`: every field takes its launch-start value
     /// and every allocation is kept. A `traced` launch replays every spin
     /// poll, whatever the spin model, so its events are Replay's by
     /// construction.
-    fn reset(&mut self, cfg: &DeviceConfig, kernel: &'static str, n_warps: usize, traced: bool) {
-        let sm_count = cfg.sm_count;
+    fn reset(&mut self, cfg: &DeviceConfig, kernel: &'static str, plan: &GridPlan, traced: bool) {
+        let (sm_count, n_warps) = (cfg.sm_count, plan.n_warps);
         self.ticks = Ticks::new(cfg);
         self.max_cycles = cfg.max_cycles;
         self.warp_size = cfg.warp_size;
@@ -952,11 +989,8 @@ impl Launch {
         };
         self.batch_ok = self.prof.is_none();
 
-        self.queue
-            .reset(sm_count.min(n_warps), cfg.max_warps_per_sm, n_warps);
+        self.queue.reset(cfg, plan);
         self.counters = EngineCounters::default();
-        self.resident.clear();
-        self.resident.resize(sm_count, 0);
         self.sm_next_free.clear();
         self.sm_next_free.resize(sm_count, 0);
         self.sm_last_issue.clear();
@@ -1122,7 +1156,7 @@ impl Launch {
         let (cr, free) = (&mut self.crowds[s], self.sm_next_free[s]);
         cr.cal.clear();
         (cr.retry, cr.visits) = (self.batch_ok, 0);
-        let unparked = self.resident[s] - cr.parked.len();
+        let unparked = self.queue.resident[s] - cr.parked.len();
         if !self.batch_ok || !self.sm_ready[s].is_empty() || unparked > PLAN_MAX_UNPARKED {
             return;
         }
@@ -1792,7 +1826,7 @@ impl Launch {
         );
         assert_eq!(
             waiting.len() + unparked_live + crowd.len(),
-            self.resident[s],
+            q.resident[s],
             "SM {s}: an unparked warp is unscheduled or scheduled twice"
         );
     }
@@ -2305,11 +2339,6 @@ impl GpuDevice {
         // reconstructs them virtually — see the comment at `SpinFf`. The
         // waiter registry starts every launch empty.
         self.mem.spin_clear();
-        let mut launch = std::mem::take(&mut self.launch);
-        let s = &mut launch;
-        s.reset(cfg, kernel.name(), n_warps, trace.is_some());
-        let tpc = s.ticks.per_cycle;
-        let ws = cfg.warp_size;
 
         // Initial residency: fill SMs round-robin. The assignment depends
         // only on `n_warps` and device constants, so same-shape launches —
@@ -2317,10 +2346,10 @@ impl GpuDevice {
         // — replay a cached plan instead of re-walking the round-robin
         // cycle. Reuse is bit-transparent: the cached plan *is* the
         // assignment the fill computes.
-        let plan = match self.grid_cache.iter().position(|p| p.n_warps == n_warps) {
+        let cached = self.grid_cache.iter().position(|p| p.n_warps == n_warps);
+        let plan = match cached {
             Some(pos) => {
                 self.grid_reuses += 1;
-                s.counters.grid_reuses = 1;
                 &self.grid_cache[pos]
             }
             None => {
@@ -2332,6 +2361,12 @@ impl GpuDevice {
                 self.grid_cache.last().expect("plan just cached")
             }
         };
+        let mut launch = std::mem::take(&mut self.launch);
+        let s = &mut launch;
+        s.reset(cfg, kernel.name(), plan, trace.is_some());
+        s.counters.grid_reuses = cached.is_some() as u64;
+        let tpc = s.ticks.per_cycle;
+        let ws = cfg.warp_size;
         // Warp-allocation pool: new warps draw their stack/shared vectors
         // from allocations retired by earlier launches, and within a launch
         // a finished warp's `WarpRt` (lane vector included) is recycled
@@ -2345,10 +2380,7 @@ impl GpuDevice {
             let mut w = WarpRt::from_scratch(scratch.unwrap_or_default());
             w.reset(kernel, wid, sm, ws);
             warps[wid] = Some(w);
-            // The SM's next free slot: no warp has retired yet.
-            s.queue.seat(wid as u32, s.resident[sm] as u32);
-            s.resident[sm] += 1;
-            debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
+            s.queue.admit(sm, wid as u32);
             s.queue.push(sm, 0, wid as u32);
         }
         (0..s.queue.sms()).for_each(|sm| s.queue.refresh(sm, 0));
@@ -2521,19 +2553,16 @@ impl GpuDevice {
                 let parked = s.ff_on && s.capture(kernel, &mut self.mem, wid, sm, &out, t_done);
                 if w.done() {
                     let mut w = warps[wid as usize].take().expect("done warp exists");
-                    s.resident[sm] -= 1;
                     if next_pending < n_warps {
                         let next = next_pending as u32;
                         w.reset(kernel, next_pending, sm, ws);
                         warps[next_pending] = Some(w);
                         s.counters.warp_reuses += 1;
-                        s.resident[sm] += 1;
-                        debug_assert!(s.resident[sm] <= cfg.max_warps_per_sm);
-                        s.queue.seat(next, s.queue.slot_of[wid as usize]);
+                        s.queue.retire(sm, wid, Some(next));
                         s.queue.push(sm, t + 1, next);
                         next_pending += 1;
                     } else {
-                        s.queue.clear(sm, wid);
+                        s.queue.retire(sm, wid, None);
                         if self.warp_scratch.len() < pool_cap {
                             self.warp_scratch.push(WarpScratch {
                                 stack: w.stack,
@@ -2853,7 +2882,8 @@ mod tests {
             y: mem.alloc_f64(&[-1.0; 64]),
         };
         let mut s = Launch::default();
-        s.reset(&cfg, k.name(), 1, false);
+        let plan = GridPlan::round_robin(1, cfg.sm_count, cfg.max_warps_per_sm);
+        s.reset(&cfg, k.name(), &plan, false);
         let mut w = WarpRt::from_scratch(WarpScratch::default());
         w.reset(&k, 0, 0, 64);
         let mut issued = Vec::new();
@@ -3743,7 +3773,13 @@ mod tests {
         let (mut q, mut heap) = (Queue::default(), BinaryHeap::new());
         // Every warp is resident from the start, more than 64 on an SM
         // when there are few SMs.
-        q.reset(sms, n_warps.div_ceil(sms).max(64), n_warps);
+        let cfg = DeviceConfig {
+            sm_count,
+            max_warps_per_sm: n_warps.div_ceil(sms).max(64),
+            ..DeviceConfig::pascal_like()
+        };
+        let plan = GridPlan::round_robin(n_warps, sm_count, cfg.max_warps_per_sm);
+        q.reset(&cfg, &plan);
         let mut seq = vec![0u32; n_warps];
         // Schedules `w` at `t` in whichever scheduler runs.
         let push = |q: &mut Queue, heap: &mut BinaryHeap<_>, seq: &mut [u32], t: u64, w: u32| {
@@ -3754,9 +3790,9 @@ mod tests {
                 q.push(w as usize % sms, t, w);
             }
         };
-        for w in 0..n_warps as u32 {
-            q.seat(w, w / sms as u32);
-            push(&mut q, &mut heap, &mut seq, 0, w);
+        for (w, &sm) in plan.sms.iter().enumerate() {
+            q.admit(sm as usize, w as u32);
+            push(&mut q, &mut heap, &mut seq, 0, w as u32);
         }
         (0..sms).for_each(|sm| q.refresh(sm, 0));
         let (mut free, mut issued, mut out) = (vec![0u64; sms], vec![0u32; n_warps], Vec::new());
@@ -3797,7 +3833,7 @@ mod tests {
                     push(&mut q, &mut heap, &mut seq, t + d, w);
                 }
             } else if !naive {
-                q.clear(sm, w);
+                q.retire(sm, w, None);
             }
             let other = target as usize % sms;
             free[other] = free[other].max(t + bump);
